@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"pmsf/internal/boruvka"
-	"pmsf/internal/concomp"
+	"pmsf/internal/cc"
 	"pmsf/internal/filter"
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
@@ -22,7 +22,6 @@ import (
 	"pmsf/internal/obs"
 	"pmsf/internal/par"
 	"pmsf/internal/seq"
-	"pmsf/internal/sorts"
 )
 
 const benchN = 10_000 // vertex count of the benchmark inputs
@@ -356,12 +355,12 @@ func BenchmarkConnectedComponents(b *testing.B) {
 	g := randomGraph(6)
 	b.Run("SV", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			concomp.SV(g, 0)
+			cc.SV(g, 0)
 		}
 	})
 	b.Run("UnionFind", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			concomp.UnionFind(g, 0)
+			cc.UnionFind(g, 0)
 		}
 	})
 }
@@ -378,45 +377,10 @@ func BenchmarkAblationBaseSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelSort compares the two parallel sorting
-// engines on the Bor-EL edge-sort workload: Helman-JáJá sample sort (the
-// paper's choice) vs pairwise parallel merge sort.
-func BenchmarkAblationParallelSort(b *testing.B) {
-	g := randomGraph(10)
-	lessW := func(x, y graph.WEdge) bool {
-		if x.U != y.U {
-			return x.U < y.U
-		}
-		if x.V != y.V {
-			return x.V < y.V
-		}
-		if x.W != y.W {
-			return x.W < y.W
-		}
-		return x.ID < y.ID
-	}
-	b.Run("sample-sort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			l := graph.DirectedWorkList(g)
-			b.StartTimer()
-			sorts.SampleSort(4, l, lessW, 1)
-		}
-	})
-	b.Run("parallel-merge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			l := graph.DirectedWorkList(g)
-			b.StartTimer()
-			sorts.ParallelMergeSort(4, l, lessW)
-		}
-	})
-}
-
 // BenchmarkAblationELSortEngine runs Bor-EL end to end under each
-// parallel sort engine (the compact-graph step is ~95% of its time, so
-// this isolates the Helman-JáJá sample sort against parallel merge sort
-// in situ).
+// compact-graph engine (the compact-graph step dominates its time, so
+// this isolates the Helman-JáJá sample sort against the packed-key
+// parallel radix compactor in situ).
 func BenchmarkAblationELSortEngine(b *testing.B) {
 	g := randomGraph(6)
 	for _, engine := range boruvka.SortEngines() {
@@ -487,10 +451,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // BenchmarkCompactGraphEngines measures the compact-graph kernel in
-// isolation: one CompactWorkListWith call per iteration, across the
-// sample sort, the sequential ten-pass full-key radix, and the
-// packed-key parallel radix compactor, at several worker counts and
-// duplicate-run skew levels. skew=c folds the vertex space by c,
+// isolation: one CompactWorkList call per iteration, across the sample
+// sort and the packed-key parallel radix compactor, at several worker
+// counts and duplicate-run skew levels. skew=c folds the vertex space by c,
 // simulating a late Borůvka round where each supervertex pair carries
 // many parallel edges — the regime the (W, ID) min-reduction targets.
 func BenchmarkCompactGraphEngines(b *testing.B) {
@@ -505,13 +468,8 @@ func BenchmarkCompactGraphEngines(b *testing.B) {
 				edges[i].V %= int32(n)
 			}
 		}
-		for _, engine := range []boruvka.SortEngine{
-			boruvka.SortSampleSort, boruvka.SortRadix, boruvka.SortParallelRadix,
-		} {
+		for _, engine := range boruvka.SortEngines() {
 			for _, p := range []int{1, 4, 8} {
-				if engine == boruvka.SortRadix && p > 1 {
-					continue // sequential engine; p changes nothing
-				}
 				b.Run(fmt.Sprintf("skew=%d/%s/p=%d", skew, engine, p), func(b *testing.B) {
 					work := make([]graph.WEdge, len(edges))
 					b.ReportAllocs()
@@ -520,7 +478,7 @@ func BenchmarkCompactGraphEngines(b *testing.B) {
 						b.StopTimer()
 						copy(work, edges)
 						b.StartTimer()
-						boruvka.CompactWorkListWith(engine, p, work, n, 1)
+						boruvka.CompactWorkList(engine, p, work, n, 1, obs.Span{})
 					}
 				})
 			}
@@ -548,7 +506,7 @@ func BenchmarkCompactScaling(b *testing.B) {
 				b.StopTimer()
 				copy(work, edges)
 				b.StartTimer()
-				boruvka.CompactWorkListWith(boruvka.SortParallelRadix, p, work, n, 1)
+				boruvka.CompactWorkList(boruvka.SortParallelRadix, p, work, n, 1, obs.Span{})
 			}
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 			b.ReportMetric(float64(runtime.NumCPU()), "numcpu")

@@ -3,7 +3,7 @@ package pmsf
 import (
 	"fmt"
 
-	"pmsf/internal/concomp"
+	"pmsf/internal/cc"
 )
 
 // ConnectedComponents computes the connected components of g with the
@@ -22,6 +22,6 @@ func ConnectedComponents(g *Graph, workers int) (labels []int32, components int,
 	if err := g.Validate(); err != nil {
 		return nil, 0, err
 	}
-	labels, components = concomp.SV(g, workers)
+	labels, components = cc.SV(g, workers)
 	return labels, components, nil
 }

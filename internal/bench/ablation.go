@@ -4,13 +4,10 @@ import (
 	"fmt"
 
 	"pmsf/internal/boruvka"
-	"pmsf/internal/concomp"
+	"pmsf/internal/cc"
 	"pmsf/internal/gen"
-	"pmsf/internal/graph"
 	"pmsf/internal/mstbc"
-	"pmsf/internal/par"
 	"pmsf/internal/seq"
-	"pmsf/internal/sorts"
 )
 
 // CCBench times the connected-components implementations — the paper's
@@ -26,8 +23,8 @@ func CCBench(cfg Config) []*Table {
 	for _, w := range workloads {
 		g := w.Make(cfg.Scale, cfg.Seed)
 		var k int
-		dSV := timeIt(func() { _, k = concomp.SV(g, 0) })
-		dUF := timeIt(func() { concomp.UnionFind(g, 0) })
+		dSV := timeIt(func() { _, k = cc.SV(g, 0) })
+		dUF := timeIt(func() { cc.UnionFind(g, 0) })
 		t.Rows = append(t.Rows, []string{
 			w.Name,
 			fmt.Sprintf("%d", g.N), fmt.Sprintf("%d", len(g.Edges)),
@@ -113,8 +110,8 @@ func Hybrid(cfg Config) []*Table {
 }
 
 // Ablation runs the design-choice studies DESIGN.md enumerates (A1-A5
-// plus the sort comparisons) and reports one table per ablation. The
-// same studies are available as stable testing.B benchmarks at the
+// plus the Kruskal sort comparison) and reports one table per ablation.
+// The same studies are available as stable testing.B benchmarks at the
 // repository root; this experiment renders them as harness tables.
 func Ablation(cfg Config) []*Table {
 	n := cfg.Scale.BaseN()
@@ -200,34 +197,6 @@ func Ablation(cfg Config) []*Table {
 	t5.Notes = append(t5.Notes,
 		"filter-kruskal (Osipov-Sanders-Singler) is the modern cycle-property successor; it avoids sorting most edges")
 	out = append(out, t5)
-
-	// Parallel sort engine for the Bor-EL edge sort workload.
-	t6 := &Table{
-		ID:     "ablation.parallel-sort",
-		Title:  fmt.Sprintf("parallel sort of the 2m-entry directed edge list (ms, %d entries)", 2*len(g.Edges)),
-		Header: []string{"algorithm", "time"},
-	}
-	mkList := func() []graph.WEdge { return graph.DirectedWorkList(g) }
-	lessW := func(a, b graph.WEdge) bool {
-		if a.U != b.U {
-			return a.U < b.U
-		}
-		if a.V != b.V {
-			return a.V < b.V
-		}
-		if a.W != b.W {
-			return a.W < b.W
-		}
-		return a.ID < b.ID
-	}
-	l1 := mkList()
-	d6a := timeIt(func() { sorts.SampleSort(par.DefaultWorkers(), l1, lessW, cfg.Seed) })
-	l2 := mkList()
-	d6b := timeIt(func() { sorts.ParallelMergeSort(par.DefaultWorkers(), l2, lessW) })
-	t6.Rows = append(t6.Rows,
-		[]string{"sample sort", ms(d6a)},
-		[]string{"parallel merge sort", ms(d6b)})
-	out = append(out, t6)
 
 	return out
 }

@@ -10,11 +10,12 @@ import (
 	"pmsf/internal/boruvka"
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
+	"pmsf/internal/obs"
 )
 
 // The compact-graph engine study: CompactWorkList throughput of the
-// sample sort, the sequential full-key radix and the packed-key parallel
-// radix compactor, across worker counts and duplicate-run skew levels.
+// sample sort and the packed-key parallel radix compactor, across worker
+// counts and duplicate-run skew levels.
 // This is the PR's perf trajectory baseline; msf-bench -benchjson writes
 // the machine-readable form to results/BENCH_PR2.json.
 
@@ -95,12 +96,7 @@ func (r *CompactBenchReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// compactEngines are the engines the study compares.
-func compactEngines() []boruvka.SortEngine {
-	return []boruvka.SortEngine{boruvka.SortSampleSort, boruvka.SortRadix, boruvka.SortParallelRadix}
-}
-
-// timeCompact measures one CompactWorkListWith configuration: best of
+// timeCompact measures one CompactWorkList configuration: best of
 // reps runs, each on a fresh copy of the input (the compaction mutates
 // its input list).
 func timeCompact(engine boruvka.SortEngine, p int, edges []graph.WEdge, n int, seed uint64, reps int) time.Duration {
@@ -109,7 +105,7 @@ func timeCompact(engine boruvka.SortEngine, p int, edges []graph.WEdge, n int, s
 	for r := 0; r < reps; r++ {
 		copy(work, edges)
 		d := timeIt(func() {
-			boruvka.CompactWorkListWith(engine, p, work, n, seed)
+			boruvka.CompactWorkList(engine, p, work, n, seed, obs.Span{})
 		})
 		if r == 0 || d < best {
 			best = d
@@ -135,7 +131,7 @@ func CompactBench(cfg Config) *CompactBenchReport {
 	}
 	for _, w := range compactWorkloads() {
 		edges, n := buildCompactInput(cfg.Scale, cfg.Seed, w)
-		for _, engine := range compactEngines() {
+		for _, engine := range boruvka.SortEngines() {
 			for _, p := range cfg.workers() {
 				d := timeCompact(engine, p, edges, n, cfg.Seed, reps)
 				rep.Entries = append(rep.Entries, CompactBenchEntry{
@@ -221,7 +217,7 @@ func CompactExp(cfg Config) []*Table {
 				base[e.Workers] = e.NsPerOp
 			}
 		}
-		for _, engine := range compactEngines() {
+		for _, engine := range boruvka.SortEngines() {
 			row := []string{engine.String()}
 			for _, p := range ps {
 				for _, e := range entries {

@@ -102,8 +102,8 @@ func TestConfigWorkersDefault(t *testing.T) {
 
 func TestAblationExperiment(t *testing.T) {
 	tables := Ablation(cfg())
-	if len(tables) != 6 {
-		t.Fatalf("%d ablation tables, want 6", len(tables))
+	if len(tables) != 5 {
+		t.Fatalf("%d ablation tables, want 5", len(tables))
 	}
 	for _, tb := range tables {
 		if len(tb.Rows) < 2 {

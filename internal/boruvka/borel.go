@@ -30,9 +30,9 @@ func wedgeLess(a, b graph.WEdge) bool {
 // step is a global sort of the working list. With the default
 // SortParallelRadix engine the whole iteration runs on a persistent
 // worker team out of a reusable round workspace — packed-key parallel
-// radix compaction, zero heap allocations per steady-state round. The
-// comparator engines (sample sort, parallel merge, sequential radix)
-// keep the paper's original formulation for the ablation benchmarks.
+// radix compaction, zero heap allocations per steady-state round.
+// SortSampleSort keeps the paper's original formulation: one global
+// parallel sample sort per compaction (the Fig. 2 row and the ablation).
 func EL(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 	if opt.SortEngine == SortParallelRadix {
 		return elTeam(g, opt)
@@ -202,10 +202,8 @@ func (r *elRun) relabelWork(w int) {
 	}
 }
 
-// elSorted is the comparator-engine Bor-EL loop (sample sort, parallel
-// merge, sequential radix): the paper's original formulation, kept for
-// the sort-engine ablation. The sequential-radix scratch buffer is
-// allocated once and reused across rounds.
+// elSorted is the sample-sort Bor-EL loop: the paper's original
+// formulation, kept for the Fig. 2 row and the sort-engine ablation.
 func elSorted(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 	p := opt.workers()
 	const name = "Bor-EL"
@@ -213,14 +211,13 @@ func elSorted(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 
 	edges := graph.DirectedWorkList(g)
 	n := g.N
-	var scratch []graph.WEdge
 	// Initial compaction: sort and merge parallel edges, compute vertex
 	// segment starts. (Counted as setup, not as an iteration.)
 	var starts []int64
 	setup := root.Child("setup")
 	c.Labeled(name, "setup", func() {
 		before := int64(len(edges))
-		edges, starts, scratch = compactWorkListInto(opt.SortEngine, p, edges, n, opt.Seed, setup, scratch)
+		edges, starts = CompactWorkList(opt.SortEngine, p, edges, n, opt.Seed, setup)
 		retire(before - int64(len(edges)))
 	})
 	setup.End()
@@ -280,7 +277,7 @@ func elSorted(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 			})
 			n = k
 			before := int64(len(edges))
-			edges, starts, scratch = compactWorkListInto(opt.SortEngine, p, edges, n, opt.Seed+uint64(iter)+1, step, scratch)
+			edges, starts = CompactWorkList(opt.SortEngine, p, edges, n, opt.Seed+uint64(iter)+1, step)
 			retire(before - int64(len(edges)))
 		})
 		step.End()
@@ -293,64 +290,30 @@ func elSorted(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 	return finish(g, ids, n), statsView(c, root, name, p, opt.Stats)
 }
 
-// CompactWorkList sorts the directed working edge list by (U, V, W, ID), drops
-// self-loops, merges duplicate (U, V) runs down to their minimum-weight
-// representative, and computes the per-vertex segment starts (length
-// n+1). It returns the compacted list and the starts array.
-func CompactWorkList(p int, edges []graph.WEdge, n int, seed uint64) ([]graph.WEdge, []int64) {
-	return CompactWorkListWith(SortSampleSort, p, edges, n, seed)
-}
-
-// CompactWorkListWith is CompactWorkList with a selectable sort engine
-// (including the packed-key parallel radix compactor).
-func CompactWorkListWith(engine SortEngine, p int, edges []graph.WEdge, n int, seed uint64) ([]graph.WEdge, []int64) {
-	return CompactWorkListSpan(engine, p, edges, n, seed, obs.Span{})
-}
-
-// CompactWorkListSpan is CompactWorkListWith with the sort kernel
-// recorded as a child span of parent (inert parents record nothing).
-func CompactWorkListSpan(engine SortEngine, p int, edges []graph.WEdge, n int, seed uint64, parent obs.Span) ([]graph.WEdge, []int64) {
-	out, starts, _ := compactWorkListInto(engine, p, edges, n, seed, parent, nil)
-	return out, starts
-}
-
-// compactWorkListInto is the engine-dispatched compaction with scratch
-// threading: scratch is reused as the radix/compactor double buffer when
-// large enough (grown otherwise) and the grown buffer is returned, so
-// loop callers allocate the scratch once instead of every round.
-func compactWorkListInto(engine SortEngine, p int, edges []graph.WEdge, n int, seed uint64, parent obs.Span, scratch []graph.WEdge) ([]graph.WEdge, []int64, []graph.WEdge) {
+// CompactWorkList sorts the directed working edge list by (U, V, W, ID)
+// with the given engine, drops self-loops, merges duplicate (U, V) runs
+// down to their minimum-weight representative, and computes the
+// per-vertex segment starts (length n+1). It returns the compacted list
+// and the starts array. The sort kernel is recorded as a "sort" child
+// span of parent (inert parents record nothing); seed drives sample-sort
+// splitter selection only.
+func CompactWorkList(engine SortEngine, p int, edges []graph.WEdge, n int, seed uint64, parent obs.Span) ([]graph.WEdge, []int64) {
+	sp := parent.Child("sort")
+	sp.SetInt("elements", int64(len(edges)))
 	if engine == SortParallelRadix {
 		// One-shot use of the packed-key kernel (the team-based EL loop
 		// owns a persistent compactor instead of coming through here).
-		if cap(scratch) < len(edges) {
-			scratch = make([]graph.WEdge, len(edges))
-		}
-		sp := parent.Child("sort")
-		sp.SetInt("elements", int64(len(edges)))
 		team := par.NewTeam(p)
 		comp := sorts.NewCompactor(p, team)
 		keepIdx := make([]int32, len(edges))
 		starts := make([]int64, n+1)
-		out, newScratch := comp.Compact(edges, scratch[:len(edges)], n, keepIdx, starts)
+		out, _ := comp.Compact(edges, make([]graph.WEdge, len(edges)), n, keepIdx, starts)
 		team.Close()
 		sp.SetInt("radix_passes", int64(comp.Passes))
 		sp.End()
-		return out, starts, newScratch
+		return out, starts
 	}
-
-	sp := parent.Child("sort")
-	sp.SetInt("elements", int64(len(edges)))
-	switch engine {
-	case SortParallelMerge:
-		sorts.ParallelMergeSort(p, edges, wedgeLess)
-	case SortRadix:
-		if cap(scratch) < len(edges) {
-			scratch = make([]graph.WEdge, len(edges))
-		}
-		sorts.RadixSortWEdges(edges, scratch[:len(edges)])
-	default:
-		sorts.SampleSort(p, edges, wedgeLess, seed)
-	}
+	sorts.SampleSort(p, edges, wedgeLess, seed)
 	sp.End()
 
 	// Keep an edge iff it is not a self-loop and is the head of its
@@ -392,5 +355,5 @@ func compactWorkListInto(engine SortEngine, p int, edges []graph.WEdge, n int, s
 			starts[v] = starts[v+1]
 		}
 	}
-	return out, starts, scratch
+	return out, starts
 }

@@ -1,8 +1,10 @@
 // Package boruvka implements the paper's four parallel Borůvka variants
 // for shared memory (Section 2):
 //
-//   - EL  (Bor-EL):  edge-list representation, compact-graph by one global
-//     parallel sample sort of the edge list.
+//   - EL  (Bor-EL):  edge-list representation, compact-graph by a global
+//     sort of the edge list: the packed-key parallel radix
+//     compactor by default, or the paper's parallel sample
+//     sort (SortSampleSort).
 //   - AL  (Bor-AL):  adjacency-array representation, compact-graph by a
 //     two-level sort (parallel group sort of the vertices
 //     plus concurrent sequential sorts of each adjacency
@@ -43,8 +45,8 @@ type Options struct {
 	Seed uint64
 	// SortEngine selects the compact-graph engine of Bor-EL; the default
 	// is the packed-key parallel radix compactor (SortParallelRadix).
-	// The comparator engines keep the paper's original formulation for
-	// the ablation benchmarks.
+	// SortSampleSort keeps the paper's original formulation for the
+	// Fig. 2 row and the sort-engine ablation.
 	SortEngine SortEngine
 	// Trace, when non-nil, receives hierarchical spans for every
 	// iteration and step. The returned Stats derive from the same span
@@ -70,17 +72,12 @@ const (
 	// SortSampleSort is the Helman-JáJá parallel sample sort (the
 	// paper's choice).
 	SortSampleSort
-	// SortParallelMerge is pairwise parallel merge sort.
-	SortParallelMerge
-	// SortRadix is a sequential 10-pass LSD radix sort specialized to the
-	// working-edge key (U, V, weight bits, id) — no comparisons at all.
-	SortRadix
 )
 
 // SortEngines lists every engine in a stable order (for benchmarks and
 // flag help).
 func SortEngines() []SortEngine {
-	return []SortEngine{SortParallelRadix, SortSampleSort, SortParallelMerge, SortRadix}
+	return []SortEngine{SortParallelRadix, SortSampleSort}
 }
 
 // String names the engine.
@@ -90,10 +87,6 @@ func (e SortEngine) String() string {
 		return "parallel-radix"
 	case SortSampleSort:
 		return "sample-sort"
-	case SortParallelMerge:
-		return "parallel-merge"
-	case SortRadix:
-		return "radix"
 	}
 	return "unknown"
 }

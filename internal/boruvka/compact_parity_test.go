@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"pmsf/internal/graph"
+	"pmsf/internal/obs"
 )
 
 // Parity tests for the packed-key parallel radix compactor: on every
-// input, CompactWorkListWith(SortParallelRadix, ...) must reproduce the
-// reference comparator-based CompactWorkList element for element,
+// input, CompactWorkList(SortParallelRadix, ...) must reproduce the
+// reference sample-sort CompactWorkList element for element,
 // including the segment starts. The weights are chosen adversarially:
 // the kernel sorts on (U, V) only and picks the representative with a
 // (W, ID) min-reduction, so any divergence between '<' on float64 and
@@ -37,11 +38,11 @@ func checkCompactParity(t *testing.T, name string, edges []graph.WEdge, n int) {
 	t.Helper()
 	ref := make([]graph.WEdge, len(edges))
 	copy(ref, edges)
-	wantOut, wantStarts := CompactWorkList(1, ref, n, 7)
+	wantOut, wantStarts := CompactWorkList(SortSampleSort, 1, ref, n, 7, obs.Span{})
 	for _, p := range []int{1, 3, 8} {
 		work := make([]graph.WEdge, len(edges))
 		copy(work, edges)
-		gotOut, gotStarts := CompactWorkListWith(SortParallelRadix, p, work, n, 7)
+		gotOut, gotStarts := CompactWorkList(SortParallelRadix, p, work, n, 7, obs.Span{})
 		if len(gotOut) != len(wantOut) {
 			t.Fatalf("%s p=%d: %d edges, reference kept %d", name, p, len(gotOut), len(wantOut))
 		}

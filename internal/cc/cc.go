@@ -1,11 +1,15 @@
-// Package cc implements the connect-components step of the Borůvka
-// iteration: given each supervertex's chosen minimum edge as a pointer to
-// its other endpoint, the pseudo-forest is collapsed by pointer jumping,
-// and the resulting roots are relabelled to a dense range.
+// Package cc implements connected components on shared memory. Resolve
+// (and its team-based twin Resolver) is the connect-components step of
+// the Borůvka iteration: given each supervertex's chosen minimum edge as
+// a pointer to its other endpoint, the pseudo-forest is collapsed by
+// pointer jumping, and the resulting roots are relabelled to a dense
+// range. SV and UnionFind compute the components of a whole graph and
+// end in the same relabel.
 //
-// All parallel phases are double-buffered (workers read one generation
-// and write only their own indices of the next), so the package is free
-// of data races by construction, not merely benign ones.
+// Resolve's parallel phases are double-buffered (workers read one
+// generation and write only their own indices of the next), so it is
+// free of data races by construction, not merely benign ones. SV hooks
+// and jumps in place through atomic loads, stores and CAS instead.
 package cc
 
 import (
@@ -75,19 +79,25 @@ func Resolve(p int, parent []int32) (labels []int32, k int) {
 		}
 	}
 
-	// Relabel roots densely.
-	roots := par.PackIndices(p, n, func(i int) bool { return int(cur[i]) == i })
-	k = len(roots)
-	rootLabel := next // reuse the spare buffer
+	return relabel(p, cur, next) // reuse the spare buffer
+}
+
+// relabel converts a root-per-vertex array (root[root[v]] == root[v])
+// into dense labels in [0, k) ordered by root id, so the labels are
+// deterministic. rootLabel is n-long scratch and is overwritten.
+func relabel(p int, root, rootLabel []int32) ([]int32, int) {
+	n := len(root)
+	roots := par.PackIndices(p, n, func(i int) bool { return int(root[i]) == i })
+	k := len(roots)
 	par.For(p, k, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rootLabel[roots[i]] = int32(i)
 		}
 	})
-	labels = make([]int32, n)
+	labels := make([]int32, n)
 	par.For(p, n, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
-			labels[v] = rootLabel[cur[v]]
+			labels[v] = rootLabel[root[v]]
 		}
 	})
 	return labels, k

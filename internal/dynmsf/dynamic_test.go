@@ -208,14 +208,6 @@ func TestConcurrentReaders(t *testing.T) {
 					}
 					return
 				}
-				st := h.Stats()
-				if ff := h.Forest(); len(ff.EdgeIDs) != st.ForestSize {
-					select {
-					case errc <- fmt.Errorf("forest size %d vs stats %d", len(ff.EdgeIDs), st.ForestSize):
-					default:
-					}
-					return
-				}
 			}
 		}()
 	}

@@ -97,21 +97,11 @@ type Delta struct {
 	Components int     // components (incl. isolated vertices) after the batch
 }
 
-// Stats is a point-in-time view of the handle, for observability.
-type Stats struct {
-	N          int
-	LiveEdges  int
-	DeadEdges  int
-	StoreEdges int
-	Trees      int
-	ForestSize int
-	Weight     float64
-}
-
 // Handle is a dynamic minimum-spanning-forest maintainer. All methods
-// are safe for concurrent use: ApplyEdges takes the write lock, queries
-// (Forest, SnapshotWithForest, Stats) take the read lock and therefore
-// block — rather than race — while a batch is being applied.
+// are safe for concurrent use: ApplyEdges takes the write lock, the one
+// read (SnapshotWithForest) takes the read lock and therefore blocks —
+// rather than races — while a batch is being applied, so the graph and
+// forest it returns always belong to the same committed batch.
 type Handle struct {
 	mu  sync.RWMutex
 	opt Options
@@ -802,24 +792,6 @@ func (h *Handle) compact() error {
 	return h.init(n, liveEdges, forestIDs)
 }
 
-// Forest returns the current minimum spanning forest as ids into the
-// handle's store (the graph returned by SnapshotWithForest uses
-// compacted ids instead; prefer that pairing for external consumers).
-// The weight is resummed exactly.
-func (h *Handle) Forest() *graph.Forest {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	ids := make([]int32, 0, h.forestSize)
-	var w float64
-	for id := range h.inForest {
-		if h.inForest[id] {
-			ids = append(ids, int32(id))
-			w += h.live.Edges[id].W
-		}
-	}
-	return &graph.Forest{EdgeIDs: ids, Weight: w, Components: h.trees}
-}
-
 // SnapshotWithForest returns a compacted copy of the live graph and the
 // maintained forest with ids into that copy — the pair external
 // consumers (verification, the serve layer) want.
@@ -840,19 +812,4 @@ func (h *Handle) SnapshotWithForest() (*graph.EdgeList, *graph.Forest) {
 		}
 	}
 	return g, f
-}
-
-// Stats returns a point-in-time view of the handle.
-func (h *Handle) Stats() Stats {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return Stats{
-		N:          h.live.N,
-		LiveEdges:  len(h.live.Edges) - h.dead,
-		DeadEdges:  h.dead,
-		StoreEdges: len(h.live.Edges),
-		Trees:      h.trees,
-		ForestSize: h.forestSize,
-		Weight:     h.weight,
-	}
 }

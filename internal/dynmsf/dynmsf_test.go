@@ -30,6 +30,27 @@ func checkMinimum(t *testing.T, h *Handle) {
 	}
 }
 
+// counters is the handle's size bookkeeping, read in one critical
+// section so every field belongs to the same committed batch.
+type counters struct {
+	liveEdges, deadEdges, storeEdges int
+	trees, forestSize                int
+	weight                           float64
+}
+
+func readCounters(h *Handle) counters {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return counters{
+		liveEdges:  len(h.live.Edges) - h.dead,
+		deadEdges:  h.dead,
+		storeEdges: len(h.live.Edges),
+		trees:      h.trees,
+		forestSize: h.forestSize,
+		weight:     h.weight,
+	}
+}
+
 func pathGraph(n int) *graph.EdgeList {
 	g := &graph.EdgeList{N: n}
 	for i := 0; i < n-1; i++ {
@@ -176,7 +197,7 @@ func TestDeleteDuplicateValuesConsumesOneEach(t *testing.T) {
 
 func TestBatchValidationIsAtomic(t *testing.T) {
 	h := newHandle(t, pathGraph(4), Options{})
-	before := h.Stats()
+	before := readCounters(h)
 	// Valid delete plus an out-of-range add: nothing may change.
 	_, err := h.ApplyEdges([]graph.Edge{{U: 0, V: 99, W: 1}}, []graph.Edge{{U: 0, V: 1, W: 1}})
 	if err == nil {
@@ -187,7 +208,7 @@ func TestBatchValidationIsAtomic(t *testing.T) {
 	if err == nil {
 		t.Fatal("unresolvable delete accepted")
 	}
-	if after := h.Stats(); after != before {
+	if after := readCounters(h); after != before {
 		t.Fatalf("failed batch mutated the handle: %+v -> %+v", before, after)
 	}
 	checkMinimum(t, h)
@@ -270,13 +291,13 @@ func TestCompactionShrinksStore(t *testing.T) {
 		}
 		live = add
 	}
-	st := h.Stats()
+	st := readCounters(h)
 	// Without compaction the store would hold every edge ever appended.
-	if total := 63 + 12*512; st.StoreEdges >= total {
+	if total := 63 + 12*512; st.storeEdges >= total {
 		t.Fatalf("store was never compacted: %+v", st)
 	}
-	if want := 63 + 512; st.LiveEdges != want {
-		t.Fatalf("live edges = %d, want %d", st.LiveEdges, want)
+	if want := 63 + 512; st.liveEdges != want {
+		t.Fatalf("live edges = %d, want %d", st.liveEdges, want)
 	}
 	checkMinimum(t, h)
 }
@@ -286,18 +307,21 @@ func TestForestMatchesSnapshot(t *testing.T) {
 	if _, err := h.ApplyEdges([]graph.Edge{{U: 0, V: 4, W: 0.5}}, []graph.Edge{{U: 1, V: 2, W: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	f := h.Forest()
-	_, sf := h.SnapshotWithForest()
-	if len(f.EdgeIDs) != len(sf.EdgeIDs) || f.Components != sf.Components {
-		t.Fatalf("Forest %+v disagrees with snapshot forest %+v", f, sf)
+	g, sf := h.SnapshotWithForest()
+	st := readCounters(h)
+	if len(sf.EdgeIDs) != st.forestSize || sf.Components != st.trees {
+		t.Fatalf("snapshot forest %+v disagrees with the handle's counters %+v", sf, st)
 	}
-	if diff := f.Weight - sf.Weight; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("weights differ: %g vs %g", f.Weight, sf.Weight)
+	if diff := sf.Weight - st.weight; diff > 1e-12 || diff < -1e-12 {
+		t.Fatalf("weights differ: %g vs %g", sf.Weight, st.weight)
 	}
-	// Forest ids index the handle's store.
-	for _, id := range f.EdgeIDs {
-		if int(id) >= h.Stats().StoreEdges {
-			t.Fatalf("forest id %d out of store range", id)
+	// Snapshot forest ids index the compacted snapshot graph.
+	if len(g.Edges) != st.liveEdges {
+		t.Fatalf("snapshot has %d edges, handle has %d live", len(g.Edges), st.liveEdges)
+	}
+	for _, id := range sf.EdgeIDs {
+		if int(id) >= len(g.Edges) {
+			t.Fatalf("forest id %d out of snapshot range", id)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
 	"pmsf/internal/heap"
+	"pmsf/internal/obs"
 	"pmsf/internal/uf"
 )
 
@@ -14,7 +15,7 @@ import (
 // package from a plain edge list.
 func workList(t *testing.T, g *graph.EdgeList) ([]graph.WEdge, []int64) {
 	t.Helper()
-	return boruvka.CompactWorkList(2, graph.DirectedWorkList(g), g.N, 1)
+	return boruvka.CompactWorkList(boruvka.SortSampleSort, 2, graph.DirectedWorkList(g), g.N, 1, obs.Span{})
 }
 
 func TestLightest(t *testing.T) {

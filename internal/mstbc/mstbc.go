@@ -161,7 +161,7 @@ func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 	var starts []int64
 	setup := root.Child("setup")
 	c.Labeled(algoName, "setup", func() {
-		edges, starts = boruvka.CompactWorkListSpan(boruvka.SortSampleSort, p, edges, n, opt.Seed, setup)
+		edges, starts = boruvka.CompactWorkList(boruvka.SortSampleSort, p, edges, n, opt.Seed, setup)
 	})
 	setup.End()
 
@@ -441,7 +441,7 @@ func runLevel(
 			}
 		})
 		before := int64(len(edges))
-		edges, starts = boruvka.CompactWorkListSpan(boruvka.SortSampleSort, p, edges, k, opt.Seed+uint64(k), contract)
+		edges, starts = boruvka.CompactWorkList(boruvka.SortSampleSort, p, edges, k, opt.Seed+uint64(k), contract)
 		if obs.MetricsOn() {
 			if d := before - int64(len(edges)); d > 0 {
 				obs.EdgesRetired.Add(d)

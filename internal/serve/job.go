@@ -83,7 +83,12 @@ type Job struct {
 	IncludeLabels bool
 	CacheKey      CacheKey
 
-	lease    *Lease // held from admission to completion
+	// lease is held from admission to finish and dropped there, so a
+	// finished job kept in the history does not pin its graph snapshot.
+	// Only the goroutine that owns the job's terminal transition (the
+	// worker that runs it, or the drain that cancels it) touches it.
+	lease    *Lease
+	graph    string // lease.Name, kept for status after finish
 	trace    *obs.Collector
 	enqueued time.Time
 
@@ -101,6 +106,7 @@ func newJob(id string, kind QueryKind, lease *Lease) *Job {
 		ID:       id,
 		Kind:     kind,
 		lease:    lease,
+		graph:    lease.Name,
 		trace:    obs.NewCollector(),
 		enqueued: time.Now(),
 		state:    StateQueued,
@@ -147,7 +153,7 @@ func (j *Job) Snapshot() Status {
 		ID:     j.ID,
 		Kind:   j.Kind,
 		State:  j.state,
-		Graph:  j.lease.Name,
+		Graph:  j.graph,
 		Result: j.result,
 		Spans:  len(j.trace.Spans()),
 	}
@@ -211,7 +217,7 @@ func (j *Job) setRunning() bool {
 }
 
 // finish commits the terminal state, publishes the matching event, and
-// releases the graph lease.
+// releases and drops the graph lease.
 func (j *Job) finish(res *Result, err error, canceled bool) {
 	j.mu.Lock()
 	switch {
@@ -228,4 +234,5 @@ func (j *Job) finish(res *Result, err error, canceled bool) {
 	j.publish(typ)
 	close(j.done)
 	j.lease.Release()
+	j.lease = nil
 }

@@ -6,7 +6,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
+	"time"
 
 	"pmsf"
 )
@@ -336,4 +338,41 @@ func TestCacheDropGraph(t *testing.T) {
 	if n := c.DropGraph(99); n != 0 {
 		t.Errorf("DropGraph(99) = %d, want 0", n)
 	}
+}
+
+// TestFinishedJobReleasesSnapshot pins that a finished job kept in the
+// history does not hold its graph snapshot: once a PATCH replaces the
+// graph, the pre-patch *pmsf.Graph a completed query ran on must be
+// collectable.
+func TestFinishedJobReleasesSnapshot(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	collected := make(chan struct{})
+	func() {
+		g := pmsf.RandomGraph(200, 800, 3)
+		runtime.SetFinalizer(g, func(*pmsf.Graph) { close(collected) })
+		if _, err := s.registry.Register("g", g); err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	code, qr := postQuery(t, ts, QueryRequest{Graph: "g"})
+	if code != http.StatusOK || qr.Result == nil {
+		t.Fatalf("query: status %d, %+v", code, qr)
+	}
+	if code, _ := doPatch(t, ts, "g", PatchRequest{Add: []PatchEdge{{U: 0, V: 1, W: -1}}}); code != http.StatusOK {
+		t.Fatalf("patch: status %d", code)
+	}
+	if j, err := s.queue.Get(qr.JobID); err != nil || j.State() != StateDone {
+		t.Fatalf("finished job %q not in the history: %v", qr.JobID, err)
+	}
+
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("pre-patch graph is still reachable after its query finished")
 }

@@ -55,15 +55,6 @@ func BenchmarkParallelSorts(b *testing.B) {
 				SampleSort(p, a, intLess, 1)
 			}
 		})
-		b.Run(fmt.Sprintf("merge/p=%d", p), func(b *testing.B) {
-			a := make([]int, n)
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				copy(a, base)
-				b.StartTimer()
-				ParallelMergeSort(p, a, intLess)
-			}
-		})
 	}
 }
 

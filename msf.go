@@ -90,8 +90,10 @@ func EnableMetrics(on bool) { obs.EnableMetrics(on) }
 type Algorithm int
 
 const (
-	// BorEL is parallel Borůvka on an edge list; compact-graph is one
-	// global parallel sample sort.
+	// BorEL is parallel Borůvka on an edge list; compact-graph is the
+	// packed-key parallel radix compactor by default, or the paper's one
+	// global parallel sample sort with Options.SortEngine =
+	// SortSampleSort.
 	BorEL Algorithm = iota
 	// BorAL is parallel Borůvka on adjacency arrays; compact-graph is a
 	// two-level sort (vertices by supervertex, then each adjacency list).
@@ -197,17 +199,13 @@ const (
 	SortParallelRadix = boruvka.SortParallelRadix
 	// SortSampleSort is the paper's Helman-JáJá parallel sample sort.
 	SortSampleSort = boruvka.SortSampleSort
-	// SortParallelMerge is pairwise parallel merge sort.
-	SortParallelMerge = boruvka.SortParallelMerge
-	// SortRadix is the sequential ten-pass full-key LSD radix sort.
-	SortRadix = boruvka.SortRadix
 )
 
 // SortEngines lists every Bor-EL compact-graph engine in a stable order.
 func SortEngines() []SortEngine { return boruvka.SortEngines() }
 
 // ParseSortEngine resolves an engine name as printed by its String
-// method ("parallel-radix", "sample-sort", "parallel-merge", "radix").
+// method ("parallel-radix", "sample-sort").
 func ParseSortEngine(name string) (SortEngine, error) {
 	e, ok := boruvka.ParseSortEngine(name)
 	if !ok {
@@ -363,9 +361,6 @@ type DynamicDelta = dynmsf.Delta
 // tracing. The zero value is the default.
 type DynamicOptions = dynmsf.Options
 
-// DynamicStats is a point-in-time view of a Dynamic handle.
-type DynamicStats = dynmsf.Stats
-
 // ErrDynamicBroken is wrapped by every error a Dynamic handle returns
 // after an internal invariant failure has made it unusable; callers
 // should discard the handle and rebuild with NewDynamic.
@@ -376,7 +371,7 @@ var ErrDynamicBroken = dynmsf.ErrBroken
 //
 //	dyn, err := pmsf.NewDynamic(g, pmsf.BorEL, pmsf.Options{})
 //	delta, err := dyn.ApplyEdges(adds, dels)
-//	forest := dyn.Forest()
+//	live, forest := dyn.SnapshotWithForest()
 //
 // The handle copies g's edge list; the caller's graph is not mutated.
 // opt configures the initial computation; opt.Trace (if any) also
