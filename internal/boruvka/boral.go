@@ -214,7 +214,7 @@ func newALRun(g *graph.EdgeList, opt Options, arenaMode bool, name string) *alRu
 		root:   root,
 		mem:    newALMem(arenaMode, p),
 	}
-	r.ws = newWorkspace(p, g.N)
+	r.ws = NewWorkspace(p, g.N)
 	r.findMinBody = r.findMinWork
 	r.sortListsBody = r.sortListsWork
 	r.mergeBody = r.mergeWork
@@ -283,7 +283,7 @@ func (r *alRun) round() bool {
 //msf:noalloc
 func (r *alRun) findMinPhase() {
 	r.ws.team.ForDynamic(r.st.n, 512, r.findMinBody)
-	r.ws.harvest(r.st.n)
+	r.ws.Harvest(r.st.n)
 }
 
 // findMinWork scans each vertex's adjacency list for its minimum edge.
@@ -424,7 +424,7 @@ func runAL(g *graph.EdgeList, opt Options, arenaMode bool, name string) (*graph.
 	for r.round() {
 	}
 	r.root.End()
-	f := finish(g, r.ws.forestIDs(), r.st.n)
+	f := finish(g, r.ws.ForestIDs(), r.st.n)
 	stats := statsView(r.c, r.root, r.name, r.p, opt.Stats)
 	r.ws.Close()
 	return f, stats

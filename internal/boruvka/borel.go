@@ -70,7 +70,7 @@ func newELRun(g *graph.EdgeList, opt Options) *elRun {
 	p := opt.workers()
 	c, root := obsStart(opt, "Bor-EL", p)
 	r := &elRun{name: "Bor-EL", p: p, c: c, root: root, n: g.N}
-	r.ws = newWorkspace(p, g.N)
+	r.ws = NewWorkspace(p, g.N)
 	r.comp = sorts.NewCompactor(p, r.ws.team)
 	r.findMinBody = r.findMinWork
 	r.relabelBody = r.relabelWork
@@ -139,7 +139,7 @@ func elTeam(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 	for r.round() {
 	}
 	r.root.End()
-	f := finish(g, r.ws.forestIDs(), r.n)
+	f := finish(g, r.ws.ForestIDs(), r.n)
 	stats := statsView(r.c, r.root, r.name, r.p, opt.Stats)
 	r.ws.Close()
 	return f, stats
@@ -152,7 +152,7 @@ func elTeam(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 //msf:noalloc
 func (r *elRun) findMinPhase() {
 	r.ws.team.ForDynamic(r.n, 1024, r.findMinBody)
-	r.ws.harvest(r.n)
+	r.ws.Harvest(r.n)
 }
 
 //msf:noalloc

@@ -21,7 +21,7 @@ func FAL(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 	for r.round() {
 	}
 	r.root.End()
-	f := finish(g, r.ws.forestIDs(), r.f.N)
+	f := finish(g, r.ws.ForestIDs(), r.f.N)
 	stats := statsView(r.c, r.root, r.name, r.p, opt.Stats)
 	r.ws.Close()
 	return f, stats
@@ -62,7 +62,7 @@ func newFALRun(g *graph.EdgeList, opt Options) *falRun {
 	p := opt.workers()
 	c, root := obsStart(opt, "Bor-FAL", p)
 	r := &falRun{name: "Bor-FAL", p: p, c: c, root: root}
-	r.ws = newWorkspace(p, g.N)
+	r.ws = NewWorkspace(p, g.N)
 	r.findMinBody = r.findMinWork
 	r.appendBody = r.appendWork
 	r.lookupBody = r.lookupWork
@@ -132,7 +132,7 @@ func (r *falRun) findMinPhase() {
 		r.selected += r.selCounts[w]
 	}
 	if r.selected > 0 {
-		r.ws.harvest(r.f.N)
+		r.ws.Harvest(r.f.N)
 	}
 }
 

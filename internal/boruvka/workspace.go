@@ -8,13 +8,13 @@ import (
 )
 
 // Workspace is the reusable round state shared by the team-based Borůvka
-// loops: the persistent worker team, the team-based connect-components
-// resolver and counting grouper, the chosen-neighbor and selected-edge
-// arrays, the growing forest-edge list, and the per-worker counters of
-// the harvest step. Everything is allocated once per run, sized for the
-// first (largest) round, and reused until the forest is done — the
-// steady-state rounds of Bor-EL, Bor-ALM and Bor-FAL perform zero heap
-// allocations on top of it.
+// loops and MST-BC's levels: the persistent worker team, the team-based
+// connect-components resolver and counting grouper, the chosen-neighbor
+// and selected-edge arrays, the growing forest-edge list, and the
+// per-worker counters of the harvest step. Everything is allocated once
+// per run, sized for the first (largest) round, and reused until the
+// forest is done — the steady-state rounds of Bor-EL, Bor-ALM and
+// Bor-FAL perform zero heap allocations on top of it.
 type Workspace struct {
 	p    int
 	team *par.Team
@@ -34,9 +34,9 @@ type Workspace struct {
 	harvestScatterBody func(int)
 }
 
-// newWorkspace builds a workspace for a run over n0 original vertices
+// NewWorkspace builds a workspace for a run over n0 original vertices
 // with p workers. Close releases the team.
-func newWorkspace(p, n0 int) *Workspace {
+func NewWorkspace(p, n0 int) *Workspace {
 	ws := &Workspace{
 		p:      p,
 		team:   par.NewTeam(p),
@@ -55,17 +55,35 @@ func newWorkspace(p, n0 int) *Workspace {
 // Close shuts the worker team down.
 func (ws *Workspace) Close() { ws.team.Close() }
 
-// forestIDs returns the accumulated forest edge ids.
-func (ws *Workspace) forestIDs() []int32 { return ws.ids[:ws.idsLen] }
+// Team returns the workspace's persistent worker team.
+func (ws *Workspace) Team() *par.Team { return ws.team }
 
-// harvest appends the edge selected by each supervertex in [0, n) that
+// Resolver returns the team-based connect-components resolver.
+func (ws *Workspace) Resolver() *cc.Resolver { return ws.res }
+
+// Selections returns the chosen-neighbor and selected-edge-id arrays
+// (length n0) that Harvest reads.
+func (ws *Workspace) Selections() (parent, sel []int32) { return ws.parent, ws.sel }
+
+// ForestIDs returns the accumulated forest edge ids.
+func (ws *Workspace) ForestIDs() []int32 { return ws.ids[:ws.idsLen] }
+
+// AppendForest adds one edge id to the accumulated forest.
+//
+//msf:noalloc
+func (ws *Workspace) AppendForest(id int32) {
+	ws.ids[ws.idsLen] = id
+	ws.idsLen++
+}
+
+// Harvest appends the edge selected by each supervertex in [0, n) that
 // found an outgoing minimum edge, deduplicating mutual pairs exactly
 // like the package-level harvest, but out of the reused ids buffer: a
 // per-worker count, an exclusive scan, and a scatter of sel values.
 // parent must be the raw chosen-neighbor array BEFORE resolve.
 //
 //msf:noalloc
-func (ws *Workspace) harvest(n int) {
+func (ws *Workspace) Harvest(n int) {
 	ws.n = n
 	ws.team.Run(ws.harvestCountBody)
 	total := int64(ws.idsLen)

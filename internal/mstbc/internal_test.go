@@ -86,10 +86,18 @@ func TestBaseComponents(t *testing.T) {
 }
 
 func TestDenseLabels(t *testing.T) {
-	u := uf.NewConcurrent(6)
-	u.Union(0, 3)
-	u.Union(4, 5)
-	labels, k := denseLabels(2, u)
+	// One edge and nb = 1 make the run allocate its level scratch; the
+	// test then stands in for a level's selections: 0-3 is a tree edge
+	// of worker 0, and 5 picked 4 in the Borůvka fix-up.
+	g := &graph.EdgeList{N: 6, Edges: []graph.Edge{{U: 0, V: 3, W: 1}}}
+	r := newRun(g, Options{Workers: 2, BaseSize: 1})
+	defer r.close()
+	r.treeArcs[0] = append(r.treeArcs[0], 0) // the 0->3 arc
+	for v := range r.parent {
+		r.parent[v] = int32(v)
+	}
+	r.parent[5] = 4
+	labels, k := r.denseLabels()
 	if k != 4 {
 		t.Fatalf("k = %d, want 4", k)
 	}

@@ -25,6 +25,7 @@ import (
 	"pmsf/internal/par"
 	"pmsf/internal/rng"
 	"pmsf/internal/seq"
+	"pmsf/internal/sorts"
 	"pmsf/internal/uf"
 )
 
@@ -41,7 +42,8 @@ type Options struct {
 	// progress guarantee against adversarial synchronization. Disabled
 	// only by the ablation benchmarks.
 	NoPermute bool
-	// Seed drives the claim-order permutation and sample-sort splitters.
+	// Seed drives the claim-order permutation and the per-worker
+	// work-stealing victim order.
 	Seed uint64
 	// Stats enables per-level instrumentation.
 	Stats bool
@@ -135,6 +137,94 @@ func (pt *partition) takeBack() (int, bool) {
 // Run computes the minimum spanning forest of g with the MST-BC
 // algorithm.
 func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
+	start := time.Now()
+	r := newRun(g, opt)
+	defer r.close()
+	level := 0
+	for len(r.edges) > 0 && r.n > r.nb {
+		r.level()
+		level++
+		if level > 64 {
+			// Progress is guaranteed (see the zero-selection fallback in
+			// fixup), so this is purely defensive.
+			panic("mstbc: no convergence after 64 levels")
+		}
+	}
+
+	// Sequential base case: finish with Kruskal on the contracted graph.
+	n := r.n
+	if len(r.edges) > 0 {
+		sb := r.root.Child("seq-base")
+		sb.SetInt("n", int64(n))
+		sb.SetInt("m", int64(len(r.edges)/2))
+		r.c.Labeled(algoName, "seq-base", func() {
+			for _, id := range sequentialFinish(n, r.edges) {
+				r.ws.AppendForest(id)
+			}
+			// All inter-supervertex edges are resolved now; components of
+			// the base graph determine the remaining supervertex count.
+			n = baseComponents(n, r.edges)
+		})
+		sb.End()
+	}
+	r.root.End()
+	stats := statsView(r.c, r.root, r.p, opt.Stats)
+	stats.TotalTime = time.Since(start)
+	return finishForest(g, r.ws.ForestIDs(), n), stats
+}
+
+// algoName is the span/category/pprof-label name of the algorithm.
+const algoName = "MST-BC"
+
+// run is the state of one MST-BC run. The Borůvka round workspace (the
+// worker team, its label resolver, the selection arrays and the forest
+// ids), the packed-radix compactor on the same team, and every per-level
+// buffer are created once, sized for level 0 (levels only shrink), and
+// resliced level by level, so the recursion allocates almost nothing
+// after setup.
+type run struct {
+	p, nb int
+	opt   Options
+	c     *obs.Collector
+	root  obs.Span
+	ws    *boruvka.Workspace
+	team  *par.Team // ws's team
+	comp  *sorts.Compactor
+	rng   *rng.Xoshiro256
+
+	// Working graph: the Bor-EL state (directed edges sorted by U with
+	// per-vertex segment starts) doubles as a CSR for the Prim growth.
+	// edges and spare ping-pong through the compactor.
+	edges, spare []graph.WEdge
+	keepIdx      []int32
+	starts       []int64
+	n            int
+
+	// Per-level scratch, indexed by supervertex. color and visited are
+	// read and written atomically while the trees grow; parent and sel
+	// are ws's selection arrays.
+	order    []int32
+	color    []int64 // 0 = uncolored
+	visited  []int32 // 1 = in a mature tree
+	parent   []int32 // selected neighbor, v itself when none
+	sel      []int32 // id of the selected edge
+	rep      []int32 // union-find root of each supervertex
+	labels   []int32 // dense labels of the current contraction
+	u        *uf.Concurrent
+	heaps    []*heap.IndexedHeap
+	treeArcs [][]int32 // arc indices selected by each worker
+	parts    []partition
+	findAll  bool // fixup's zero-progress fallback: every vertex selects
+
+	trees, collisions, steals, stealAttempts, visitedCount atomic.Int64
+
+	growBody, unionBody, findBody, relabelBody func(int)
+	fixupBody                                  func(worker, lo, hi int)
+}
+
+// newRun builds the run state and performs the setup compaction, which
+// merges input parallel edges and computes the vertex segment starts.
+func newRun(g *graph.EdgeList, opt Options) *run {
 	p := opt.Workers
 	if p <= 0 {
 		p = par.DefaultWorkers()
@@ -143,7 +233,6 @@ func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 	if nb <= 0 {
 		nb = DefaultBaseSize
 	}
-	start := time.Now()
 	c := opt.Trace
 	if opt.Parent.Live() {
 		c = opt.Parent.Collector()
@@ -151,62 +240,64 @@ func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 	if c == nil && opt.Stats {
 		c = obs.NewCollector()
 	}
-	root := obs.StartUnder(c, opt.Parent, algoName, algoName)
-	root.SetInt("workers", int64(p))
+	r := &run{p: p, nb: nb, opt: opt, c: c, n: g.N, ws: boruvka.NewWorkspace(p, g.N)}
+	r.team = r.ws.Team()
+	r.parent, r.sel = r.ws.Selections()
+	r.root = obs.StartUnder(c, opt.Parent, algoName, algoName)
+	r.root.SetInt("workers", int64(p))
+	r.comp = sorts.NewCompactor(p, r.team)
+	r.rng = rng.New(opt.Seed + 0x5eed)
+	r.growBody = r.growWork
+	r.unionBody = r.unionWork
+	r.findBody = r.findWork
+	r.relabelBody = r.relabelWork
+	r.fixupBody = r.fixupWork
 
-	// Working graph: the Bor-EL state (directed edges sorted by U with
-	// per-vertex segment starts doubles as a CSR for the Prim growth).
-	edges := graph.DirectedWorkList(g)
-	n := g.N
-	var starts []int64
-	setup := root.Child("setup")
-	c.Labeled(algoName, "setup", func() {
-		edges, starts = boruvka.CompactWorkList(boruvka.SortSampleSort, p, edges, n, opt.Seed, setup)
-	})
+	r.edges = graph.DirectedWorkList(g)
+	m := len(r.edges)
+	r.spare = make([]graph.WEdge, m)
+	r.keepIdx = make([]int32, m)
+	r.starts = make([]int64, g.N+1)
+	setup := r.root.Child("setup")
+	c.Labeled(algoName, "setup", func() { r.compact(setup, r.n) })
 	setup.End()
 
-	var ids []int32
-	r := rng.New(opt.Seed + 0x5eed)
-	// Per-worker heaps are sized for the initial problem and reused on
-	// every level (levels only shrink).
-	heaps := make([]*heap.IndexedHeap, p)
-	if len(edges) > 0 && n > nb {
-		for w := range heaps {
-			heaps[w] = heap.New(n)
-		}
+	if len(r.edges) > 0 && r.n > nb {
+		r.allocLevels(g.N)
 	}
-	level := 0
-	for len(edges) > 0 && n > nb {
-		ids, edges, starts, n = runLevel(p, n, edges, starts, opt, r, ids, c, root, heaps)
-		level++
-		if level > 64 {
-			// Progress is guaranteed (see the zero-selection fallback in
-			// runLevel), so this is purely defensive.
-			panic("mstbc: no convergence after 64 levels")
-		}
-	}
-
-	// Sequential base case: finish with Kruskal on the contracted graph.
-	if len(edges) > 0 {
-		sb := root.Child("seq-base")
-		sb.SetInt("n", int64(n))
-		sb.SetInt("m", int64(len(edges)/2))
-		c.Labeled(algoName, "seq-base", func() {
-			ids = append(ids, sequentialFinish(n, edges)...)
-			// All inter-supervertex edges are resolved now; components of
-			// the base graph determine the remaining supervertex count.
-			n = baseComponents(n, edges)
-		})
-		sb.End()
-	}
-	root.End()
-	stats := statsView(c, root, p, opt.Stats)
-	stats.TotalTime = time.Since(start)
-	return finishForest(g, ids, n), stats
+	return r
 }
 
-// algoName is the span/category/pprof-label name of the algorithm.
-const algoName = "MST-BC"
+// allocLevels sizes the per-level scratch for the level-0 problem of n
+// supervertices.
+func (r *run) allocLevels(n int) {
+	p := r.p
+	r.order = make([]int32, n)
+	r.color = make([]int64, n)
+	r.visited = make([]int32, n)
+	r.rep = make([]int32, n)
+	r.u = uf.NewConcurrent(n)
+	r.heaps = make([]*heap.IndexedHeap, p)
+	r.treeArcs = make([][]int32, p)
+	for w := range r.heaps {
+		r.heaps[w] = heap.New(n)
+	}
+	r.parts = make([]partition, p)
+}
+
+// close shuts the worker team down.
+func (r *run) close() { r.ws.Close() }
+
+// compact runs the packed-radix compaction of the working list over n
+// supervertices into the ping-pong buffers, recorded as a "sort" child
+// of sp.
+func (r *run) compact(sp obs.Span, n int) {
+	s := sp.Child("sort")
+	s.SetInt("elements", int64(len(r.edges)))
+	r.edges, r.spare = r.comp.Compact(r.edges, r.spare, n, r.keepIdx, r.starts[:n+1])
+	s.SetInt("radix_passes", int64(r.comp.Passes))
+	s.End()
+}
 
 // statsView materializes the Stats of a run as a view over its span
 // tree: one LevelStats per "level" child of root, counters from span
@@ -255,203 +346,232 @@ func statsView(c *obs.Collector, root obs.Span, p int, collect bool) *Stats {
 	return stats
 }
 
-// runLevel executes one round of Alg. 1 (steps 1-5): the concurrent Prim
+// level executes one round of Alg. 1 (steps 1-5): the concurrent Prim
 // growth, the Borůvka fix-up for unvisited vertices, and the contraction.
-func runLevel(
-	p, n int,
-	edges []graph.WEdge, starts []int64,
-	opt Options, r *rng.Xoshiro256,
-	ids []int32, c *obs.Collector, root obs.Span,
-	heaps []*heap.IndexedHeap,
-) ([]int32, []graph.WEdge, []int64, int) {
-	lv := root.Child("level")
-	lv.SetInt("n", int64(n))
-	lv.SetInt("m", int64(len(edges)/2))
-
-	treeArcs := make([][]int32, p) // arc indices selected by each worker
-	var trees, collisions, steals, stealAttempts, visitedCount atomic.Int64
-	visited := make([]int32, n) // accessed atomically; 1 = in a mature tree
+func (r *run) level() {
+	lv := r.root.Child("level")
+	lv.SetInt("n", int64(r.n))
+	lv.SetInt("m", int64(len(r.edges)/2))
 
 	grow := lv.Child("grow")
-	c.Labeled(algoName, "grow", func() {
-		// Claim order: random permutation unless disabled.
-		var order []int32
-		if opt.NoPermute {
-			order = make([]int32, n)
-			for i := range order {
-				order[i] = int32(i)
-			}
-		} else {
-			order = r.Perm(n)
-		}
-
-		color := make([]int64, n) // accessed atomically; 0 = uncolored
-
-		parts := make([]partition, p)
-		ranges := par.Split(n, p)
-		for w := range parts {
-			parts[w].init(ranges[w].Lo, ranges[w].Hi)
-		}
-
-		par.Do(p, func(w int) {
-			h := heaps[w]
-			var myTrees, myColl, mySteals, myAttempts, myVisited int64
-			claim := func(pi int) {
-				for {
-					var idx int
-					var ok bool
-					if pi == w {
-						idx, ok = parts[pi].takeFront()
-					} else {
-						myAttempts++
-						idx, ok = parts[pi].takeBack()
-					}
-					if !ok {
-						return
-					}
-					v := order[idx]
-					if !atomic.CompareAndSwapInt64(&color[v], 0, myColors(w, p, myTrees)) {
-						continue // already claimed by someone (possibly us)
-					}
-					myTrees++
-					grown, coll := growTree(v, myColors(w, p, myTrees-1), h, color, visited, edges, starts, &treeArcs[w])
-					myVisited += grown
-					if coll {
-						myColl++
-					}
-				}
-			}
-			claim(w)
-			// Work stealing: help unfinished partitions from the back, with
-			// the victim order randomized per worker (the paper: "an
-			// unfinished partition is randomly selected").
-			victims := make([]int, 0, p-1)
-			for v := 0; v < p; v++ {
-				if v != w {
-					victims = append(victims, v)
-				}
-			}
-			vr := rng.New(opt.Seed ^ (uint64(w)+1)*0x9e3779b97f4a7c15 ^ uint64(n))
-			for i := len(victims) - 1; i > 0; i-- {
-				j := vr.Intn(i + 1)
-				victims[i], victims[j] = victims[j], victims[i]
-			}
-			for _, victim := range victims {
-				before := myTrees
-				claim(victim)
-				mySteals += myTrees - before
-			}
-			trees.Add(myTrees)
-			collisions.Add(myColl)
-			steals.Add(mySteals)
-			stealAttempts.Add(myAttempts)
-			visitedCount.Add(myVisited)
-		})
-	})
+	r.c.Labeled(algoName, "grow", r.grow)
 	grow.End()
-	lv.SetInt("trees", trees.Load())
-	lv.SetInt("collisions", collisions.Load())
-	lv.SetInt("steals", steals.Load())
-	lv.SetInt("visited", visitedCount.Load())
+	lv.SetInt("trees", r.trees.Load())
+	lv.SetInt("collisions", r.collisions.Load())
+	lv.SetInt("steals", r.steals.Load())
+	lv.SetInt("visited", r.visitedCount.Load())
 	if obs.MetricsOn() {
-		obs.StealAttempts.Add(stealAttempts.Load())
-		obs.StealSuccesses.Add(steals.Load())
+		obs.StealAttempts.Add(r.stealAttempts.Load())
+		obs.StealSuccesses.Add(r.steals.Load())
 	}
 
-	// Step 3 (Alg. 1): every vertex not incorporated into a mature tree
-	// labels its lightest incident edge — a Borůvka step.
 	fixup := lv.Child("fixup")
-	parent := make([]int32, n)
-	selArc := make([]int32, n)
-	var picked []int32
-	c.Labeled(algoName, "fixup", func() {
-		par.ForDynamic(p, n, 1024, func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if atomic.LoadInt32(&visited[v]) != 0 {
-					parent[v] = int32(v)
-					continue
-				}
-				parent[v], selArc[v] = lightest(int32(v), edges, starts)
-			}
-		})
-		selected := countSelections(p, parent)
-		treeEdgeCount := int64(0)
-		for w := 0; w < p; w++ {
-			treeEdgeCount += int64(len(treeArcs[w]))
-		}
-		if selected == 0 && treeEdgeCount == 0 {
-			// Pathological synchronization (the paper's n/p-cycle example):
-			// no progress was made. Fall back to a full Borůvka find-min over
-			// every vertex, which always selects at least one edge when edges
-			// remain.
-			par.ForDynamic(p, n, 1024, func(_, lo, hi int) {
-				for v := lo; v < hi; v++ {
-					parent[v], selArc[v] = lightest(int32(v), edges, starts)
-				}
-			})
-			selected = countSelections(p, parent)
-		}
-		// Harvest the Borůvka selections, deduplicating mutual pairs.
-		picked = par.PackIndices(p, n, func(v int) bool {
-			pv := parent[v]
-			if int(pv) == v {
-				return false
-			}
-			if int(parent[pv]) == v && int(pv) < v {
-				return false
-			}
-			return true
-		})
-		for _, v := range picked {
-			ids = append(ids, edges[selArc[v]].ID)
-		}
-		// Harvest the tree edges.
-		for w := 0; w < p; w++ {
-			for _, arc := range treeArcs[w] {
-				ids = append(ids, edges[arc].ID)
-			}
-		}
-	})
+	r.c.Labeled(algoName, "fixup", r.fixup)
 	fixup.End()
 
-	// Steps 4-5: contract with a lock-free union-find over all selected
-	// edges, relabel densely, rebuild the working graph.
 	contract := lv.Child("contract")
-	var k int
-	c.Labeled(algoName, "contract", func() {
-		u := uf.NewConcurrent(n)
-		par.Do(p, func(w int) {
-			for _, arc := range treeArcs[w] {
-				u.Union(edges[arc].U, edges[arc].V)
-			}
-		})
-		par.For(p, len(picked), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := picked[i]
-				e := edges[selArc[v]]
-				u.Union(e.U, e.V)
-			}
-		})
-		var labels []int32
-		labels, k = denseLabels(p, u)
-		par.For(p, len(edges), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				edges[i].U = labels[edges[i].U]
-				edges[i].V = labels[edges[i].V]
-			}
-		})
-		before := int64(len(edges))
-		edges, starts = boruvka.CompactWorkList(boruvka.SortSampleSort, p, edges, k, opt.Seed+uint64(k), contract)
-		if obs.MetricsOn() {
-			if d := before - int64(len(edges)); d > 0 {
-				obs.EdgesRetired.Add(d)
-			}
-			obs.Supervertices.Set(int64(k))
-		}
-	})
+	r.c.Labeled(algoName, "contract", func() { r.contract(contract) })
 	contract.End()
 	lv.End()
-	return ids, edges, starts, k
+}
+
+// grow resets the level's claim state and runs the concurrent Prim
+// growth (Alg. 1 steps 1-2, Alg. 2) on the team.
+func (r *run) grow() {
+	n := r.n
+	// Claim order: random permutation unless disabled.
+	order := r.order[:n]
+	for i := range order {
+		order[i] = int32(i)
+	}
+	if !r.opt.NoPermute {
+		r.rng.Shuffle32(order)
+	}
+	clear(r.color[:n])
+	clear(r.visited[:n])
+	for w := range r.parts {
+		lo, hi := par.Block(n, r.p, w)
+		r.parts[w].init(lo, hi)
+	}
+	r.trees.Store(0)
+	r.collisions.Store(0)
+	r.steals.Store(0)
+	r.stealAttempts.Store(0)
+	r.visitedCount.Store(0)
+	r.team.Run(r.growBody)
+}
+
+func (r *run) growWork(w int) {
+	p, n := r.p, r.n
+	edges, starts, order := r.edges, r.starts, r.order
+	color := r.color     // accessed atomically
+	visited := r.visited // accessed atomically
+	h := r.heaps[w]
+	arcs := r.treeArcs[w][:0]
+	var myTrees, myColl, mySteals, myAttempts, myVisited int64
+	claim := func(pi int) {
+		for {
+			var idx int
+			var ok bool
+			if pi == w {
+				idx, ok = r.parts[pi].takeFront()
+			} else {
+				myAttempts++
+				idx, ok = r.parts[pi].takeBack()
+			}
+			if !ok {
+				return
+			}
+			v := order[idx]
+			if !atomic.CompareAndSwapInt64(&color[v], 0, myColors(w, p, myTrees)) {
+				continue // already claimed by someone (possibly us)
+			}
+			myTrees++
+			grown, coll := growTree(v, myColors(w, p, myTrees-1), h, color, visited, edges, starts, &arcs)
+			myVisited += grown
+			if coll {
+				myColl++
+			}
+		}
+	}
+	claim(w)
+	// Work stealing: help unfinished partitions from the back, with the
+	// victim order randomized per worker (the paper: "an unfinished
+	// partition is randomly selected").
+	victims := make([]int, 0, p-1)
+	for v := 0; v < p; v++ {
+		if v != w {
+			victims = append(victims, v)
+		}
+	}
+	vr := rng.New(r.opt.Seed ^ (uint64(w)+1)*0x9e3779b97f4a7c15 ^ uint64(n))
+	for i := len(victims) - 1; i > 0; i-- {
+		j := vr.Intn(i + 1)
+		victims[i], victims[j] = victims[j], victims[i]
+	}
+	for _, victim := range victims {
+		before := myTrees
+		claim(victim)
+		mySteals += myTrees - before
+	}
+	r.treeArcs[w] = arcs
+	r.trees.Add(myTrees)
+	r.collisions.Add(myColl)
+	r.steals.Add(mySteals)
+	r.stealAttempts.Add(myAttempts)
+	r.visitedCount.Add(myVisited)
+}
+
+// fixup is step 3 of Alg. 1: every vertex not incorporated into a
+// mature tree selects its lightest incident edge (a Borůvka step), and
+// the selections (mutual pairs once) and the tree edges are harvested
+// into the forest.
+func (r *run) fixup() {
+	n := r.n
+	r.team.ForDynamic(n, 1024, r.fixupBody)
+	before := len(r.ws.ForestIDs())
+	r.ws.Harvest(n)
+	treeEdges := 0
+	for _, arcs := range r.treeArcs {
+		treeEdges += len(arcs)
+	}
+	if len(r.ws.ForestIDs()) == before && treeEdges == 0 {
+		// Pathological synchronization (the paper's n/p-cycle example):
+		// no progress was made. Fall back to a full Borůvka find-min over
+		// every vertex, which always selects at least one edge when edges
+		// remain.
+		r.findAll = true
+		r.team.ForDynamic(n, 1024, r.fixupBody)
+		r.findAll = false
+		r.ws.Harvest(n)
+	}
+	for _, arcs := range r.treeArcs {
+		for _, arc := range arcs {
+			r.ws.AppendForest(r.edges[arc].ID)
+		}
+	}
+}
+
+//msf:noalloc
+func (r *run) fixupWork(_, lo, hi int) {
+	edges, starts, parent, sel := r.edges, r.starts, r.parent, r.sel
+	visited := r.visited // accessed atomically
+	all := r.findAll
+	for v := lo; v < hi; v++ {
+		if !all && atomic.LoadInt32(&visited[v]) != 0 {
+			parent[v] = int32(v)
+			continue
+		}
+		to, arc := lightest(int32(v), edges, starts)
+		parent[v] = to
+		if arc >= 0 {
+			sel[v] = edges[arc].ID
+		}
+	}
+}
+
+// contract is steps 4-5 of Alg. 1: union every selected edge in a
+// lock-free union-find, relabel the components densely, and rebuild the
+// working graph with the packed-radix compaction.
+func (r *run) contract(sp obs.Span) {
+	var k int
+	r.labels, k = r.denseLabels()
+	r.team.Run(r.relabelBody)
+	before := int64(len(r.edges))
+	r.compact(sp, k)
+	if obs.MetricsOn() {
+		if d := before - int64(len(r.edges)); d > 0 {
+			obs.EdgesRetired.Add(d)
+		}
+		obs.Supervertices.Set(int64(k))
+	}
+	r.n = k
+}
+
+// denseLabels merges the level's tree edges and selected edges in the
+// union-find and returns dense component labels in [0, k), numbering
+// the roots in vertex order. The labels alias the resolver's buffer.
+func (r *run) denseLabels() ([]int32, int) {
+	r.u.Reset(r.n)
+	r.team.Run(r.unionBody)
+	r.team.Run(r.findBody)
+	// rep is a pointer forest of depth one, so the resolver only
+	// numbers its roots.
+	return r.ws.Resolver().Resolve(r.rep[:r.n])
+}
+
+//msf:noalloc
+func (r *run) unionWork(w int) {
+	u, edges, parent := r.u, r.edges, r.parent
+	for _, arc := range r.treeArcs[w] {
+		u.Union(edges[arc].U, edges[arc].V)
+	}
+	// A selected edge runs from v to parent[v]; a mutual pair's second
+	// union finds the two already merged.
+	lo, hi := par.Block(r.n, r.p, w)
+	for v := lo; v < hi; v++ {
+		if pv := parent[v]; int(pv) != v {
+			u.Union(int32(v), pv)
+		}
+	}
+}
+
+//msf:noalloc
+func (r *run) findWork(w int) {
+	lo, hi := par.Block(r.n, r.p, w)
+	for v := lo; v < hi; v++ {
+		r.rep[v] = r.u.Find(int32(v))
+	}
+}
+
+//msf:noalloc
+func (r *run) relabelWork(w int) {
+	lo, hi := par.Block(len(r.edges), r.p, w)
+	edges, labels := r.edges, r.labels
+	for i := lo; i < hi; i++ {
+		edges[i].U = labels[edges[i].U]
+		edges[i].V = labels[edges[i].V]
+	}
 }
 
 // myColors returns the unique color for worker w's t-th tree (Alg. 2 step
@@ -536,45 +656,6 @@ func lightest(v int32, edges []graph.WEdge, starts []int64) (int32, int32) {
 		}
 	}
 	return edges[best].V, int32(best)
-}
-
-func countSelections(p int, parent []int32) int64 {
-	return par.ReduceInt64(p, len(parent), func(_, lo, hi int) int64 {
-		var c int64
-		for v := lo; v < hi; v++ {
-			if int(parent[v]) != v {
-				c++
-			}
-		}
-		return c
-	})
-}
-
-// denseLabels extracts dense component labels from a concurrent
-// union-find after all unions are complete.
-func denseLabels(p int, u *uf.Concurrent) ([]int32, int) {
-	n := u.Len()
-	root := make([]int32, n)
-	par.For(p, n, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			root[v] = u.Find(int32(v))
-		}
-	})
-	roots := par.PackIndices(p, n, func(i int) bool { return int(root[i]) == i })
-	k := len(roots)
-	rootLabel := make([]int32, n)
-	par.For(p, k, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rootLabel[roots[i]] = int32(i)
-		}
-	})
-	labels := make([]int32, n)
-	par.For(p, n, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			labels[v] = rootLabel[root[v]]
-		}
-	})
-	return labels, k
 }
 
 // sequentialFinish solves the base problem with Kruskal over the directed

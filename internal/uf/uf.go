@@ -79,6 +79,16 @@ func NewConcurrent(n int) *Concurrent {
 	return c
 }
 
+// Reset makes c hold n singleton sets again, reusing its storage; n must
+// not exceed the size c was created with. It must not run concurrently
+// with any other method.
+func (c *Concurrent) Reset(n int) {
+	c.parent = c.parent[:n]
+	for i := range c.parent {
+		c.parent[i].Store(int32(i))
+	}
+}
+
 // Find returns a root of x's set, applying path halving.
 func (c *Concurrent) Find(x int32) int32 {
 	for {

@@ -11,6 +11,7 @@ package verify
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"pmsf/internal/graph"
 	"pmsf/internal/seq"
@@ -67,16 +68,47 @@ func Minimum(g *graph.EdgeList, f *graph.Forest) error {
 		return err
 	}
 	ref := seq.Kruskal(g)
-	if !closeEnough(ref.Weight, f.Weight) {
+	if !closeEnough(ref.Weight, f.Weight) && !sameWeights(g, ref, f) {
 		return fmt.Errorf("verify: weight %.9g differs from reference MSF weight %.9g (delta %g)",
 			f.Weight, ref.Weight, f.Weight-ref.Weight)
 	}
 	return nil
 }
 
+// sameWeights reports whether forests a and b of g have equal sorted
+// edge-weight sequences. Every MSF of g has the same sequence, so this
+// decides minimality exactly where weight totals cannot: a total of
+// ±MaxFloat64 or infinite weights depends on summation order (it can
+// overflow to ±Inf, or reach NaN, in one order and not another).
+func sameWeights(g *graph.EdgeList, a, b *graph.Forest) bool {
+	if len(a.EdgeIDs) != len(b.EdgeIDs) {
+		return false
+	}
+	wa, wb := make([]float64, len(a.EdgeIDs)), make([]float64, len(b.EdgeIDs))
+	for i := range a.EdgeIDs {
+		wa[i], wb[i] = g.Edges[a.EdgeIDs[i]].W, g.Edges[b.EdgeIDs[i]].W
+	}
+	sort.Float64s(wa)
+	sort.Float64s(wb)
+	for i := range wa {
+		if wa[i] != wb[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // closeEnough compares weights with a relative tolerance absorbing
-// floating-point summation-order differences.
+// floating-point summation-order differences. An infinite total matches
+// only an equal one, and two NaN totals match (a forest holding both a
+// +Inf and a -Inf edge sums to NaN in every order).
 func closeEnough(a, b float64) bool {
+	if a == b || (math.IsNaN(a) && math.IsNaN(b)) {
+		return true
+	}
+	if math.IsInf(a, 0) || math.IsInf(b, 0) {
+		return false
+	}
 	diff := math.Abs(a - b)
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= 1e-9*math.Max(scale, 1)

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -122,5 +123,35 @@ func TestCloseEnough(t *testing.T) {
 	}
 	if !closeEnough(0, 0) {
 		t.Fatal("zero comparison broken")
+	}
+	if !closeEnough(math.Inf(-1), math.Inf(-1)) || !closeEnough(math.NaN(), math.NaN()) {
+		t.Fatal("equal non-finite totals rejected")
+	}
+	if closeEnough(math.Inf(1), math.Inf(-1)) || closeEnough(math.NaN(), 1) || closeEnough(math.Inf(1), math.MaxFloat64) {
+		t.Fatal("different non-finite totals accepted")
+	}
+}
+
+// Totals of ±MaxFloat64 weights depend on summation order: the same
+// minimum forest overflows to +Inf in one order and not in the other,
+// so Minimum falls back to the sorted weight sequence — and still
+// rejects a forest whose sequence differs.
+func TestMinimumOrderDependentTotal(t *testing.T) {
+	m := math.MaxFloat64
+	g := &graph.EdgeList{N: 4, Edges: []graph.Edge{
+		{U: 0, V: 1, W: -m}, {U: 1, V: 2, W: m}, {U: 2, V: 3, W: m},
+		{U: 0, V: 3, W: m}, // ties the cycle: any three edges are minimum
+		{U: 0, V: 2, W: math.Inf(1)},
+	}}
+	// EdgeIDs order 1, 2, 0 sums to +Inf; Kruskal's (0, 1, 2) stays finite.
+	f := &graph.Forest{EdgeIDs: []int32{1, 2, 0}, Components: 1}
+	f.Weight = f.SumWeights(g)
+	if err := Minimum(g, f); err != nil {
+		t.Fatalf("minimum forest with an order-dependent total rejected: %v", err)
+	}
+	heavy := &graph.Forest{EdgeIDs: []int32{0, 4, 2}, Components: 1}
+	heavy.Weight = heavy.SumWeights(g)
+	if err := Minimum(g, heavy); err == nil {
+		t.Fatal("non-minimum forest accepted")
 	}
 }

@@ -226,9 +226,11 @@ type Options struct {
 	Workers int
 	// BaseSize is MST-BC's sequential cutoff n_b; 0 means the default.
 	BaseSize int
-	// Seed drives the randomized components (sample-sort splitters,
-	// MST-BC claim-order permutation). The forest produced is a correct
-	// MSF for every seed.
+	// Seed drives the randomized components: the sample-sort splitters
+	// of Bor-EL's SortSampleSort engine and of Bor-CAS's setup sort,
+	// MST-BC's claim-order permutation and work-stealing victim order,
+	// and the Filter's sampling. The forest produced is a correct MSF
+	// for every seed.
 	Seed uint64
 	// CollectStats enables per-iteration instrumentation, returned in
 	// Stats.
