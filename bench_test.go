@@ -394,8 +394,9 @@ func BenchmarkAblationELSortEngine(b *testing.B) {
 
 // BenchmarkEngineMatrix runs the lock-free engines (Bor-CAS, Bor-WM)
 // against the Bor-EL reference, end to end through the public API,
-// across low-diameter and tie-heavy families — the stable entry point
-// behind msf-bench -benchjson's engine rows (results/BENCH_PR6.json).
+// across low-diameter and tie-heavy families. CI runs it once under
+// -race as a smoke test; perfbench's static-random workload is where
+// Bor-EL's and Bor-CAS's speed is gated.
 func BenchmarkEngineMatrix(b *testing.B) {
 	families := []struct {
 		name string
@@ -491,8 +492,9 @@ func BenchmarkCompactGraphEngines(b *testing.B) {
 // p = 1, 2, 4, with the runtime's actual parallelism budget reported
 // per entry so a run on a starved scheduler is visible in the output
 // (gomaxprocs/numcpu metrics) rather than masquerading as a scaling
-// measurement. cmd/benchguard runs the bench.CompactScalingBench twin
-// of this as a hard CI gate.
+// measurement. CI gates p-scaling with perfbench's end-to-end
+// engine.<e>.scaling and with Bor-EL's compact-graph phase timed alone
+// through msf-bench -algo, both at p = 1 and 2.
 func BenchmarkCompactScaling(b *testing.B) {
 	base := randomGraph(6)
 	edges := graph.DirectedWorkList(base)

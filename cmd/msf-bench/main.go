@@ -9,7 +9,10 @@
 //
 // The paper's inputs are 1M-vertex graphs (-scale paper); the default
 // small scale runs every experiment in seconds. Wall-clock parallel
-// speedups require as many hardware cores as the largest -p entry.
+// speedups require as many hardware cores as the largest -p entry: every
+// run first prints the GOMAXPROCS, CPU count and Go version it ran
+// under, and a p= column above GOMAXPROCS carries an oversubscription
+// note.
 //
 // The -algo form runs one algorithm once with full span tracing and
 // prints its per-phase report; -trace additionally writes a Chrome
@@ -22,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -62,8 +66,6 @@ func main() {
 	traceOut := flag.String("trace", "", "with -algo: write a Chrome trace-event JSON file to this path")
 	metricsFlag := flag.Bool("metrics", false, "with -algo: enable process-wide counters and print the run summary")
 	sortFlag := flag.String("sort", "", "Bor-EL compact-graph engine ("+sortNames()+"; default parallel-radix)")
-	benchJSON := flag.String("benchjson", "", "run the compact-graph engine study and write machine-readable results to this path (e.g. results/BENCH_PR2.json)")
-	dynJSON := flag.String("dynjson", "", "run the dynamic-MSF workload study (sliding-window mutation stream vs per-batch recompute) and write machine-readable results to this path (e.g. results/BENCH_PR10.json)")
 	flag.Parse()
 
 	scale, err := bench.ParseScale(*scaleFlag)
@@ -81,18 +83,6 @@ func main() {
 		return
 	}
 	cfg := bench.Config{Scale: scale, Seed: *seed, Workers: ps}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, cfg); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *dynJSON != "" {
-		if err := writeDynJSON(*dynJSON, cfg); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	ids := bench.ExperimentIDs()
 	if *exp != "all" {
@@ -106,8 +96,17 @@ func main() {
 			fatal(err)
 		}
 	}
+	// The parallelism budget the tables are measured under. Machine
+	// formats keep stdout to tables alone, so there it goes to stderr.
+	host := os.Stdout
+	if *jsonFlag || *csv {
+		host = os.Stderr
+	}
+	procs := runtime.GOMAXPROCS(0)
+	fmt.Fprintf(host, "gomaxprocs=%d numcpu=%d %s\n\n", procs, runtime.NumCPU(), runtime.Version())
 	for _, id := range ids {
 		for _, table := range bench.Experiments()[id](cfg) {
+			table.MarkOversubscribed(procs)
 			var err error
 			switch {
 			case *jsonFlag:
@@ -178,63 +177,6 @@ func profileRun(algo string, scale bench.Scale, seed uint64, workers int, traceO
 		}
 		fmt.Printf("trace: %d spans written to %s\n", len(res.Trace.Spans()), traceOut)
 	}
-	return nil
-}
-
-// writeBenchJSON runs the compact-graph engine study plus the MSF
-// engine matrix and writes the machine-readable report (the repo's perf
-// trajectory baseline).
-func writeBenchJSON(path string, cfg bench.Config) error {
-	rep := bench.CompactBench(cfg)
-	rep.EngineBaseline = bench.EngineAlgos()[0].String()
-	rep.Engines = bench.EngineMatrixBench(cfg)
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("compact-graph engine study: %d measurements (+%d engine-matrix rows) written to %s\n",
-		len(rep.Entries), len(rep.Engines), path)
-	return nil
-}
-
-// writeDynJSON runs the dynamic workload study (batch mutation stream
-// through the dynamic-MSF subsystem vs from-scratch per-batch
-// recompute) and writes the machine-readable report.
-func writeDynJSON(path string, cfg bench.Config) error {
-	rep, err := bench.DynamicBench(cfg)
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("dynamic workload study: %d batches (%d mutations), %.1fx vs %s per-batch recompute (verified=%v) written to %s\n",
-		rep.Batches, rep.Mutations, rep.SpeedupX, rep.BaselineEngine, rep.Verified, path)
 	return nil
 }
 

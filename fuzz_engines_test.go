@@ -29,31 +29,35 @@ func decodeFuzzGraph(data []byte) *pmsf.Graph {
 	}
 	var edges []pmsf.Edge
 	for i := 0; i+4 <= len(rest); i += 4 {
-		u := int32(int(rest[i]) % n)
-		v := int32(int(rest[i+1]) % n)
-		op := float64(rest[i+3])
-		var w float64
-		switch rest[i+2] % 8 {
-		case 0:
-			w = 0
-		case 1:
-			w = 1
-		case 2:
-			w = -1
-		case 3:
-			w = op // small ints: heavy duplicates
-		case 4:
-			w = -op
-		case 5:
-			w = op + op/256 // fractional near-ties
-		case 6:
-			w = 1e9 * op
-		default:
-			w = -1e9 * op
-		}
-		edges = append(edges, pmsf.Edge{U: u, V: v, W: w})
+		edges = append(edges, decodeFuzzEdge(n, rest[i:i+4]))
 	}
 	return pmsf.NewGraph(n, edges)
+}
+
+// decodeFuzzEdge maps one 4-byte record (u, v, weight selector, weight
+// operand) to an edge of an n-vertex graph.
+func decodeFuzzEdge(n int, rec []byte) pmsf.Edge {
+	op := float64(rec[3])
+	var w float64
+	switch rec[2] % 8 {
+	case 0:
+		w = 0
+	case 1:
+		w = 1
+	case 2:
+		w = -1
+	case 3:
+		w = op // small ints: heavy duplicates
+	case 4:
+		w = -op
+	case 5:
+		w = op + op/256 // fractional near-ties
+	case 6:
+		w = 1e9 * op
+	default:
+		w = -1e9 * op
+	}
+	return pmsf.Edge{U: int32(int(rec[0]) % n), V: int32(int(rec[1]) % n), W: w}
 }
 
 func FuzzEngineParity(f *testing.F) {

@@ -5,8 +5,12 @@
 // Figs. 4-6 (parallel algorithms vs the best sequential baseline on
 // random graphs, meshes, and structured inputs).
 //
-// Experiments return structured Tables so the CLI can render text or CSV
-// and tests can assert the paper's qualitative shapes.
+// Experiments return structured Tables so the CLI can render text, CSV or
+// JSON and tests can assert the paper's qualitative shapes. Beyond the
+// paper, -exp compact renders the compact-graph engine study. Speed
+// claims and the CI performance gate live in perfbench/, which scores
+// every operation against a frozen sequential yardstick; this package
+// only regenerates tables.
 package bench
 
 import (
@@ -164,6 +168,23 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// MarkOversubscribed notes every "p=N" column with N above procs, the
+// GOMAXPROCS the table was measured under: those workers shared procs
+// OS threads, so the column times scheduling, not parallel speedup.
+func (t *Table) MarkOversubscribed(procs int) {
+	var cols []string
+	for _, h := range t.Header {
+		var p int
+		if _, err := fmt.Sscanf(h, "p=%d", &p); err == nil && p > procs {
+			cols = append(cols, h)
+		}
+	}
+	if len(cols) > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf("oversubscribed: %s above GOMAXPROCS=%d (workers share %d OS threads)",
+			strings.Join(cols, ", "), procs, procs))
+	}
 }
 
 // Workload is one named input graph family instantiated at a scale.

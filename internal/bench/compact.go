@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"time"
 
 	"pmsf/internal/boruvka"
@@ -15,9 +12,8 @@ import (
 
 // The compact-graph engine study: CompactWorkList throughput of the
 // sample sort and the packed-key parallel radix compactor, across worker
-// counts and duplicate-run skew levels.
-// This is the PR's perf trajectory baseline; msf-bench -benchjson writes
-// the machine-readable form to results/BENCH_PR2.json.
+// counts and duplicate-run skew levels. msf-bench -exp compact renders
+// it; README's compaction table comes from it.
 
 // compactWorkload is one input to the engine study: a directed working
 // list and the supervertex count it is compacted against. contraction
@@ -55,47 +51,6 @@ func buildCompactInput(scale Scale, seed uint64, w compactWorkload) ([]graph.WEd
 	return edges, n
 }
 
-// CompactBenchEntry is one engine × workers × workload measurement.
-// GoMaxProcs and NumCPU record the runtime's actual parallelism budget
-// at measurement time, so a result file can never again silently claim
-// p-worker scaling measured on a one-slot scheduler (the BENCH_PR2.json
-// artifact): benchguard rejects files whose workers exceed them.
-type CompactBenchEntry struct {
-	Engine     string `json:"engine"`
-	Workers    int    `json:"workers"`
-	Workload   string `json:"workload"`
-	N          int    `json:"n"`
-	Elements   int    `json:"elements"`
-	NsPerOp    int64  `json:"ns_per_op"`
-	GoMaxProcs int    `json:"gomaxprocs,omitempty"`
-	NumCPU     int    `json:"numcpu,omitempty"`
-}
-
-// CompactBenchReport is the machine-readable artifact of the engine
-// study (results/BENCH_PR2.json, and with the MSF engine matrix rows
-// attached, results/BENCH_PR6.json).
-type CompactBenchReport struct {
-	Scale      string              `json:"scale"`
-	Seed       uint64              `json:"seed"`
-	GoMaxProcs int                 `json:"gomaxprocs"`
-	NumCPU     int                 `json:"numcpu,omitempty"`
-	Baseline   string              `json:"baseline_engine"`
-	Candidate  string              `json:"candidate_engine"`
-	Entries    []CompactBenchEntry `json:"entries"`
-	// EngineBaseline names the MSF engine the matrix rows are judged
-	// against (Bor-EL); Engines holds the end-to-end engine matrix.
-	// Both are absent from reports written before the matrix existed.
-	EngineBaseline string             `json:"engine_baseline,omitempty"`
-	Engines        []EngineBenchEntry `json:"engines,omitempty"`
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *CompactBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // timeCompact measures one CompactWorkList configuration: best of
 // reps runs, each on a fresh copy of the input (the compaction mutates
 // its input list).
@@ -114,131 +69,48 @@ func timeCompact(engine boruvka.SortEngine, p int, edges []graph.WEdge, n int, s
 	return best
 }
 
-// CompactBench runs the full engine study and returns the
-// machine-readable report.
-func CompactBench(cfg Config) *CompactBenchReport {
-	rep := &CompactBenchReport{
-		Scale:      cfg.Scale.String(),
-		Seed:       cfg.Seed,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Baseline:   boruvka.SortSampleSort.String(),
-		Candidate:  boruvka.SortParallelRadix.String(),
-	}
-	reps := 3
-	if cfg.Scale >= Paper {
-		reps = 1
-	}
-	for _, w := range compactWorkloads() {
-		edges, n := buildCompactInput(cfg.Scale, cfg.Seed, w)
-		for _, engine := range boruvka.SortEngines() {
-			for _, p := range cfg.workers() {
-				d := timeCompact(engine, p, edges, n, cfg.Seed, reps)
-				rep.Entries = append(rep.Entries, CompactBenchEntry{
-					Engine:     engine.String(),
-					Workers:    p,
-					Workload:   w.name,
-					N:          n,
-					Elements:   len(edges),
-					NsPerOp:    d.Nanoseconds(),
-					GoMaxProcs: runtime.GOMAXPROCS(0),
-					NumCPU:     runtime.NumCPU(),
-				})
-			}
-		}
-	}
-	return rep
-}
-
-// CompactScalingBench is the scaling-focused slice of the engine study:
-// only the packed-key parallel radix compactor, only the uniform
-// workload, across cfg's worker counts. It is what the benchguard
-// -scaling gate runs fresh in CI to enforce that p = 4 beats p = 1 on
-// the 2.4M-element compaction.
-func CompactScalingBench(cfg Config) *CompactBenchReport {
-	rep := &CompactBenchReport{
-		Scale:      cfg.Scale.String(),
-		Seed:       cfg.Seed,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Baseline:   boruvka.SortParallelRadix.String(),
-		Candidate:  boruvka.SortParallelRadix.String(),
-	}
-	reps := 3
-	if cfg.Scale >= Paper {
-		reps = 1
-	}
-	w := compactWorkloads()[0] // uniform
-	edges, n := buildCompactInput(cfg.Scale, cfg.Seed, w)
-	for _, p := range cfg.workers() {
-		d := timeCompact(boruvka.SortParallelRadix, p, edges, n, cfg.Seed, reps)
-		rep.Entries = append(rep.Entries, CompactBenchEntry{
-			Engine:     boruvka.SortParallelRadix.String(),
-			Workers:    p,
-			Workload:   w.name,
-			N:          n,
-			Elements:   len(edges),
-			NsPerOp:    d.Nanoseconds(),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			NumCPU:     runtime.NumCPU(),
-		})
-	}
-	return rep
-}
-
-// CompactExp renders the engine study as experiment tables (one per
-// workload), with a speedup column of the packed-key parallel radix
-// compactor over the sample-sort baseline at equal p.
+// CompactExp runs the engine study and renders it as experiment tables
+// (one per workload), with a note giving the speedup of the packed-key
+// parallel radix compactor over the sample-sort baseline at the largest
+// p.
 func CompactExp(cfg Config) []*Table {
-	rep := CompactBench(cfg)
-	byWorkload := map[string][]CompactBenchEntry{}
-	for _, e := range rep.Entries {
-		byWorkload[e.Workload] = append(byWorkload[e.Workload], e)
+	const baseline, candidate = boruvka.SortSampleSort, boruvka.SortParallelRadix
+	reps := 3
+	if cfg.Scale >= Paper {
+		reps = 1
+	}
+	ps := cfg.workers()
+	pMax := ps[0]
+	for _, p := range ps {
+		pMax = max(pMax, p)
 	}
 	var out []*Table
 	for _, w := range compactWorkloads() {
-		entries := byWorkload[w.name]
-		if len(entries) == 0 {
-			continue
-		}
+		edges, n := buildCompactInput(cfg.Scale, cfg.Seed, w)
 		t := &Table{
 			ID: "compact." + w.name,
 			Title: fmt.Sprintf("compact-graph engines, %s n=%d elements=%d (ms)",
-				w.name, entries[0].N, entries[0].Elements),
+				w.name, n, len(edges)),
 			Header: []string{"engine"},
 		}
-		ps := cfg.workers()
 		for _, p := range ps {
 			t.Header = append(t.Header, fmt.Sprintf("p=%d", p))
 		}
-		base := map[int]int64{}
-		for _, e := range entries {
-			if e.Engine == rep.Baseline {
-				base[e.Workers] = e.NsPerOp
-			}
-		}
+		atMax := map[boruvka.SortEngine]time.Duration{}
 		for _, engine := range boruvka.SortEngines() {
 			row := []string{engine.String()}
 			for _, p := range ps {
-				for _, e := range entries {
-					if e.Engine == engine.String() && e.Workers == p {
-						row = append(row, ms(time.Duration(e.NsPerOp)))
-					}
+				d := timeCompact(engine, p, edges, n, cfg.Seed, reps)
+				row = append(row, ms(d))
+				if p == pMax {
+					atMax[engine] = d
 				}
 			}
 			t.Rows = append(t.Rows, row)
 		}
-		// Speedup note: candidate vs baseline at the largest p.
-		pMax := ps[len(ps)-1]
-		var cand int64
-		for _, e := range entries {
-			if e.Engine == rep.Candidate && e.Workers == pMax {
-				cand = e.NsPerOp
-			}
-		}
-		if cand > 0 && base[pMax] > 0 {
+		if atMax[candidate] > 0 && atMax[baseline] > 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s is %.2fx the %s baseline at p=%d",
-				rep.Candidate, float64(base[pMax])/float64(cand), rep.Baseline, pMax))
+				candidate, float64(atMax[baseline])/float64(atMax[candidate]), baseline, pMax))
 		}
 		out = append(out, t)
 	}

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"pmsf/internal/boruvka"
 )
 
 func TestProfileExperiment(t *testing.T) {
@@ -144,5 +146,49 @@ func TestWeightsAndCCBenchExperiments(t *testing.T) {
 	c := CCBench(cfg())
 	if len(c) != 1 || len(c[0].Rows) != 5 {
 		t.Fatalf("ccbench experiment shape")
+	}
+}
+
+func TestCompactExperiment(t *testing.T) {
+	tables := CompactExp(cfg())
+	wantIDs := []string{"compact.uniform", "compact.contract-16x", "compact.contract-256x"}
+	if len(tables) != len(wantIDs) {
+		t.Fatalf("%d compact tables, want %d", len(tables), len(wantIDs))
+	}
+	for i, tb := range tables {
+		if tb.ID != wantIDs[i] {
+			t.Errorf("table %d is %q, want %q", i, tb.ID, wantIDs[i])
+		}
+		if len(tb.Rows) != len(boruvka.SortEngines()) {
+			t.Fatalf("%s: %d rows, want one per sort engine (%d)", tb.ID, len(tb.Rows), len(boruvka.SortEngines()))
+		}
+		for j, row := range tb.Rows {
+			if row[0] != boruvka.SortEngines()[j].String() || len(row) != len(tb.Header) {
+				t.Fatalf("%s: row %v under header %v", tb.ID, row, tb.Header)
+			}
+		}
+		if len(tb.Notes) != 1 || !strings.Contains(tb.Notes[0], "baseline at p=2") {
+			t.Fatalf("%s: notes %q, want the speedup note at p=2", tb.ID, tb.Notes)
+		}
+	}
+	// The speedup note is taken at the largest p, not the last one given.
+	for _, tb := range CompactExp(Config{Scale: Tiny, Seed: 1, Workers: []int{2, 1}}) {
+		if len(tb.Notes) != 1 || !strings.HasSuffix(tb.Notes[0], "at p=2") {
+			t.Fatalf("%s with -p 2,1: notes %q, want the speedup note at p=2", tb.ID, tb.Notes)
+		}
+	}
+}
+
+func TestMarkOversubscribed(t *testing.T) {
+	tb := &Table{Header: []string{"algorithm", "p=1", "p=2", "p=4", "p=8", "speedup(p=8)"}}
+	tb.MarkOversubscribed(2)
+	want := "oversubscribed: p=4, p=8 above GOMAXPROCS=2 (workers share 2 OS threads)"
+	if len(tb.Notes) != 1 || tb.Notes[0] != want {
+		t.Fatalf("notes %q, want [%q]", tb.Notes, want)
+	}
+	tb = &Table{Header: []string{"algorithm", "p=1", "p=2"}}
+	tb.MarkOversubscribed(2)
+	if len(tb.Notes) != 0 {
+		t.Fatalf("no column above GOMAXPROCS, yet notes %q", tb.Notes)
 	}
 }
