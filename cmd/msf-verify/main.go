@@ -166,9 +166,9 @@ func replayStream(g *pmsf.Graph, path string) error {
 			return fmt.Errorf("replay: batch %d/%d: dynamic weight %.12f, scratch Kruskal %.12f",
 				i+1, len(s.Batches), forest.Weight, ref.Weight)
 		}
-		fmt.Printf("batch %d/%d OK: +%d -%d, m=%d, weight %.6f, %d components (delta: %d links, %d swaps, %d replacements, %d fallbacks)\n",
+		fmt.Printf("batch %d/%d OK: +%d -%d, m=%d, weight %.6f, %d components (delta: %d links, %d swaps, %d replacements, %d splits)\n",
 			i+1, len(s.Batches), len(b.Add), len(b.Del), len(snap.Edges),
-			forest.Weight, forest.Components, d.Links, d.Swaps, d.Replacements, d.FallbackRecomputes)
+			forest.Weight, forest.Components, d.Links, d.Swaps, d.Replacements, d.Splits)
 	}
 	fmt.Printf("OK: replayed %d batches (%d mutations) — dynamic forest matched scratch Kruskal after every batch\n",
 		len(s.Batches), s.Mutations())

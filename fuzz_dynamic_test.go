@@ -6,14 +6,27 @@ package pmsf_test
 // maintained forest against SeqKruskal of the live edge set (weight,
 // edge count, components) and against pmsf.Verify. A batch that deletes
 // an edge not live before it must be rejected and leave the handle
-// unchanged. Run continuously by the CI fuzz-smoke job.
+// unchanged. FuzzServePatchParity pushes the same decoded stream
+// through PATCH /v1/graphs/{name}/edges of an in-process msf-serve and
+// checks each response delta and the re-query of the patched graph
+// against the same reference. Both run continuously in the CI
+// fuzz-smoke job.
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"testing"
+	"time"
 
 	"pmsf"
+	"pmsf/internal/serve"
 )
 
 // Record kinds of the dynamic fuzz stream: each 4-byte record after the
@@ -50,7 +63,8 @@ func removeDeleted(live, del []pmsf.Edge) (rest []pmsf.Edge, ok bool) {
 	return rest, true
 }
 
-func FuzzDynamicParity(f *testing.F) {
+// addDynamicSeeds adds the seed corpus both dynamic fuzz targets share.
+func addDynamicSeeds(f *testing.F) {
 	rec := func(op, a, b, c byte) []byte { return []byte{op, a, b, c} }
 	add := func(sel, u, v, w byte) []byte { return rec(sel<<3|dynAdd, u, v, w) }
 	flush := rec(dynFlush, 0, 0, 0)
@@ -84,80 +98,108 @@ func FuzzDynamicParity(f *testing.F) {
 		rec(dynDelAbsent, 0, 1, 0), flush,
 		add(3, 0, 4, 1), rec(dynDelTree, 0, 0, 0), rec(dynDelAbsent, 2, 3, 7), flush,
 		add(3, 0, 4, 1), rec(dynDelTree, 0, 0, 0), flush))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
-			t.Skip()
-		}
-		n := 1 + int(data[0])%32
-		engine := dynEngines[int(data[1]&3)%len(dynEngines)]
-		initial := int(data[1] >> 2)
-		recs := data[2:]
-		const maxRecords = 512
-		if len(recs) > 4*maxRecords {
-			recs = recs[:4*maxRecords]
-		}
-		var live []pmsf.Edge
-		for ; initial > 0 && len(recs) >= 4; initial-- {
-			live = append(live, decodeFuzzEdge(n, recs[:4]))
-			recs = recs[4:]
-		}
-		dyn, err := pmsf.NewDynamic(pmsf.NewGraph(n, slices.Clone(live)), engine, pmsf.Options{Workers: 2, Seed: 1})
-		if err != nil {
-			t.Fatalf("NewDynamic(%v): %v", engine, err)
-		}
-		checkDynamicForest(t, dyn, n, live, nil)
+}
 
-		var adds, dels []pmsf.Edge
-		apply := func(batch int) {
-			beforeG, beforeF := dyn.SnapshotWithForest()
-			delta, err := dyn.ApplyEdges(adds, dels)
-			rest, valid := removeDeleted(live, dels)
-			switch {
-			case !valid && err == nil:
-				t.Fatalf("batch %d: deletions %v name edges not live, yet the batch was accepted", batch, dels)
-			case !valid:
-				afterG, afterF := dyn.SnapshotWithForest()
-				if !slices.Equal(afterG.Edges, beforeG.Edges) || !slices.Equal(afterF.EdgeIDs, beforeF.EdgeIDs) ||
-					afterF.Components != beforeF.Components {
-					t.Fatalf("batch %d: rejected batch (%v) changed the handle", batch, err)
-				}
-			case err != nil:
-				t.Fatalf("batch %d: valid batch rejected: %v", batch, err)
-			default:
-				live = append(rest, adds...)
-				checkDynamicForest(t, dyn, n, live, &delta)
-			}
-			adds, dels = nil, nil
+func FuzzDynamicParity(f *testing.F) {
+	addDynamicSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzDynamicStream(t, data, nil) })
+}
+
+func FuzzServePatchParity(f *testing.F) {
+	addDynamicSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzDynamicStream(t, data, newPatchTarget(t)) })
+}
+
+// fuzzDynamicStream decodes data into a starting graph and batches and
+// applies them to a library handle, checking every batch against
+// Kruskal of the live edges. With pt non-nil every batch also goes to
+// the server as a PATCH, whose delta and re-query are checked too.
+func fuzzDynamicStream(t *testing.T, data []byte, pt *patchTarget) {
+	if len(data) < 2 {
+		t.Skip()
+	}
+	n := 1 + int(data[0])%32
+	engine := dynEngines[int(data[1]&3)%len(dynEngines)]
+	initial := int(data[1] >> 2)
+	recs := data[2:]
+	const maxRecords = 512
+	if len(recs) > 4*maxRecords {
+		recs = recs[:4*maxRecords]
+	}
+	var live []pmsf.Edge
+	for ; initial > 0 && len(recs) >= 4; initial-- {
+		live = append(live, decodeFuzzEdge(n, recs[:4]))
+		recs = recs[4:]
+	}
+	dyn, err := pmsf.NewDynamic(pmsf.NewGraph(n, slices.Clone(live)), engine, pmsf.Options{Workers: 2, Seed: 1})
+	if err != nil {
+		t.Fatalf("NewDynamic(%v): %v", engine, err)
+	}
+	checkDynamicForest(t, dyn, n, live, nil)
+	if pt != nil {
+		pt.register(t, n, live)
+	}
+
+	var adds, dels []pmsf.Edge
+	patched := false
+	apply := func(batch int) {
+		beforeG, beforeF := dyn.SnapshotWithForest()
+		delta, err := dyn.ApplyEdges(adds, dels)
+		rest, valid := removeDeleted(live, dels)
+		var code int
+		var pr serve.PatchResponse
+		if pt != nil {
+			code, pr = pt.patch(t, adds, dels)
 		}
-		batch := 0
-		for i := 0; i+4 <= len(recs); i += 4 {
-			op, a, b, c := recs[i], recs[i+1], recs[i+2], recs[i+3]
-			pick := int(a)<<8 | int(b)
-			switch kind := op % 8; {
-			case kind == dynFlush:
-				apply(batch)
-				batch++
-			case kind < dynDelLive:
-				adds = append(adds, decodeFuzzEdge(n, []byte{a, b, op >> 3, c}))
-			case kind == dynDelLive && len(live) > 0:
-				dels = append(dels, live[pick%len(live)])
-			case kind == dynDelFlipped && len(live) > 0:
-				e := live[pick%len(live)]
-				dels = append(dels, pmsf.Edge{U: e.V, V: e.U, W: e.W})
-			case kind == dynDelTree:
-				g, forest := dyn.SnapshotWithForest()
-				if forest.Size() > 0 {
-					dels = append(dels, g.Edges[forest.EdgeIDs[pick%forest.Size()]])
-				}
-			case kind == dynDelAbsent:
-				// Decoded weights are dyadic rationals; c + 0.1 is not.
-				dels = append(dels, pmsf.Edge{U: int32(int(a) % n), V: int32(int(b) % n), W: float64(c) + 0.1})
+		switch {
+		case !valid && err == nil:
+			t.Fatalf("batch %d: deletions %v name edges not live, yet the batch was accepted", batch, dels)
+		case !valid:
+			afterG, afterF := dyn.SnapshotWithForest()
+			if !slices.Equal(afterG.Edges, beforeG.Edges) || !slices.Equal(afterF.EdgeIDs, beforeF.EdgeIDs) ||
+				afterF.Components != beforeF.Components {
+				t.Fatalf("batch %d: rejected batch (%v) changed the handle", batch, err)
 			}
+		case err != nil:
+			t.Fatalf("batch %d: valid batch rejected: %v", batch, err)
+		default:
+			live = append(rest, adds...)
+			checkDynamicForest(t, dyn, n, live, &delta)
 		}
-		if len(adds)+len(dels) > 0 {
+		if pt != nil {
+			patched = patched || valid
+			pt.check(t, batch, valid, code, pr, patched, kruskalOf(t, n, live))
+		}
+		adds, dels = nil, nil
+	}
+	batch := 0
+	for i := 0; i+4 <= len(recs); i += 4 {
+		op, a, b, c := recs[i], recs[i+1], recs[i+2], recs[i+3]
+		pick := int(a)<<8 | int(b)
+		switch kind := op % 8; {
+		case kind == dynFlush:
 			apply(batch)
+			batch++
+		case kind < dynDelLive:
+			adds = append(adds, decodeFuzzEdge(n, []byte{a, b, op >> 3, c}))
+		case kind == dynDelLive && len(live) > 0:
+			dels = append(dels, live[pick%len(live)])
+		case kind == dynDelFlipped && len(live) > 0:
+			e := live[pick%len(live)]
+			dels = append(dels, pmsf.Edge{U: e.V, V: e.U, W: e.W})
+		case kind == dynDelTree:
+			g, forest := dyn.SnapshotWithForest()
+			if forest.Size() > 0 {
+				dels = append(dels, g.Edges[forest.EdgeIDs[pick%forest.Size()]])
+			}
+		case kind == dynDelAbsent:
+			// Decoded weights are dyadic rationals; c + 0.1 is not.
+			dels = append(dels, pmsf.Edge{U: int32(int(a) % n), V: int32(int(b) % n), W: float64(c) + 0.1})
 		}
-	})
+	}
+	if len(adds)+len(dels) > 0 {
+		apply(batch)
+	}
 }
 
 // checkDynamicForest compares the handle's forest with SeqKruskal of
@@ -172,18 +214,136 @@ func checkDynamicForest(t *testing.T, dyn *pmsf.Dynamic, n int, live []pmsf.Edge
 	if err := pmsf.Verify(g, forest); err != nil {
 		t.Fatalf("maintained forest fails Verify: %v", err)
 	}
+	ref := kruskalOf(t, n, live)
+	checkAgainst(t, "forest", forest.Weight, forest.Size(), forest.Components, ref)
+	if delta != nil {
+		checkAgainst(t, "delta", delta.Weight, delta.ForestSize, delta.Components, ref)
+	}
+}
+
+// kruskalOf is the reference forest of the live edges.
+func kruskalOf(t *testing.T, n int, live []pmsf.Edge) *pmsf.Forest {
+	t.Helper()
 	ref, _, err := pmsf.MinimumSpanningForest(pmsf.NewGraph(n, slices.Clone(live)), pmsf.SeqKruskal, pmsf.Options{})
 	if err != nil {
 		t.Fatalf("Kruskal of the live edges: %v", err)
 	}
+	return ref
+}
+
+// checkAgainst compares one reported (weight, edges, components) triple
+// with the reference forest.
+func checkAgainst(t *testing.T, what string, weight float64, size, components int, ref *pmsf.Forest) {
+	t.Helper()
 	tol := 1e-9 * (1 + math.Abs(ref.Weight))
-	if forest.Size() != ref.Size() || forest.Components != ref.Components || math.Abs(forest.Weight-ref.Weight) > tol {
-		t.Fatalf("forest has %d edges / %d components / weight %v, Kruskal %d / %d / %v",
-			forest.Size(), forest.Components, forest.Weight, ref.Size(), ref.Components, ref.Weight)
+	if size != ref.Size() || components != ref.Components || math.Abs(weight-ref.Weight) > tol {
+		t.Fatalf("%s reports %d edges / %d components / weight %v, Kruskal %d / %d / %v",
+			what, size, components, weight, ref.Size(), ref.Components, ref.Weight)
 	}
-	if delta != nil && (delta.ForestSize != ref.Size() || delta.Components != ref.Components ||
-		math.Abs(delta.Weight-ref.Weight) > tol) {
-		t.Fatalf("delta reports %d edges / %d components / weight %v, Kruskal %d / %d / %v",
-			delta.ForestSize, delta.Components, delta.Weight, ref.Size(), ref.Components, ref.Weight)
+}
+
+// patchTarget is the graph "fuzz" registered on an in-process server,
+// mutated through PATCH /v1/graphs/fuzz/edges.
+type patchTarget struct {
+	url string
+}
+
+// newPatchTarget boots a server of its own for one fuzz case: the
+// result cache is keyed by graph content, so a server shared between
+// cases could answer one case's query from another's cached result.
+func newPatchTarget(t *testing.T) *patchTarget {
+	s := serve.New(serve.Config{Workers: 1, RatePerSecond: -1})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	return &patchTarget{url: ts.URL}
+}
+
+// call issues one request and decodes its JSON body into out; a body
+// that is not valid JSON fails the test, whatever the status.
+func (pt *patchTarget) call(t *testing.T, method, path string, body []byte, out any) int {
+	t.Helper()
+	req, err := http.NewRequest(method, pt.url+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out == nil {
+		out = new(map[string]any)
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatalf("%s %s: status %d, body %q is not JSON: %v", method, path, resp.StatusCode, data, err)
+	}
+	return resp.StatusCode
+}
+
+// register uploads the starting graph.
+func (pt *patchTarget) register(t *testing.T, n int, live []pmsf.Edge) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pmsf.WriteGraph(&buf, pmsf.NewGraph(n, live), pmsf.FormatText); err != nil {
+		t.Fatal(err)
+	}
+	if code := pt.call(t, "POST", "/v1/graphs/fuzz?format=text", buf.Bytes(), nil); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+}
+
+func (pt *patchTarget) patch(t *testing.T, adds, dels []pmsf.Edge) (int, serve.PatchResponse) {
+	t.Helper()
+	var req serve.PatchRequest
+	for _, e := range adds {
+		req.Add = append(req.Add, serve.PatchEdge{U: e.U, V: e.V, W: e.W})
+	}
+	for _, e := range dels {
+		req.Del = append(req.Del, serve.PatchEdge{U: e.U, V: e.V, W: e.W})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pr serve.PatchResponse
+	code := pt.call(t, "PATCH", "/v1/graphs/fuzz/edges", body, &pr)
+	return code, pr
+}
+
+// check asserts a PATCH answered like the library did: 400 for a batch
+// the library rejected, else 200 with a delta matching ref. It then
+// re-queries the graph, which must match ref too and, once a patch has
+// been applied, come from the maintained forest.
+func (pt *patchTarget) check(t *testing.T, batch int, valid bool, code int, pr serve.PatchResponse, patched bool, ref *pmsf.Forest) {
+	t.Helper()
+	switch {
+	case !valid && code != http.StatusBadRequest:
+		t.Fatalf("batch %d: PATCH of an invalid batch: status %d, want 400", batch, code)
+	case valid && code != http.StatusOK:
+		t.Fatalf("batch %d: PATCH of a valid batch: status %d, want 200", batch, code)
+	case valid:
+		checkAgainst(t, fmt.Sprintf("batch %d PATCH delta", batch), pr.Delta.Weight, pr.Delta.ForestSize, pr.Delta.Components, ref)
+	}
+	body, err := json.Marshal(serve.QueryRequest{Graph: "fuzz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qr serve.QueryResponse
+	if code := pt.call(t, "POST", "/v1/queries", body, &qr); code != http.StatusOK || qr.Result == nil {
+		t.Fatalf("batch %d: re-query: status %d, %+v", batch, code, qr)
+	}
+	if patched && qr.Result.Algorithm != "dynamic" {
+		t.Fatalf("batch %d: re-query answered by %q, want the maintained forest", batch, qr.Result.Algorithm)
+	}
+	checkAgainst(t, fmt.Sprintf("batch %d re-query", batch), qr.Result.Weight, qr.Result.ForestSize, qr.Result.Components, ref)
 }

@@ -29,26 +29,16 @@ var weightModes = []weightMode{
 // TestRandomDifferential replays random mutation batches through a
 // handle and checks after every batch that the maintained forest is the
 // exact MSF of the live graph (verify.Minimum recomputes a reference
-// Kruskal), across the weight matrix and across handle configurations
-// that force the incremental path and the fallback path respectively.
+// Kruskal), across the weight matrix.
 func TestRandomDifferential(t *testing.T) {
-	configs := []struct {
-		name string
-		opt  Options
-	}{
-		{"incremental", Options{}},
-		{"forced-fallback", Options{CutoffFrac: 1e-9, RebuildLimit: 1}},
-	}
 	for _, wm := range weightModes {
-		for _, cfg := range configs {
-			t.Run(wm.name+"/"+cfg.name, func(t *testing.T) {
-				runDifferential(t, wm, cfg.opt, 0xD0+uint64(len(wm.name)))
-			})
-		}
+		t.Run(wm.name+"/incremental", func(t *testing.T) {
+			runDifferential(t, wm, 0xD0+uint64(len(wm.name)))
+		})
 	}
 }
 
-func runDifferential(t *testing.T, wm weightMode, opt Options, seed uint64) {
+func runDifferential(t *testing.T, wm weightMode, seed uint64) {
 	t.Helper()
 	const (
 		n       = 60
@@ -60,7 +50,7 @@ func runDifferential(t *testing.T, wm weightMode, opt Options, seed uint64) {
 	for i := 0; i < baseM; i++ {
 		base.Edges = append(base.Edges, randomTestEdge(n, r, wm.draw))
 	}
-	h, err := New(base, seq.Kruskal(base), opt)
+	h, err := New(base, seq.Kruskal(base), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package dynmsf
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"pmsf/internal/gen"
 	"pmsf/internal/graph"
 	"pmsf/internal/obs"
 	"pmsf/internal/seq"
@@ -47,7 +50,7 @@ func readCounters(h *Handle) counters {
 		storeEdges: len(h.live.Edges),
 		trees:      h.trees,
 		forestSize: h.forestSize,
-		weight:     h.weight,
+		weight:     h.weight.value(),
 	}
 }
 
@@ -242,8 +245,11 @@ func TestSelfLoopsAreInertButDeletable(t *testing.T) {
 }
 
 func TestCutoffFallbackRecompute(t *testing.T) {
-	// A tiny cutoff forces the scoped recompute for any intra-tree batch.
-	h := newHandle(t, pathGraph(10), Options{CutoffFrac: 0.01})
+	// Three intra-tree insertions on one path in one batch, the input
+	// that once forced the scoped-recompute fallback: the two light ones
+	// each displace the heaviest edge on their cycle, the heavy one goes
+	// to the pool.
+	h := newHandle(t, pathGraph(10), Options{})
 	add := []graph.Edge{
 		{U: 0, V: 5, W: 0.5}, {U: 2, V: 8, W: 0.25}, {U: 1, V: 9, W: 50},
 	}
@@ -251,16 +257,17 @@ func TestCutoffFallbackRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FallbackRecomputes != 1 {
-		t.Fatalf("delta = %+v, want exactly one scoped recompute", d)
+	if d.Swaps != 2 || d.Links != 0 || d.Rebuilds != 0 || d.FallbackRecomputes != 0 {
+		t.Fatalf("delta = %+v, want exactly two swaps", d)
 	}
 	checkMinimum(t, h)
 }
 
 func TestRebuildLimitEscalatesToRecompute(t *testing.T) {
-	// Chain of improving inserts on one tree: each swap dirties the tree,
-	// so with RebuildLimit 1 the batch must escalate after two rebuilds.
-	h := newHandle(t, pathGraph(12), Options{RebuildLimit: 1})
+	// Nested improving inserts on one path, the chain that once exhausted
+	// the path-max rebuild limit: each closes a cycle through the edges
+	// the previous ones left, so every one of them swaps.
+	h := newHandle(t, pathGraph(12), Options{})
 	add := []graph.Edge{
 		{U: 0, V: 11, W: 0.9}, {U: 1, V: 10, W: 0.8}, {U: 2, V: 9, W: 0.7},
 		{U: 3, V: 8, W: 0.6}, {U: 4, V: 7, W: 0.5},
@@ -269,8 +276,11 @@ func TestRebuildLimitEscalatesToRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FallbackRecomputes == 0 {
-		t.Fatalf("delta = %+v, want the rebuild limit to force a recompute", d)
+	if d.Swaps != 5 || d.Links != 0 {
+		t.Fatalf("delta = %+v, want five swaps", d)
+	}
+	if want := 1.0 + 2 + 3 + 4 + 5 + 6 + 0.5 + 0.6 + 0.7 + 0.8 + 0.9; math.Abs(d.Weight-want) > 1e-12 {
+		t.Fatalf("weight = %g, want %g", d.Weight, want)
 	}
 	checkMinimum(t, h)
 }
@@ -358,5 +368,113 @@ func TestTraceSpansEmitted(t *testing.T) {
 	}
 	if !names["apply-batch"] || !names["insert"] {
 		t.Fatalf("spans = %v, want apply-batch with an insert child", names)
+	}
+}
+
+func TestInfiniteTreeEdgesKeepWeightFinite(t *testing.T) {
+	inf := math.Inf(1)
+	g := &graph.EdgeList{N: 3, Edges: []graph.Edge{{U: 0, V: 1, W: inf}, {U: 1, V: 2, W: 1}}}
+	h := newHandle(t, g, Options{})
+	steps := []struct {
+		add, del []graph.Edge
+		want     float64
+	}{
+		{nil, []graph.Edge{{U: 0, V: 1, W: inf}}, 1},   // delete the infinite tree edge
+		{[]graph.Edge{{U: 0, V: 1, W: inf}}, nil, inf}, // link it back
+		{[]graph.Edge{{U: 0, V: 2, W: 0.5}}, nil, 1.5}, // swap it out
+	}
+	for i, st := range steps {
+		d, err := h.ApplyEdges(st.add, st.del)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if _, f := h.SnapshotWithForest(); d.Weight != st.want || f.Weight != st.want {
+			t.Fatalf("step %d: delta weight %v, snapshot %v, want %v", i, d.Weight, f.Weight, st.want)
+		}
+	}
+	checkMinimum(t, h)
+}
+
+func TestMidPathDeletionBothSidesLarge(t *testing.T) {
+	// A 2000-vertex path with light edges and three heavier chords that
+	// cross its middle. Cutting the middle edge leaves two 1000-vertex
+	// sides; the lightest crossing chord must replace it.
+	const n = 2000
+	g := &graph.EdgeList{N: n}
+	for i := 0; i < n-1; i++ {
+		g.Edges = append(g.Edges, graph.Edge{U: int32(i), V: int32(i + 1), W: 1})
+	}
+	g.Edges = append(g.Edges,
+		graph.Edge{U: 10, V: 1990, W: 7}, graph.Edge{U: 400, V: 1200, W: 5},
+		graph.Edge{U: 0, V: 999, W: 2}, // light, but both ends on one side
+		graph.Edge{U: 998, V: 1001, W: 6},
+	)
+	c := obs.NewCollector()
+	h := newHandle(t, g, Options{Trace: c})
+	d, err := h.ApplyEdges(nil, []graph.Edge{{U: 999, V: 1000, W: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Replacements != 1 || d.Splits != 0 || d.Weight != n-2+5 {
+		t.Fatalf("delta = %+v, want chord (400,1200,5) as the one replacement", d)
+	}
+	checkMinimum(t, h)
+	for _, s := range c.Spans() {
+		if s.Name != "repair" {
+			continue
+		}
+		if v, _ := s.Arg("visited"); v < n {
+			t.Fatalf("lockstep BFS visited %d vertices, want both sides (%d)", v, n)
+		}
+	}
+}
+
+// repairWork is the median over a sliding-window stream's batches of
+// the repair work (lockstep-BFS vertices plus non-tree arcs scanned) on
+// G(n, 6n).
+func repairWork(t *testing.T, n int) int64 {
+	t.Helper()
+	const batch, batches = 100, 31
+	base := gen.Random(n, 6*n, 21)
+	stream := gen.SlidingWindowStream(base, batch*batches, 0, batch, 22)
+	c := obs.NewCollector()
+	h := newHandle(t, base, Options{Trace: c})
+	for i, b := range stream.Batches {
+		if _, err := h.ApplyEdges(b.Add, b.Del); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	spans := c.Spans()
+	var work []int64
+	for _, s := range spans {
+		if s.Name != "apply-batch" {
+			continue
+		}
+		w := int64(0)
+		for _, r := range obs.ChildrenOf(spans, s.ID) {
+			if r.Name == "repair" {
+				v, _ := r.Arg("visited")
+				sc, _ := r.Arg("scanned")
+				w += v + sc
+			}
+		}
+		work = append(work, w)
+	}
+	if len(work) != batches {
+		t.Fatalf("%d apply-batch spans, want %d", len(work), batches)
+	}
+	slices.Sort(work)
+	return work[len(work)/2]
+}
+
+// TestBatchWorkTracksBatchSize checks that a batch's repair work
+// depends on the batch, not on n: 16 times the vertices at the same
+// batch size may cost at most 4 times the median work, where a repair
+// that touched whole trees would cost 16 times.
+func TestBatchWorkTracksBatchSize(t *testing.T) {
+	small, large := repairWork(t, 10_000), repairWork(t, 160_000)
+	t.Logf("median repair work per batch: n=10k %d, n=160k %d", small, large)
+	if small == 0 || large > 4*small {
+		t.Fatalf("median repair work grew from %d to %d for 16x the vertices, want at most 4x", small, large)
 	}
 }

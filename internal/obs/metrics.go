@@ -219,14 +219,6 @@ var (
 	// DynReplacements counts non-tree edges promoted into the forest by
 	// the replacement-edge search after tree-edge deletions.
 	DynReplacements = Default().Counter("dyn_replacements")
-	// DynRebuilds counts incremental path-max region rebuilds performed
-	// by the dynamic layer (deletion repairs and dirty-tree refreshes).
-	DynRebuilds = Default().Counter("dyn_rebuilds")
-	// DynFallbackRecomputes counts trees a batch recomputed with a scoped
-	// from-scratch Kruskal because the per-edge cycle-rule path was
-	// projected to cost more (cutoff fraction exceeded or too many
-	// rebuilds forced in one batch).
-	DynFallbackRecomputes = Default().Counter("dyn_fallback_recomputes")
 )
 
 var publishOnce sync.Once

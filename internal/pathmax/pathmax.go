@@ -1,37 +1,27 @@
 // Package pathmax answers maximum-weight-edge queries over the paths of
 // a spanning forest: given a forest F of a weighted graph, Query(u, v)
 // returns the heaviest F-edge on the tree path between u and v. It is
-// the engine behind the cycle-property verification oracle, the
+// the engine behind the cycle-property verification oracle and the
 // sampling-based edge filter (the "exclude heavy edges early" idea the
 // paper discusses alongside Cole et al.'s and Katriel et al.'s
-// cycle-property algorithms), and — since the dynamic-MSF subsystem —
-// an incrementally maintainable runtime structure: RebuildRegion
-// recomputes only the rows of the trees a batch of edge updates
-// touched, so the rest of the index stays valid across mutations.
+// cycle-property algorithms). The index is built once per forest; the
+// dynamic-MSF layer, whose forest changes, keeps path maxima in a
+// link-cut tree instead.
 //
 // Construction is O(n log n) (BFS rooting + binary lifting); each query
-// is O(log n); a region rebuild is O(|region| log n).
+// is O(log n).
 package pathmax
 
 import (
 	"fmt"
-	"math"
 
 	"pmsf/internal/graph"
 )
 
-// Arc is one directed half of a forest edge, the adjacency unit the
-// incremental rebuild API consumes.
-type Arc struct {
-	To  int32
-	EID int32
-}
-
-// Tree describes one tree produced by a region rebuild: its root (the
-// comp label of every member) and its vertices, root first.
-type Tree struct {
-	Root  int32
-	Verts []int32
+// arc is one directed half of a forest edge.
+type arc struct {
+	to  int32
+	eid int32
 }
 
 // Index is a built path-maximum structure over one spanning forest.
@@ -42,18 +32,11 @@ type Index struct {
 	maxe   [][]int32 // maxe[k][v]: heaviest edge id on that path (-1 none)
 	comp   []int32   // tree id per vertex (root id)
 	levels int
-
-	// Epoch-stamped visit marks for RebuildRegion: stamp[v] == epoch
-	// means visited in the current rebuild, so clearing is O(1).
-	stamp []int32
-	epoch int32
 }
 
 // Build constructs the index for the forest given by edge ids into g.
 // The ids must describe a forest: every id in range, no id repeated,
-// and no cycle. Build returns an explicit error otherwise, so callers
-// holding long-lived state (the dynamic-MSF layer, the serve daemon)
-// can surface a corrupt forest instead of crashing.
+// and no cycle. Build returns an explicit error otherwise.
 func Build(g *graph.EdgeList, forestIDs []int32) (*Index, error) {
 	n := g.N
 	idx := &Index{g: g}
@@ -79,20 +62,19 @@ func Build(g *graph.EdgeList, forestIDs []int32) (*Index, error) {
 	for v := 0; v < n; v++ {
 		off[v+1] = off[v] + deg[v]
 	}
-	arcs := make([]Arc, off[n])
+	arcs := make([]arc, off[n])
 	next := make([]int32, n)
 	copy(next, off[:n])
 	for _, id := range forestIDs {
 		e := g.Edges[id]
-		arcs[next[e.U]] = Arc{e.V, id}
+		arcs[next[e.U]] = arc{e.V, id}
 		next[e.U]++
-		arcs[next[e.V]] = Arc{e.U, id}
+		arcs[next[e.V]] = arc{e.U, id}
 		next[e.V]++
 	}
 
 	idx.depth = make([]int32, n)
 	idx.comp = make([]int32, n)
-	idx.stamp = make([]int32, n)
 	levels := 1
 	for 1<<levels < n {
 		levels++
@@ -128,15 +110,15 @@ func Build(g *graph.EdgeList, forestIDs []int32) (*Index, error) {
 			order = append(order, v)
 			for i := off[v]; i < off[v+1]; i++ {
 				a := arcs[i]
-				if visited[a.To] {
+				if visited[a.to] {
 					continue
 				}
-				visited[a.To] = true
-				parent[a.To] = v
-				parentEdge[a.To] = a.EID
-				idx.depth[a.To] = idx.depth[v] + 1
-				idx.comp[a.To] = int32(root)
-				queue = append(queue, a.To)
+				visited[a.to] = true
+				parent[a.to] = v
+				parentEdge[a.to] = a.eid
+				idx.depth[a.to] = idx.depth[v] + 1
+				idx.comp[a.to] = int32(root)
+				queue = append(queue, a.to)
 			}
 		}
 	}
@@ -159,103 +141,11 @@ func Build(g *graph.EdgeList, forestIDs []int32) (*Index, error) {
 	return idx, nil
 }
 
-// RebuildRegion recomputes the rows (parent pointers, lifted ancestor
-// and max-edge tables, depth, comp) of exactly the given vertices from
-// the forest adjacency provided by adj. The caller must pass a closed
-// region: the union of entire trees (every vertex reachable from a
-// region vertex through adj must itself be in verts). Rows of vertices
-// outside the region are untouched, which is what makes the index
-// incrementally maintainable: a batch that dirties a few trees costs
-// O(|dirty region| log n), not O(n log n).
-//
-// It returns the trees of the region. Each tree's comp label is its BFS
-// root: the first vertex of verts (in order) that reaches it.
-func (idx *Index) RebuildRegion(verts []int32, adj func(v int32) []Arc) []Tree {
-	if len(verts) == 0 {
-		return nil
-	}
-	epoch := idx.bumpEpoch()
-	parent := idx.up[0]
-	parentEdge := idx.maxe[0]
-	var trees []Tree
-	order := make([]int32, 0, len(verts))
-	queue := make([]int32, 0, 64)
-	for _, root := range verts {
-		if idx.stamp[root] == epoch {
-			continue
-		}
-		idx.stamp[root] = epoch
-		parent[root] = root
-		parentEdge[root] = -1
-		idx.depth[root] = 0
-		idx.comp[root] = root
-		treeStart := len(order)
-		queue = append(queue[:0], root)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			for _, a := range adj(v) {
-				if idx.stamp[a.To] == epoch {
-					continue
-				}
-				idx.stamp[a.To] = epoch
-				parent[a.To] = v
-				parentEdge[a.To] = a.EID
-				idx.depth[a.To] = idx.depth[v] + 1
-				idx.comp[a.To] = root
-				queue = append(queue, a.To)
-			}
-		}
-		tverts := make([]int32, len(order)-treeStart)
-		copy(tverts, order[treeStart:])
-		trees = append(trees, Tree{Root: root, Verts: tverts})
-	}
-	for k := 1; k < idx.levels; k++ {
-		up, maxe := idx.up[k], idx.maxe[k]
-		prevUp, prevMax := idx.up[k-1], idx.maxe[k-1]
-		for _, v := range order {
-			mid := prevUp[v]
-			up[v] = prevUp[mid]
-			maxe[v] = idx.heavier(prevMax[v], prevMax[mid])
-		}
-	}
-	return trees
-}
-
-// bumpEpoch advances the visit-mark epoch, clearing the stamps on the
-// (once per 2^31 operations) wrap so stale marks can never alias.
-func (idx *Index) bumpEpoch() int32 {
-	if idx.epoch == math.MaxInt32 {
-		idx.epoch = 0
-		for i := range idx.stamp {
-			idx.stamp[i] = 0
-		}
-	}
-	idx.epoch++
-	return idx.epoch
-}
-
-// Comp returns the tree label of v (the root id assigned by the last
-// build or rebuild that touched v, or the last Assign).
-func (idx *Index) Comp(v int32) int32 { return idx.comp[v] }
-
-// Assign relabels the comp of the given vertices to root without
-// touching the lifted rows. The dynamic layer uses it when two trees
-// are linked: membership is updated eagerly (so SameTree stays exact)
-// while the rows are rebuilt lazily by the next RebuildRegion.
-func (idx *Index) Assign(verts []int32, root int32) {
-	for _, v := range verts {
-		idx.comp[v] = root
-	}
-}
-
 // heavier returns the heavier edge id (-1 means no edge). Ties break
 // toward the LARGER id, so the result is the maximum under the library's
 // perturbed total order (W, id) — the order every algorithm's tie-break
 // induces. Weight-only consumers (the verification oracle) are
-// unaffected; order-sensitive consumers (the sampling filter, the
-// dynamic insert rule) rely on it.
+// unaffected; the order-sensitive sampling filter relies on it.
 func (idx *Index) heavier(a, b int32) int32 {
 	if a < 0 {
 		return b
@@ -321,91 +211,4 @@ func (idx *Index) QueryWeight(u, v int32) (graph.Weight, bool) {
 		return 0, false
 	}
 	return idx.g.Edges[id].W, true
-}
-
-// The level-0 maintenance surface. The dynamic-MSF layer keeps the
-// level-0 rows (parent pointer + parent edge) exact through every
-// forest mutation — Rehang re-roots a re-attached piece in O(path) —
-// while depth and the lifted rows of a mutated tree go stale until the
-// next RebuildRegion. QueryWalk answers exactly on such trees from
-// level 0 alone, so a mutated tree never forces an O(tree) rebuild just
-// to be queried.
-
-// ChildEnd returns the endpoint of forest edge eid that is the child in
-// the current level-0 rooting (the vertex whose parent edge is eid).
-// The edge must be in the forest.
-func (idx *Index) ChildEnd(eid int32) int32 {
-	e := idx.g.Edges[eid]
-	if idx.maxe[0][e.U] == eid {
-		return e.U
-	}
-	return e.V
-}
-
-// InSubtree reports whether x lies in the level-0 subtree rooted at
-// top, by walking x's parent chain. O(depth of x).
-func (idx *Index) InSubtree(x, top int32) bool {
-	parent := idx.up[0]
-	for w := x; ; {
-		if w == top {
-			return true
-		}
-		if parent[w] == w {
-			return false
-		}
-		w = parent[w]
-	}
-}
-
-// Rehang re-roots the tree piece whose highest vertex is stop at x and
-// hangs x under y with edge eid, reversing the parent chain from x up
-// to stop. Only level-0 rows are touched: depth and the lifted rows of
-// the tree become stale, so the caller must mark the tree dirty and
-// answer its queries with QueryWalk until a rebuild. x must lie in
-// stop's subtree (stop is the child endpoint of a just-cut edge, or the
-// tree root when attaching a whole tree).
-func (idx *Index) Rehang(x, stop, y, eid int32) {
-	parent := idx.up[0]
-	parentEdge := idx.maxe[0]
-	prev, prevE := y, eid
-	for w := x; ; {
-		pw, pe := parent[w], parentEdge[w]
-		parent[w] = prev
-		parentEdge[w] = prevE
-		if w == stop || pw == w {
-			return
-		}
-		prev, prevE = w, pe
-		w = pw
-	}
-}
-
-// QueryWalk is Query computed from the level-0 rows alone: exact on
-// trees whose lifted rows are stale, at O(depth(u) + depth(v)) per
-// query. The LCA is found by stamping u's ancestor chain and walking
-// v's chain until it hits a stamp.
-func (idx *Index) QueryWalk(u, v int32) int32 {
-	if u == v || idx.comp[u] != idx.comp[v] {
-		return -1
-	}
-	parent := idx.up[0]
-	parentEdge := idx.maxe[0]
-	epoch := idx.bumpEpoch()
-	for w := u; ; {
-		idx.stamp[w] = epoch
-		if parent[w] == w {
-			break
-		}
-		w = parent[w]
-	}
-	best := int32(-1)
-	lca := v
-	for idx.stamp[lca] != epoch {
-		best = idx.heavier(best, parentEdge[lca])
-		lca = parent[lca]
-	}
-	for w := u; w != lca; w = parent[w] {
-		best = idx.heavier(best, parentEdge[w])
-	}
-	return best
 }

@@ -1,6 +1,7 @@
 package pathmax
 
 import (
+	"strings"
 	"testing"
 
 	"pmsf/internal/gen"
@@ -142,5 +143,50 @@ func TestDeepPath(t *testing.T) {
 	// Max on a middle segment.
 	if got := idx.Query(100, 200); got != 199 {
 		t.Fatalf("segment max = %d", got)
+	}
+}
+
+// mustBuild is the test-side shim over the error-returning Build.
+func mustBuild(t *testing.T, g *graph.EdgeList, ids []int32) *Index {
+	t.Helper()
+	idx, err := Build(g, ids)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return idx
+}
+
+func TestBuildRejectsNonForest(t *testing.T) {
+	line := &graph.EdgeList{N: 4, Edges: []graph.Edge{
+		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 2, V: 0, W: 3}, {U: 2, V: 3, W: 4},
+		{U: 1, V: 1, W: 5},
+	}}
+	cases := []struct {
+		name string
+		ids  []int32
+		want string
+	}{
+		{"cycle", []int32{0, 1, 2}, "not a forest"},
+		{"duplicate id", []int32{0, 0}, "not a forest"},
+		{"out of range", []int32{99}, "out of range"},
+		{"negative id", []int32{-1}, "out of range"},
+		{"self-loop", []int32{4}, "self-loop"},
+		{"edges on empty graph", nil, "empty graph"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := line
+			ids := tc.ids
+			if tc.name == "edges on empty graph" {
+				g = &graph.EdgeList{N: 0}
+				ids = []int32{0}
+			}
+			if _, err := Build(g, ids); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Build(%v) error = %v, want containing %q", ids, err, tc.want)
+			}
+		})
+	}
+	if _, err := Build(line, []int32{0, 1, 3}); err != nil {
+		t.Fatalf("valid forest rejected: %v", err)
 	}
 }

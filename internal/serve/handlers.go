@@ -262,7 +262,9 @@ type PatchRequest struct {
 	Del []PatchEdge `json:"del,omitempty"`
 }
 
-// PatchDelta is the applied-batch report in a PATCH response.
+// PatchDelta is the applied-batch report in a PATCH response. Rebuilds
+// and FallbackRecomputes are always 0; they stay so clients that read
+// them keep decoding.
 type PatchDelta struct {
 	Added              int     `json:"added"`
 	Deleted            int     `json:"deleted"`

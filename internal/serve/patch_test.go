@@ -190,6 +190,21 @@ func TestPatchErrorPaths(t *testing.T) {
 	}
 }
 
+// TestPatchSwapsOutInfiniteEdge patches a graph whose only path to
+// vertex 0 is an infinite-weight edge: the added edge swaps it out, and
+// the response must decode with the finite forest weight.
+func TestPatchSwapsOutInfiniteEdge(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	registerGraph(t, ts, "inf", []byte("3 2\n0 1 +Inf\n1 2 1\n"))
+	code, pr := doPatch(t, ts, "inf", PatchRequest{Add: []PatchEdge{{U: 0, V: 2, W: 0.5}}})
+	if code != http.StatusOK {
+		t.Fatalf("status %d, want 200", code)
+	}
+	if pr.Delta.Swaps != 1 || pr.Delta.Weight != 1.5 || pr.Delta.ForestSize != 2 {
+		t.Fatalf("delta = %+v, want one swap down to weight 1.5", pr.Delta)
+	}
+}
+
 func TestPatchBodyTooLarge413(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxUploadBytes: 300})
 

@@ -349,18 +349,19 @@ func NewGraph(n int, edges []Edge) *Graph {
 
 // Dynamic is a handle that maintains the minimum spanning forest of a
 // graph across batches of edge insertions and deletions (see
-// internal/dynmsf for the algorithm: cycle-rule insertions over an
-// incrementally rebuilt path-maximum index, replacement-edge search for
-// deletions, and a scoped-recompute fallback when a batch invalidates
-// too much of a tree). All methods are safe for concurrent use; queries
-// block while a batch is being applied.
+// internal/dynmsf for the algorithm: the forest lives in a link-cut
+// tree, an insertion is one path-maximum query plus at most one cut and
+// one link, and a deleted tree edge is replaced by the lightest edge
+// leaving the smaller side of its cut). All methods are safe for
+// concurrent use; queries block while a batch is being applied.
 type Dynamic = dynmsf.Handle
 
-// DynamicDelta reports what one ApplyEdges batch changed.
+// DynamicDelta reports what one ApplyEdges batch changed. Its Rebuilds
+// and FallbackRecomputes fields are always 0.
 type DynamicDelta = dynmsf.Delta
 
-// DynamicOptions tunes the dynamic maintainer's fallback thresholds and
-// tracing. The zero value is the default.
+// DynamicOptions configures the dynamic maintainer's tracing. The zero
+// value is the default.
 type DynamicOptions = dynmsf.Options
 
 // ErrDynamicBroken is wrapped by every error a Dynamic handle returns
