@@ -87,24 +87,19 @@ type parVariant struct {
 func parVariants() []parVariant {
 	return []parVariant{
 		{"Bor-EL", func(g *graph.EdgeList, p int) *graph.Forest {
-			f, _ := boruvka.EL(g, boruvka.Options{Workers: p, Seed: 1})
-			return f
+			return boruvka.EL(g, boruvka.Options{Workers: p, Seed: 1})
 		}},
 		{"Bor-AL", func(g *graph.EdgeList, p int) *graph.Forest {
-			f, _ := boruvka.AL(g, boruvka.Options{Workers: p, Seed: 1})
-			return f
+			return boruvka.AL(g, boruvka.Options{Workers: p, Seed: 1})
 		}},
 		{"Bor-ALM", func(g *graph.EdgeList, p int) *graph.Forest {
-			f, _ := boruvka.ALM(g, boruvka.Options{Workers: p, Seed: 1})
-			return f
+			return boruvka.ALM(g, boruvka.Options{Workers: p, Seed: 1})
 		}},
 		{"Bor-FAL", func(g *graph.EdgeList, p int) *graph.Forest {
-			f, _ := boruvka.FAL(g, boruvka.Options{Workers: p, Seed: 1})
-			return f
+			return boruvka.FAL(g, boruvka.Options{Workers: p, Seed: 1})
 		}},
 		{"MST-BC", func(g *graph.EdgeList, p int) *graph.Forest {
-			f, _ := mstbc.Run(g, mstbc.Options{Workers: p, Seed: 1})
-			return f
+			return mstbc.Run(g, mstbc.Options{Workers: p, Seed: 1})
 		}},
 	}
 }
@@ -115,8 +110,9 @@ func BenchmarkTable1EdgeDecay(b *testing.B) {
 	g := randomGraph(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, stats := boruvka.EL(g, boruvka.Options{Stats: true, Seed: 1})
-		if len(stats.Iters) == 0 {
+		tr := obs.NewCollector()
+		boruvka.EL(g, boruvka.Options{Trace: tr, Seed: 1})
+		if len(tr.Summarize(nil).Rounds) == 0 {
 			b.Fatal("no iterations recorded")
 		}
 	}

@@ -64,7 +64,7 @@ func main() {
 	outDir := flag.String("o", "", "also write each table to <dir>/<table id>.{txt,csv}")
 	algoFlag := flag.String("algo", "", "run one algorithm with span tracing instead of the experiment suite ("+algoNames()+")")
 	traceOut := flag.String("trace", "", "with -algo: write a Chrome trace-event JSON file to this path")
-	metricsFlag := flag.Bool("metrics", false, "with -algo: enable process-wide counters and print the run summary")
+	metricsFlag := flag.Bool("metrics", false, "with -algo: enable process-wide counters and add them to the run summary")
 	sortFlag := flag.String("sort", "", "Bor-EL compact-graph engine ("+sortNames()+"; default parallel-radix)")
 	flag.Parse()
 
@@ -128,8 +128,9 @@ func main() {
 	}
 }
 
-// profileRun executes the -algo path: one traced run, per-phase report
-// on stdout, optional Chrome trace file and metrics summary.
+// profileRun executes the -algo path: one traced run, its summary on
+// stdout (text, or JSON with -json; with counters under -metrics), and an
+// optional Chrome trace file.
 func profileRun(algo string, scale bench.Scale, seed uint64, workers int, traceOut string, metrics, jsonOut bool, sortEngine string) error {
 	res, err := bench.ProfileRun(bench.ProfileConfig{
 		Algo: algo, Scale: scale, Seed: seed, Workers: workers, Metrics: metrics,
@@ -140,28 +141,13 @@ func profileRun(algo string, scale bench.Scale, seed uint64, workers int, traceO
 	}
 	fmt.Printf("%s: n=%d m=%d, forest weight %.4f, %d component(s)\n",
 		res.Algorithm, res.Graph.N, len(res.Graph.Edges), res.Forest.Weight, res.Forest.Components)
-	switch {
-	case res.Stats.Boruvka != nil:
-		err = report.Boruvka(os.Stdout, res.Stats.Boruvka)
-	case res.Stats.MSTBC != nil:
-		err = report.MSTBC(os.Stdout, res.Stats.MSTBC)
-	case res.Stats.Filter != nil:
-		err = report.Filter(os.Stdout, res.Stats.Filter)
-	case res.Stats.CASHook != nil:
-		err = report.CASHook(os.Stdout, res.Stats.CASHook)
+	if jsonOut {
+		err = res.Summary.WriteJSON(os.Stdout)
+	} else {
+		err = report.Summary(os.Stdout, res.Summary)
 	}
 	if err != nil {
 		return err
-	}
-	if metrics {
-		if jsonOut {
-			err = res.Summary.WriteJSON(os.Stdout)
-		} else {
-			err = report.Summary(os.Stdout, res.Summary)
-		}
-		if err != nil {
-			return err
-		}
 	}
 	if traceOut != "" {
 		f, err := os.Create(traceOut)

@@ -25,7 +25,7 @@ func main() {
 	workers := flag.Int("p", 0, "parallel workers (0 = GOMAXPROCS)")
 	seed := flag.Uint64("seed", 42, "seed for randomized components")
 	verifyFlag := flag.Bool("verify", false, "verify the result against a sequential reference")
-	statsFlag := flag.Bool("stats", false, "print per-iteration instrumentation")
+	statsFlag := flag.Bool("stats", false, "trace the run and print its per-round and per-phase summary")
 	formatName := flag.String("format", "binary", "input format: binary, text, dimacs or metis")
 	outPath := flag.String("o", "", "write the forest (edge ids) to this file")
 	flag.Parse()
@@ -52,10 +52,12 @@ func main() {
 		fatal(err)
 	}
 
+	opt := pmsf.Options{Workers: *workers, Seed: *seed}
+	if *statsFlag {
+		opt.Trace = pmsf.NewTrace()
+	}
 	start := time.Now()
-	forest, stats, err := pmsf.MinimumSpanningForest(g, algo, pmsf.Options{
-		Workers: *workers, Seed: *seed, CollectStats: *statsFlag,
-	})
+	forest, stats, err := pmsf.MinimumSpanningForest(g, algo, opt)
 	if err != nil {
 		fatal(err)
 	}
@@ -67,9 +69,7 @@ func main() {
 	fmt.Printf("weight:     %.6f\n", forest.Weight)
 	fmt.Printf("time:       %v\n", elapsed)
 
-	if *statsFlag && stats != nil {
-		printStats(stats)
-	}
+	printStats(stats)
 	if *outPath != "" {
 		of, err := os.Create(*outPath)
 		if err != nil {
@@ -91,17 +91,13 @@ func main() {
 	}
 }
 
+// printStats writes the run's summary to stdout. It prints nothing
+// without one, or for a sequential algorithm, which records no spans.
 func printStats(stats *pmsf.Stats) {
-	var err error
-	switch {
-	case stats.Boruvka != nil:
-		err = report.Boruvka(os.Stdout, stats.Boruvka)
-	case stats.MSTBC != nil:
-		err = report.MSTBC(os.Stdout, stats.MSTBC)
-	case stats.Filter != nil:
-		err = report.Filter(os.Stdout, stats.Filter)
+	if stats == nil || stats.SpanCount == 0 {
+		return
 	}
-	if err != nil {
+	if err := report.Summary(os.Stdout, stats); err != nil {
 		fatal(err)
 	}
 }

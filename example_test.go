@@ -22,18 +22,17 @@ func ExampleConnectedComponents() {
 	// Output: 3 [0 0 0 1 1 1 2]
 }
 
-func ExampleOptions_collectStats() {
+func ExampleOptions_trace() {
 	g := pmsf.RandomGraph(10_000, 60_000, 7)
 	_, stats, err := pmsf.MinimumSpanningForest(g, pmsf.BorFAL, pmsf.Options{
-		CollectStats: true,
+		Trace: pmsf.NewTrace(),
 	})
 	if err != nil {
 		panic(err)
 	}
 	// Borůvka halves the supervertex count (at least) every iteration.
-	first := stats.Boruvka.Iters[0]
-	second := stats.Boruvka.Iters[1]
-	fmt.Println(first.N == g.N, second.N <= first.N/2)
+	first, second := stats.Rounds[0].Arg("n"), stats.Rounds[1].Arg("n")
+	fmt.Println(first == int64(g.N), second <= first/2)
 	// Output: true true
 }
 

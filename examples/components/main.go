@@ -36,8 +36,8 @@ func main() {
 	g := pmsf.NewGraph(int(base), edges)
 
 	forest, stats, err := pmsf.MinimumSpanningForest(g, pmsf.MSTBC, pmsf.Options{
-		Workers:      4,
-		CollectStats: true,
+		Workers: 4,
+		Trace:   pmsf.NewTrace(),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -72,9 +72,9 @@ func main() {
 		fmt.Printf("  #%d: %5d individuals, cost %.2f\n", i+1, all[i].size, all[i].w)
 	}
 
-	if stats.MSTBC != nil {
+	if len(stats.Rounds) > 0 {
 		fmt.Printf("\nMST-BC ran %d parallel levels, grew %d trees at level 1\n",
-			len(stats.MSTBC.Levels), stats.MSTBC.Levels[0].Trees)
+			len(stats.Rounds), stats.Rounds[0].Arg("trees"))
 	}
 	if err := pmsf.Verify(g, forest); err != nil {
 		log.Fatal(err)

@@ -53,13 +53,12 @@ func main() {
 
 	// Per-step attribution for the representation the paper recommends
 	// on random graphs.
-	_, stats, err := pmsf.MinimumSpanningForest(g, pmsf.BorFAL, pmsf.Options{CollectStats: true})
+	_, s, err := pmsf.MinimumSpanningForest(g, pmsf.BorFAL, pmsf.Options{Trace: pmsf.NewTrace()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := stats.Boruvka
 	fmt.Printf("\nBor-FAL step attribution over %d iterations: find-min %.1f ms, connect %.1f ms, compact %.1f ms\n",
-		len(s.Iters), ms(s.Total.FindMin), ms(s.Total.ConnectComponents), ms(s.Total.CompactGraph))
+		len(s.Rounds), ms(s.PhaseTotal("find-min")), ms(s.PhaseTotal("connect-components")), ms(s.PhaseTotal("compact-graph")))
 }
 
 func timeRun(g *pmsf.Graph, algo pmsf.Algorithm, p int) time.Duration {

@@ -28,8 +28,8 @@ func Fingerprint(g *Graph) uint64 {
 
 // HashOptions digests the parts of (algorithm, Options) that select
 // what a run computes and how: the algorithm, worker count, MST-BC base
-// size, seed, and Bor-EL sort engine. Instrumentation switches
-// (CollectStats, Trace, Metrics) are deliberately excluded — they do
+// size, seed, and Bor-EL sort engine. Instrumentation switches (Trace,
+// Metrics) are deliberately excluded — they do
 // not change the forest, so cached results remain valid across them.
 // Together with Fingerprint it forms a well-defined cache key:
 // identical (graph, algorithm, options) requests collide, anything

@@ -84,7 +84,6 @@ func TestHashOptions(t *testing.T) {
 	want := pmsf.HashOptions(pmsf.BorEL, base)
 
 	same := base
-	same.CollectStats = true
 	same.Metrics = true
 	same.Trace = pmsf.NewTrace()
 	if got := pmsf.HashOptions(pmsf.BorEL, same); got != want {

@@ -7,6 +7,7 @@ import (
 	"pmsf/internal/cc"
 	"pmsf/internal/gen"
 	"pmsf/internal/mstbc"
+	"pmsf/internal/obs"
 	"pmsf/internal/seq"
 )
 
@@ -84,24 +85,25 @@ func Hybrid(cfg Config) []*Table {
 		if p > n {
 			continue
 		}
-		_, stats := mstbc.Run(g, mstbc.Options{Workers: p, Seed: cfg.Seed, Stats: true})
-		if len(stats.Levels) == 0 {
+		s := traced(func(tr *obs.Collector) { mstbc.Run(g, mstbc.Options{Workers: p, Seed: cfg.Seed, Trace: tr}) })
+		if len(s.Rounds) == 0 {
 			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", p), "0", "-", "-", "-", "-", "0"})
 			continue
 		}
-		lv := stats.Levels[0]
+		lv := s.Rounds[0]
+		trees, visited := lv.Arg("trees"), lv.Arg("visited")
 		avg := "-"
-		if lv.Trees > 0 {
-			avg = fmt.Sprintf("%.1f", float64(lv.Visited)/float64(lv.Trees))
+		if trees > 0 {
+			avg = fmt.Sprintf("%.1f", float64(visited)/float64(trees))
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", p),
-			fmt.Sprintf("%d", lv.Trees),
+			fmt.Sprintf("%d", trees),
 			avg,
-			fmt.Sprintf("%.1f%%", 100*float64(lv.Visited)/float64(lv.N)),
-			fmt.Sprintf("%d", lv.Collisions),
-			fmt.Sprintf("%d", lv.Steals),
-			fmt.Sprintf("%d", len(stats.Levels)),
+			fmt.Sprintf("%.1f%%", 100*float64(visited)/float64(lv.Arg("n"))),
+			fmt.Sprintf("%d", lv.Arg("collisions")),
+			fmt.Sprintf("%d", lv.Arg("steals")),
+			fmt.Sprintf("%d", len(s.Rounds)),
 		})
 	}
 	t.Notes = append(t.Notes,

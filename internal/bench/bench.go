@@ -299,24 +299,19 @@ type ParAlgo struct {
 func ParAlgos() []ParAlgo {
 	return []ParAlgo{
 		{"Bor-EL", func(g *graph.EdgeList, p int, seed uint64) *graph.Forest {
-			f, _ := boruvka.EL(g, boruvka.Options{Workers: p, Seed: seed})
-			return f
+			return boruvka.EL(g, boruvka.Options{Workers: p, Seed: seed})
 		}},
 		{"Bor-AL", func(g *graph.EdgeList, p int, seed uint64) *graph.Forest {
-			f, _ := boruvka.AL(g, boruvka.Options{Workers: p, Seed: seed})
-			return f
+			return boruvka.AL(g, boruvka.Options{Workers: p, Seed: seed})
 		}},
 		{"Bor-ALM", func(g *graph.EdgeList, p int, seed uint64) *graph.Forest {
-			f, _ := boruvka.ALM(g, boruvka.Options{Workers: p, Seed: seed})
-			return f
+			return boruvka.ALM(g, boruvka.Options{Workers: p, Seed: seed})
 		}},
 		{"Bor-FAL", func(g *graph.EdgeList, p int, seed uint64) *graph.Forest {
-			f, _ := boruvka.FAL(g, boruvka.Options{Workers: p, Seed: seed})
-			return f
+			return boruvka.FAL(g, boruvka.Options{Workers: p, Seed: seed})
 		}},
 		{"MST-BC", func(g *graph.EdgeList, p int, seed uint64) *graph.Forest {
-			f, _ := mstbc.Run(g, mstbc.Options{Workers: p, Seed: seed})
-			return f
+			return mstbc.Run(g, mstbc.Options{Workers: p, Seed: seed})
 		}},
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
 	"pmsf/internal/model"
+	"pmsf/internal/obs"
 )
 
 // Config parameterizes an experiment run.
@@ -18,6 +19,13 @@ type Config struct {
 	Scale   Scale
 	Seed    uint64
 	Workers []int // processor counts for the parallel sweeps; nil = 1,2,4,8
+}
+
+// traced runs fn under a fresh trace and returns the run's span summary.
+func traced(fn func(tr *obs.Collector)) *obs.Summary {
+	tr := obs.NewCollector()
+	fn(tr)
+	return tr.Summarize(nil)
 }
 
 func (c Config) workers() []int {
@@ -44,27 +52,28 @@ func Table1(cfg Config) []*Table {
 	var out []*Table
 	for _, sp := range specs {
 		g := gen.Random(sp.n, sp.m, cfg.Seed)
-		_, stats := boruvka.EL(g, boruvka.Options{Stats: true, Seed: cfg.Seed})
+		s := traced(func(tr *obs.Collector) { boruvka.EL(g, boruvka.Options{Trace: tr, Seed: cfg.Seed}) })
 		t := &Table{
 			ID:     "table1." + sp.label,
 			Title:  fmt.Sprintf("edge list decay, random n=%d m=%d (Bor-EL)", sp.n, sp.m),
 			Header: []string{"iteration", "2m", "decrease", "% dec.", "m/n"},
 		}
 		var prev int64 = -1
-		for i, it := range stats.Iters {
+		for i, it := range s.Rounds {
+			size := it.Arg("list_size")
 			dec, pct := "N/A", "N/A"
 			if prev >= 0 {
-				d := prev - it.ListSize
+				d := prev - size
 				dec = fmt.Sprintf("%d", d)
 				pct = fmt.Sprintf("%.1f%%", 100*float64(d)/float64(prev))
 			}
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%d", i+1),
-				fmt.Sprintf("%d", it.ListSize),
+				fmt.Sprintf("%d", size),
 				dec, pct,
-				fmt.Sprintf("%.1f", float64(it.ListSize)/2/float64(it.N)),
+				fmt.Sprintf("%.1f", float64(size)/2/float64(it.Arg("n"))),
 			})
-			prev = it.ListSize
+			prev = size
 		}
 		out = append(out, t)
 	}
@@ -78,7 +87,7 @@ func Fig2(cfg Config) []*Table {
 	n := cfg.Scale.BaseN()
 	variants := []struct {
 		name string
-		run  func(*graph.EdgeList, boruvka.Options) (*graph.Forest, *boruvka.Stats)
+		run  func(*graph.EdgeList, boruvka.Options) *graph.Forest
 	}{
 		{"Bor-EL", boruvka.EL},
 		{"Bor-AL", boruvka.AL},
@@ -96,14 +105,11 @@ func Fig2(cfg Config) []*Table {
 			},
 		}
 		for _, v := range variants {
-			_, stats := v.run(g, boruvka.Options{Stats: true, Seed: cfg.Seed})
+			s := traced(func(tr *obs.Collector) { v.run(g, boruvka.Options{Trace: tr, Seed: cfg.Seed}) })
+			fm, cc, cg := s.PhaseTotal("find-min"), s.PhaseTotal("connect-components"), s.PhaseTotal("compact-graph")
 			t.Rows = append(t.Rows, []string{
-				v.name,
-				ms(stats.Total.FindMin),
-				ms(stats.Total.ConnectComponents),
-				ms(stats.Total.CompactGraph),
-				ms(stats.Total.Total()),
-				fmt.Sprintf("%d", len(stats.Iters)),
+				v.name, ms(fm), ms(cc), ms(cg), ms(fm + cc + cg),
+				fmt.Sprintf("%d", len(s.Rounds)),
 			})
 		}
 		out = append(out, t)
@@ -209,15 +215,14 @@ func Model(cfg Config) []*Table {
 	}
 	for _, ratio := range []int{4, 6} {
 		g := gen.Random(n, ratio*n, cfg.Seed)
-		_, sEL := boruvka.EL(g, boruvka.Options{Stats: true, Seed: cfg.Seed})
-		_, sAL := boruvka.AL(g, boruvka.Options{Stats: true, Seed: cfg.Seed})
-		_, sFAL := boruvka.FAL(g, boruvka.Options{Stats: true, Seed: cfg.Seed})
+		iters := func(run func(*graph.EdgeList, boruvka.Options) *graph.Forest) string {
+			s := traced(func(tr *obs.Collector) { run(g, boruvka.Options{Trace: tr, Seed: cfg.Seed}) })
+			return fmt.Sprintf("%d", len(s.Rounds))
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("random-%dx", ratio),
 			fmt.Sprintf("%d", g.N), fmt.Sprintf("%d", len(g.Edges)),
-			fmt.Sprintf("%d", len(sEL.Iters)),
-			fmt.Sprintf("%d", len(sAL.Iters)),
-			fmt.Sprintf("%d", len(sFAL.Iters)),
+			iters(boruvka.EL), iters(boruvka.AL), iters(boruvka.FAL),
 			fmt.Sprintf("%d", model.PredictedIterations(g.N)),
 		})
 	}
@@ -323,19 +328,19 @@ func FilterExp(cfg Config) []*Table {
 	}
 	for _, ratio := range []int{4, 6, 10, 20} {
 		g := gen.Random(n, ratio*n, cfg.Seed)
-		var fstats *filter.Stats
+		var s *obs.Summary
 		dFilter := timeIt(func() {
-			_, fstats = filter.Run(g, filter.Options{Seed: cfg.Seed, Stats: true})
+			s = traced(func(tr *obs.Collector) { filter.Run(g, filter.Options{Seed: cfg.Seed, Trace: tr}) })
 		})
 		dFAL := timeIt(func() {
 			boruvka.FAL(g, boruvka.Options{Seed: cfg.Seed})
 		})
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", ratio),
-			fmt.Sprintf("%d", fstats.M),
-			fmt.Sprintf("%d", fstats.Sampled),
-			fmt.Sprintf("%d", fstats.FinalM),
-			fmt.Sprintf("%.2f", float64(fstats.FinalM)/float64(n)),
+			fmt.Sprintf("%d", s.Args["Filter.m"]),
+			fmt.Sprintf("%d", s.Args["sample.sampled"]),
+			fmt.Sprintf("%d", s.Args["final-msf.m"]),
+			fmt.Sprintf("%.2f", float64(s.Args["final-msf.m"])/float64(n)),
 			ms(dFilter), ms(dFAL),
 		})
 	}

@@ -26,16 +26,14 @@ type ProfileResult struct {
 	Algorithm pmsf.Algorithm
 	Graph     *graph.EdgeList
 	Forest    *graph.Forest
-	Stats     *pmsf.Stats
 	Trace     *obs.Collector
 	Summary   *obs.Summary
 }
 
 // ProfileRun runs one algorithm on a random input with full span tracing
-// and returns the trace, the per-phase stats, and the machine-readable
-// summary. The counters in the summary are only populated when
-// cfg.Metrics is set (they are reset at the start of the run so the
-// summary describes this run alone).
+// and returns the trace and its summary. The counters in the summary are
+// only populated when cfg.Metrics is set (they are reset at the start of
+// the run so the summary describes this run alone).
 func ProfileRun(cfg ProfileConfig) (*ProfileResult, error) {
 	algo, err := pmsf.ParseAlgorithm(cfg.Algo)
 	if err != nil {
@@ -59,12 +57,10 @@ func ProfileRun(cfg ProfileConfig) (*ProfileResult, error) {
 	if cfg.Metrics {
 		reg = obs.Default()
 		reg.Reset()
-		obs.EnableMetrics(true)
-		defer obs.EnableMetrics(false)
 	}
 	tr := obs.NewCollector()
-	f, stats, err := pmsf.MinimumSpanningForest(g, algo, pmsf.Options{
-		Workers: cfg.Workers, Seed: cfg.Seed, CollectStats: true, Trace: tr,
+	f, _, err := pmsf.MinimumSpanningForest(g, algo, pmsf.Options{
+		Workers: cfg.Workers, Seed: cfg.Seed, Trace: tr, Metrics: cfg.Metrics,
 		SortEngine: engine,
 	})
 	if err != nil {
@@ -74,7 +70,6 @@ func ProfileRun(cfg ProfileConfig) (*ProfileResult, error) {
 		Algorithm: algo,
 		Graph:     g,
 		Forest:    f,
-		Stats:     stats,
 		Trace:     tr,
 		Summary:   tr.Summarize(reg),
 	}, nil

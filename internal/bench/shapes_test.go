@@ -7,9 +7,12 @@ package bench
 
 import (
 	"testing"
+	"time"
 
 	"pmsf/internal/boruvka"
 	"pmsf/internal/gen"
+	"pmsf/internal/graph"
+	"pmsf/internal/obs"
 )
 
 // Fig. 2's shape: compact-graph dominates Bor-EL and Bor-AL; Bor-EL's
@@ -26,29 +29,32 @@ func TestFig2Claims(t *testing.T) {
 	// step is a full-key sample sort; the default packed-key radix engine
 	// intentionally breaks this shape (it beats Bor-AL's compact), so the
 	// paper engine is pinned here.
-	_, el := boruvka.EL(g, boruvka.Options{Stats: true, SortEngine: boruvka.SortSampleSort})
-	_, al := boruvka.AL(g, boruvka.Options{Stats: true})
-	_, fal := boruvka.FAL(g, boruvka.Options{Stats: true})
+	steps := func(run func(*graph.EdgeList, boruvka.Options) *graph.Forest, opt boruvka.Options) (findMin, compact time.Duration) {
+		s := traced(func(tr *obs.Collector) {
+			opt.Trace = tr
+			run(g, opt)
+		})
+		return s.PhaseTotal("find-min"), s.PhaseTotal("compact-graph")
+	}
+	elFind, elCompact := steps(boruvka.EL, boruvka.Options{SortEngine: boruvka.SortSampleSort})
+	alFind, alCompact := steps(boruvka.AL, boruvka.Options{})
+	falFind, falCompact := steps(boruvka.FAL, boruvka.Options{})
 
-	if el.Total.CompactGraph < 2*el.Total.FindMin {
-		t.Errorf("Bor-EL compact-graph (%v) does not dominate find-min (%v)",
-			el.Total.CompactGraph, el.Total.FindMin)
+	if elCompact < 2*elFind {
+		t.Errorf("Bor-EL compact-graph (%v) does not dominate find-min (%v)", elCompact, elFind)
 	}
-	if al.Total.CompactGraph < 2*al.Total.FindMin {
-		t.Errorf("Bor-AL compact-graph (%v) does not dominate find-min (%v)",
-			al.Total.CompactGraph, al.Total.FindMin)
+	if alCompact < 2*alFind {
+		t.Errorf("Bor-AL compact-graph (%v) does not dominate find-min (%v)", alCompact, alFind)
 	}
-	if el.Total.CompactGraph < al.Total.CompactGraph {
-		t.Errorf("Bor-EL compact (%v) faster than Bor-AL's (%v)",
-			el.Total.CompactGraph, al.Total.CompactGraph)
+	if elCompact < alCompact {
+		t.Errorf("Bor-EL compact (%v) faster than Bor-AL's (%v)", elCompact, alCompact)
 	}
-	if 5*fal.Total.CompactGraph > el.Total.CompactGraph {
-		t.Errorf("Bor-FAL compact (%v) not ≥5x below Bor-EL's (%v)",
-			fal.Total.CompactGraph, el.Total.CompactGraph)
+	if 5*falCompact > elCompact {
+		t.Errorf("Bor-FAL compact (%v) not ≥5x below Bor-EL's (%v)", falCompact, elCompact)
 	}
-	if fal.Total.FindMin < al.Total.FindMin {
+	if falFind < alFind {
 		t.Errorf("Bor-FAL find-min (%v) did not exceed Bor-AL's (%v): the filtering cost is missing",
-			fal.Total.FindMin, al.Total.FindMin)
+			falFind, alFind)
 	}
 }
 
@@ -57,29 +63,28 @@ func TestFig2Claims(t *testing.T) {
 func TestTable1Claims(t *testing.T) {
 	n := Small.BaseN()
 	g := gen.Random(n, 6*n, 42)
-	_, stats := boruvka.EL(g, boruvka.Options{Stats: true})
-	if len(stats.Iters) < 4 {
-		t.Fatalf("only %d iterations", len(stats.Iters))
+	iters := traced(func(tr *obs.Collector) { boruvka.EL(g, boruvka.Options{Trace: tr}) }).Rounds
+	if len(iters) < 4 {
+		t.Fatalf("only %d iterations", len(iters))
 	}
-	density := func(i int) float64 {
-		return float64(stats.Iters[i].ListSize) / 2 / float64(stats.Iters[i].N)
-	}
+	size := func(i int) float64 { return float64(iters[i].Arg("list_size")) }
+	density := func(i int) float64 { return size(i) / 2 / float64(iters[i].Arg("n")) }
 	// Density strictly rises over the first three iterations...
 	if !(density(1) > density(0) && density(2) > density(1)) {
 		t.Errorf("density not rising: %.1f %.1f %.1f", density(0), density(1), density(2))
 	}
 	// ...and the final iteration is far below the peak.
 	peak := 0.0
-	for i := range stats.Iters {
+	for i := range iters {
 		if d := density(i); d > peak {
 			peak = d
 		}
 	}
-	if last := density(len(stats.Iters) - 1); last > peak/4 {
+	if last := density(len(iters) - 1); last > peak/4 {
 		t.Errorf("density did not collapse: last %.1f vs peak %.1f", last, peak)
 	}
 	// First-iteration decay is slow (paper: 12.5%): below 25%.
-	dec := float64(stats.Iters[0].ListSize-stats.Iters[1].ListSize) / float64(stats.Iters[0].ListSize)
+	dec := (size(0) - size(1)) / size(0)
 	if dec > 0.25 {
 		t.Errorf("first-iteration decay %.2f, want slow (<0.25)", dec)
 	}

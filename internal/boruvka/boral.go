@@ -13,7 +13,7 @@ import (
 // two-level sort — a parallel group sort of the vertex array by
 // supervertex label, then concurrent sequential sorts of each vertex's
 // adjacency list — followed by a merge of each group's sorted lists.
-func AL(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
+func AL(g *graph.EdgeList, opt Options) *graph.Forest {
 	return runAL(g, opt, false, "Bor-AL")
 }
 
@@ -27,7 +27,7 @@ func AL(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 // ALM steady-state round allocation-free, which is the whole point of
 // the variant; plain AL deliberately keeps the heap allocations so the
 // A2 ablation retains its contrast.
-func ALM(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
+func ALM(g *graph.EdgeList, opt Options) *graph.Forest {
 	return runAL(g, opt, true, "Bor-ALM")
 }
 
@@ -419,15 +419,14 @@ func (r *alRun) totalWork(w int) {
 	r.arcTotals[w] = t
 }
 
-func runAL(g *graph.EdgeList, opt Options, arenaMode bool, name string) (*graph.Forest, *Stats) {
+func runAL(g *graph.EdgeList, opt Options, arenaMode bool, name string) *graph.Forest {
 	r := newALRun(g, opt, arenaMode, name)
 	for r.round() {
 	}
 	r.root.End()
 	f := finish(g, r.ws.ForestIDs(), r.st.n)
-	stats := statsView(r.c, r.root, r.name, r.p, opt.Stats)
 	r.ws.Close()
-	return f, stats
+	return f
 }
 
 // mergeGroup merges the sorted adjacency lists of the member vertices

@@ -33,7 +33,7 @@ func wedgeLess(a, b graph.WEdge) bool {
 // radix compaction, zero heap allocations per steady-state round.
 // SortSampleSort keeps the paper's original formulation: one global
 // parallel sample sort per compaction (the Fig. 2 row and the ablation).
-func EL(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
+func EL(g *graph.EdgeList, opt Options) *graph.Forest {
 	if opt.SortEngine == SortParallelRadix {
 		return elTeam(g, opt)
 	}
@@ -134,15 +134,14 @@ func (r *elRun) round() bool {
 	return true
 }
 
-func elTeam(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
+func elTeam(g *graph.EdgeList, opt Options) *graph.Forest {
 	r := newELRun(g, opt)
 	for r.round() {
 	}
 	r.root.End()
 	f := finish(g, r.ws.ForestIDs(), r.n)
-	stats := statsView(r.c, r.root, r.name, r.p, opt.Stats)
 	r.ws.Close()
-	return f, stats
+	return f
 }
 
 // findMinPhase: each vertex scans its contiguous segment of the sorted
@@ -204,7 +203,7 @@ func (r *elRun) relabelWork(w int) {
 
 // elSorted is the sample-sort Bor-EL loop: the paper's original
 // formulation, kept for the Fig. 2 row and the sort-engine ablation.
-func elSorted(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
+func elSorted(g *graph.EdgeList, opt Options) *graph.Forest {
 	p := opt.workers()
 	const name = "Bor-EL"
 	c, root := obsStart(opt, name, p)
@@ -287,7 +286,7 @@ func elSorted(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 		iter++
 	}
 	root.End()
-	return finish(g, ids, n), statsView(c, root, name, p, opt.Stats)
+	return finish(g, ids, n)
 }
 
 // CompactWorkList sorts the directed working edge list by (U, V, W, ID)

@@ -16,15 +16,14 @@ import (
 // the paper's key observation for sparse random graphs. The loop runs on
 // a persistent worker team out of reused buffers, so the steady-state
 // round performs zero heap allocations.
-func FAL(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
+func FAL(g *graph.EdgeList, opt Options) *graph.Forest {
 	r := newFALRun(g, opt)
 	for r.round() {
 	}
 	r.root.End()
 	f := finish(g, r.ws.ForestIDs(), r.f.N)
-	stats := statsView(r.c, r.root, r.name, r.p, opt.Stats)
 	r.ws.Close()
-	return f, stats
+	return f
 }
 
 // falRun is the team-based Bor-FAL loop state: the head/tail ping-pong

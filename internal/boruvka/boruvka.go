@@ -18,13 +18,12 @@
 //     appends and moves the filtering work into find-min.
 //
 // Every variant runs the same three-step iteration — find-min,
-// connect-components, compact-graph — and can record per-step wall time
-// and per-iteration sizes, which is what regenerates Table 1 and Fig. 2.
+// connect-components, compact-graph — and records each step and each
+// iteration's sizes as a span, which is what regenerates Table 1 and
+// Fig. 2.
 package boruvka
 
 import (
-	"time"
-
 	"pmsf/internal/graph"
 	"pmsf/internal/obs"
 	"pmsf/internal/par"
@@ -35,8 +34,6 @@ import (
 type Options struct {
 	// Workers is the number of parallel workers p; 0 means GOMAXPROCS.
 	Workers int
-	// Stats enables per-iteration instrumentation.
-	Stats bool
 	// InsertionCutoff is the list length below which the per-list sorts
 	// of Bor-AL use insertion sort; 0 means sorts.InsertionCutoff.
 	InsertionCutoff int
@@ -49,8 +46,9 @@ type Options struct {
 	// Fig. 2 row and the sort-engine ablation.
 	SortEngine SortEngine
 	// Trace, when non-nil, receives hierarchical spans for every
-	// iteration and step. The returned Stats derive from the same span
-	// tree, so both views of one run agree exactly.
+	// iteration and step: an "iteration" child of the root per round,
+	// carrying n and list_size, with find-min, connect-components and
+	// compact-graph children.
 	Trace *obs.Collector
 	// Parent, when live, nests the run's spans under an enclosing span
 	// (e.g. the sampling filter's inner MSF phases); it implies the
@@ -115,109 +113,18 @@ func (o Options) cutoff() int {
 	return o.InsertionCutoff
 }
 
-// StepTimes records wall time per Borůvka step.
-type StepTimes struct {
-	FindMin           time.Duration
-	ConnectComponents time.Duration
-	CompactGraph      time.Duration
-}
-
-// Add accumulates other into s.
-func (s *StepTimes) Add(other StepTimes) {
-	s.FindMin += other.FindMin
-	s.ConnectComponents += other.ConnectComponents
-	s.CompactGraph += other.CompactGraph
-}
-
-// Total returns the summed step time.
-func (s StepTimes) Total() time.Duration {
-	return s.FindMin + s.ConnectComponents + s.CompactGraph
-}
-
-// IterStats describes one Borůvka iteration.
-type IterStats struct {
-	// N is the number of supervertices at the start of the iteration.
-	N int
-	// ListSize is the size of the working edge structure at the start of
-	// the iteration: directed edge-list entries for Bor-EL (the "2m"
-	// column of Table 1), total adjacency entries for Bor-AL/ALM, and
-	// total chained arcs (including not-yet-filtered self-loops and
-	// multi-edges) for Bor-FAL.
-	ListSize int64
-	Steps    StepTimes
-}
-
-// Stats is the instrumentation record of a run.
-type Stats struct {
-	Algorithm string
-	Workers   int
-	Iters     []IterStats
-	Total     StepTimes
-}
-
 // obsStart resolves the span sink of a run: an explicit Parent span
-// wins, then opt.Trace; when neither is set but Stats were requested, a
-// private collector backs the Stats view. The returned root span carries
-// the algorithm name and worker count. Both returns are nil-safe no-ops
-// when observability is fully disabled.
+// wins over opt.Trace. The returned root span carries the algorithm name
+// and worker count. Both returns are nil-safe no-ops when observability
+// is disabled.
 func obsStart(opt Options, name string, p int) (*obs.Collector, obs.Span) {
 	c := opt.Trace
 	if opt.Parent.Live() {
 		c = opt.Parent.Collector()
 	}
-	if c == nil && opt.Stats {
-		c = obs.NewCollector()
-	}
 	root := obs.StartUnder(c, opt.Parent, name, name)
 	root.SetInt("workers", int64(p))
 	return c, root
-}
-
-// statsView materializes the Stats of a run as a view over its span
-// tree: one IterStats per "iteration" child of root, sizes from the span
-// args, step times from the step child spans. When collect is false only
-// the identity fields are filled, matching the pre-span contract.
-func statsView(c *obs.Collector, root obs.Span, name string, p int, collect bool) *Stats {
-	stats := &Stats{Algorithm: name, Workers: p}
-	if !collect || c == nil {
-		return stats
-	}
-	spans := c.Spans()
-	for _, r := range spans {
-		if r.Parent != root.ID() || r.Name != "iteration" {
-			continue
-		}
-		var it IterStats
-		if v, ok := r.Arg("n"); ok {
-			it.N = int(v)
-		}
-		if v, ok := r.Arg("list_size"); ok {
-			it.ListSize = v
-		}
-		for _, step := range obs.ChildrenOf(spans, r.ID) {
-			switch step.Name {
-			case "find-min":
-				it.Steps.FindMin = step.Dur
-			case "connect-components":
-				it.Steps.ConnectComponents = step.Dur
-			case "compact-graph":
-				it.Steps.CompactGraph = step.Dur
-			}
-		}
-		stats.Iters = append(stats.Iters, it)
-		stats.Total.Add(it.Steps)
-	}
-	return stats
-}
-
-// StatsView materializes a Stats view over the span tree recorded by any
-// engine that follows this package's span schema — "iteration" children
-// of root carrying n/list_size args with find-min, connect-components and
-// compact-graph step children. Exported for engines outside this package
-// (internal/writemin) that reuse the Borůvka Stats shape so reporting and
-// benching treat them uniformly.
-func StatsView(c *obs.Collector, root obs.Span, name string, p int, collect bool) *Stats {
-	return statsView(c, root, name, p, collect)
 }
 
 // retire reports working-list entries eliminated by a compaction to the

@@ -6,12 +6,21 @@ import (
 
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
+	"pmsf/internal/obs"
 	"pmsf/internal/verify"
 )
 
 type variant struct {
 	name string
-	run  func(*graph.EdgeList, Options) (*graph.Forest, *Stats)
+	run  func(*graph.EdgeList, Options) *graph.Forest
+}
+
+// traced runs one variant on g under a fresh trace and returns the run's
+// span summary.
+func traced(run func(*graph.EdgeList, Options) *graph.Forest, g *graph.EdgeList, opt Options) *obs.Summary {
+	opt.Trace = obs.NewCollector()
+	run(g, opt)
+	return opt.Trace.Summarize(nil)
 }
 
 func variants() []variant {
@@ -59,7 +68,7 @@ func TestVariantsProduceMSF(t *testing.T) {
 		for name, g := range testGraphs(t) {
 			for _, p := range []int{1, 2, 4, 7} {
 				t.Run(fmt.Sprintf("%s/%s/p=%d", v.name, name, p), func(t *testing.T) {
-					f, _ := v.run(g, Options{Workers: p, Seed: 42})
+					f := v.run(g, Options{Workers: p, Seed: 42})
 					if err := verify.Full(g, f); err != nil {
 						t.Fatal(err)
 					}

@@ -19,7 +19,7 @@ func TestFALLookupComposition(t *testing.T) {
 	base := graph.BuildAdj(g)
 	f := graph.NewFlexAdj(base)
 	// Replay the FAL main loop manually so we can inspect f afterwards.
-	forest, _ := FAL(g, Options{})
+	forest := FAL(g, Options{})
 	// Reference partition.
 	u := uf.New(g.N)
 	for _, e := range g.Edges {
@@ -70,10 +70,10 @@ func TestFALChainConservation(t *testing.T) {
 // checking the final forest against each engine.)
 func TestELInvariantAllEngines(t *testing.T) {
 	g := gen.Random(1200, 7000, 23)
-	ref, _ := EL(g, Options{})
+	ref := EL(g, Options{})
 	for _, engine := range SortEngines() {
 		for _, p := range []int{1, 3, 8} {
-			f, _ := EL(g, Options{SortEngine: engine, Workers: p, Seed: 9})
+			f := EL(g, Options{SortEngine: engine, Workers: p, Seed: 9})
 			if f.Weight != ref.Weight || f.Size() != ref.Size() {
 				t.Fatalf("engine %v p=%d diverged", engine, p)
 			}

@@ -2,6 +2,7 @@ package boruvka
 
 import (
 	"testing"
+	"time"
 
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
@@ -17,21 +18,22 @@ func TestVertexCountAtLeastHalves(t *testing.T) {
 	g := gen.Random(4096, 16384, 1)
 	comps := graph.ComponentCount(g)
 	for _, v := range variants() {
-		_, stats := v.run(g, Options{Stats: true})
-		if len(stats.Iters) == 0 {
+		s := traced(v.run, g, Options{})
+		if len(s.Rounds) == 0 {
 			t.Fatalf("%s: no iterations", v.name)
 		}
-		for i := 1; i < len(stats.Iters); i++ {
-			prev, cur := stats.Iters[i-1].N-comps, stats.Iters[i].N-comps
+		for i := 1; i < len(s.Rounds); i++ {
+			prev, cur := s.Rounds[i-1].Arg("n")-int64(comps), s.Rounds[i].Arg("n")-int64(comps)
 			if cur > (prev+1)/2 {
 				t.Errorf("%s: iteration %d: %d -> %d active (not halved)", v.name, i, prev, cur)
 			}
 		}
-		if bound := model.PredictedIterations(g.N); len(stats.Iters) > bound {
-			t.Errorf("%s: %d iterations exceed bound %d", v.name, len(stats.Iters), bound)
+		if bound := model.PredictedIterations(g.N); len(s.Rounds) > bound {
+			t.Errorf("%s: %d iterations exceed bound %d", v.name, len(s.Rounds), bound)
 		}
-		if stats.Algorithm != v.name {
-			t.Errorf("stats algorithm %q, want %q", stats.Algorithm, v.name)
+		if s.Algorithm != v.name || s.Counts["iteration"] != len(s.Rounds) {
+			t.Errorf("summary algorithm %q with %d of %d iterations as rounds, want %q",
+				s.Algorithm, len(s.Rounds), s.Counts["iteration"], v.name)
 		}
 	}
 }
@@ -43,9 +45,9 @@ func TestVertexCountAtLeastHalves(t *testing.T) {
 func TestListSizeShrinks(t *testing.T) {
 	g := gen.Random(2048, 8192, 2)
 	for _, v := range variants() {
-		_, stats := v.run(g, Options{Stats: true})
-		for i := 1; i < len(stats.Iters); i++ {
-			prev, cur := stats.Iters[i-1].ListSize, stats.Iters[i].ListSize
+		s := traced(v.run, g, Options{})
+		for i := 1; i < len(s.Rounds); i++ {
+			prev, cur := s.Rounds[i-1].Arg("list_size"), s.Rounds[i].Arg("list_size")
 			switch v.name {
 			case "Bor-FAL":
 				if cur > prev {
@@ -68,7 +70,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		var refWeight float64
 		var refSize int
 		for i, p := range []int{1, 2, 3, 8, 17} {
-			f, _ := v.run(g, Options{Workers: p, Seed: uint64(p)})
+			f := v.run(g, Options{Workers: p, Seed: uint64(p)})
 			if i == 0 {
 				refWeight, refSize = f.Weight, f.Size()
 				continue
@@ -86,33 +88,35 @@ func TestDuplicateWeights(t *testing.T) {
 	for i := range g.Edges {
 		g.Edges[i].W = float64(i % 3)
 	}
-	want, _ := EL(g, Options{})
+	want := EL(g, Options{})
 	for _, v := range variants() {
-		f, _ := v.run(g, Options{Workers: 4})
+		f := v.run(g, Options{Workers: 4})
 		if f.Weight != want.Weight {
 			t.Errorf("%s: weight %g, want %g", v.name, f.Weight, want.Weight)
 		}
 	}
 }
 
-// The stats' first iteration must see the full graph.
+// The summary's first iteration must see the full graph.
 func TestStatsFirstIteration(t *testing.T) {
 	g := gen.Random(1024, 4096, 5)
-	_, stats := EL(g, Options{Stats: true})
-	it := stats.Iters[0]
-	if it.N != g.N {
-		t.Fatalf("first iteration N = %d, want %d", it.N, g.N)
+	s := traced(EL, g, Options{})
+	it := s.Rounds[0]
+	if it.Arg("n") != int64(g.N) {
+		t.Fatalf("first iteration n = %d, want %d", it.Arg("n"), g.N)
 	}
-	if it.ListSize != int64(2*len(g.Edges)) {
-		t.Fatalf("first iteration list = %d, want %d", it.ListSize, 2*len(g.Edges))
+	if it.Arg("list_size") != int64(2*len(g.Edges)) {
+		t.Fatalf("first iteration list = %d, want %d", it.Arg("list_size"), 2*len(g.Edges))
 	}
 	// Step-time totals match the per-iteration sums.
-	var sum StepTimes
-	for _, it := range stats.Iters {
-		sum.Add(it.Steps)
-	}
-	if sum != stats.Total {
-		t.Fatalf("total %+v != sum %+v", stats.Total, sum)
+	for _, step := range []string{"find-min", "connect-components", "compact-graph"} {
+		var sum time.Duration
+		for _, it := range s.Rounds {
+			sum += it.Step(step)
+		}
+		if sum != s.PhaseTotal(step) {
+			t.Fatalf("%s: total %v != sum %v", step, s.PhaseTotal(step), sum)
+		}
 	}
 }
 
@@ -122,14 +126,14 @@ func TestStatsFirstIteration(t *testing.T) {
 // scanned arcs exceed Bor-AL's.
 func TestFALShiftsWorkToFindMin(t *testing.T) {
 	g := gen.Random(4096, 40960, 6)
-	_, sAL := AL(g, Options{Stats: true})
-	_, sFAL := FAL(g, Options{Stats: true})
+	sAL := traced(AL, g, Options{})
+	sFAL := traced(FAL, g, Options{})
 	var alArcs, falArcs int64
-	for _, it := range sAL.Iters {
-		alArcs += it.ListSize
+	for _, it := range sAL.Rounds {
+		alArcs += it.Arg("list_size")
 	}
-	for _, it := range sFAL.Iters {
-		falArcs += it.ListSize
+	for _, it := range sFAL.Rounds {
+		falArcs += it.Arg("list_size")
 	}
 	if falArcs <= alArcs {
 		t.Fatalf("FAL scanned %d arcs <= AL's %d; filtering cost should exceed compaction savings in scans",
@@ -151,20 +155,13 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestStepTimesTotal(t *testing.T) {
-	s := StepTimes{FindMin: 1, ConnectComponents: 2, CompactGraph: 3}
-	if s.Total() != 6 {
-		t.Fatalf("total %v", s.Total())
-	}
-}
-
 // Insertion cutoff is behaviour-preserving: any cutoff yields the same
 // forest.
 func TestCutoffInvariance(t *testing.T) {
 	g := gen.Random(1000, 6000, 7)
-	ref, _ := AL(g, Options{InsertionCutoff: 2})
+	ref := AL(g, Options{InsertionCutoff: 2})
 	for _, cutoff := range []int{4, 64, 1 << 20} {
-		f, _ := AL(g, Options{InsertionCutoff: cutoff})
+		f := AL(g, Options{InsertionCutoff: cutoff})
 		if f.Weight != ref.Weight {
 			t.Errorf("cutoff %d changed the result", cutoff)
 		}
@@ -207,8 +204,8 @@ func TestCompactWorkListProperties(t *testing.T) {
 // The sort engine is behaviour-preserving for Bor-EL.
 func TestSortEngineInvariance(t *testing.T) {
 	g := gen.Random(3000, 30000, 13)
-	ref, _ := EL(g, Options{SortEngine: SortSampleSort})
-	alt, _ := EL(g, Options{SortEngine: SortParallelRadix, Workers: 4})
+	ref := EL(g, Options{SortEngine: SortSampleSort})
+	alt := EL(g, Options{SortEngine: SortParallelRadix, Workers: 4})
 	if ref.Weight != alt.Weight || ref.Size() != alt.Size() {
 		t.Fatal("parallel-radix changed the result")
 	}

@@ -83,8 +83,7 @@ func TestBorCASRoundZeroAllocs(t *testing.T) {
 	// pin covers the team-dispatch path as well as the inline one.
 	g := gen.Reweight(gen.Random(6000, 36000, 11), gen.WeightsSmallInts, 12)
 	pinZeroAfterWarmup(t, "Bor-CAS", minRoundAllocs(64, func() (func() bool, func()) {
-		var stats Stats
-		r := newRun(g, Options{Workers: 4}, obs.StartUnder(nil, obs.Span{}, "pin", "pin"), &stats)
+		r := newRun(g, Options{Workers: 4}, obs.StartUnder(nil, obs.Span{}, "pin", "pin"))
 		return r.round, r.close
 	}))
 }

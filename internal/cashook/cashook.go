@@ -22,8 +22,6 @@
 package cashook
 
 import (
-	"time"
-
 	"pmsf/internal/graph"
 	"pmsf/internal/obs"
 	"pmsf/internal/par"
@@ -35,29 +33,12 @@ import (
 type Options struct {
 	// Workers is the number of parallel workers p; 0 means GOMAXPROCS.
 	Workers int
-	// Stats enables the phase instrumentation returned in Stats.
-	Stats bool
 	// Seed drives the setup sample sort's splitter selection only; the
 	// result is identical for every seed.
 	Seed uint64
-	// Trace, when non-nil, receives the setup/sort/hook/collect spans.
+	// Trace, when non-nil, receives the sort/hook/collect spans; hook
+	// carries the bucket counts (buckets, max_bucket, parallel_buckets).
 	Trace *obs.Collector
-}
-
-// Stats is the instrumentation record of a run.
-type Stats struct {
-	Algorithm string
-	Workers   int
-	// Buckets is the number of equal-weight runs processed; MaxBucket is
-	// the longest run and ParallelBuckets counts the runs long enough to
-	// be hooked on the worker team rather than inline.
-	Buckets         int
-	MaxBucket       int
-	ParallelBuckets int
-	// Sort, Hook and Collect are the wall times of the three phases.
-	Sort    time.Duration
-	Hook    time.Duration
-	Collect time.Duration
 }
 
 // parCutoff is the bucket length at which hooking moves onto the worker
@@ -101,7 +82,7 @@ func weightLess(a, b graph.WEdge) bool {
 }
 
 // newRun sorts the edge list and prepares the hook state.
-func newRun(g *graph.EdgeList, opt Options, root obs.Span, stats *Stats) *run {
+func newRun(g *graph.EdgeList, opt Options, root obs.Span) *run {
 	p := workers(opt)
 	r := &run{p: p, team: par.NewTeam(p)}
 	r.hookBody = r.hookWork
@@ -116,11 +97,9 @@ func newRun(g *graph.EdgeList, opt Options, root obs.Span, stats *Stats) *run {
 
 	sp := root.Child("sort")
 	sp.SetInt("elements", int64(len(edges)))
-	start := time.Now()
 	labeled(opt.Trace, "Bor-CAS", "sort", func() {
 		sorts.SampleSort(p, edges, weightLess, opt.Seed)
 	})
-	stats.Sort = time.Since(start)
 	sp.End()
 	r.edges = edges
 
@@ -181,39 +160,33 @@ func (r *run) hookWork(_, lo, hi int) {
 }
 
 // Run computes the minimum spanning forest of g.
-func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
+func Run(g *graph.EdgeList, opt Options) *graph.Forest {
 	p := workers(opt)
-	stats := &Stats{Algorithm: "Bor-CAS", Workers: p}
 	root := obs.StartUnder(opt.Trace, obs.Span{}, "Bor-CAS", "Bor-CAS")
 	root.SetInt("workers", int64(p))
 
-	r := newRun(g, opt, root, stats)
+	r := newRun(g, opt, root)
 	defer r.close()
 
 	hp := root.Child("hook")
-	start := time.Now()
 	labeled(opt.Trace, "Bor-CAS", "hook", func() {
 		for r.round() {
 		}
 	})
-	stats.Hook = time.Since(start)
-	stats.Buckets, stats.MaxBucket, stats.ParallelBuckets = r.buckets, r.maxBucket, r.parBuckets
 	hp.SetInt("buckets", int64(r.buckets))
 	hp.SetInt("max_bucket", int64(r.maxBucket))
 	hp.SetInt("parallel_buckets", int64(r.parBuckets))
 	hp.End()
 
 	cp := root.Child("collect")
-	start = time.Now()
 	var f *graph.Forest
 	labeled(opt.Trace, "Bor-CAS", "collect", func() {
 		f = collect(p, g, r.hooks)
 	})
-	stats.Collect = time.Since(start)
 	cp.SetInt("forest_edges", int64(len(f.EdgeIDs)))
 	cp.End()
 	root.End()
-	return f, stats
+	return f
 }
 
 // collect gathers the claimed hook slots into the Forest: the hooked ids

@@ -21,11 +21,19 @@ func constWeights(g *graph.EdgeList, w float64) *graph.EdgeList {
 	return out
 }
 
-// parity checks a run against the sequential Kruskal reference: equal
-// weight, equal component count, and full structural verification.
+// traced runs Bor-CAS on g under a fresh trace and returns the forest
+// and the run's span summary.
+func traced(g *graph.EdgeList, opt Options) (*graph.Forest, *obs.Summary) {
+	opt.Trace = obs.NewCollector()
+	f := Run(g, opt)
+	return f, opt.Trace.Summarize(nil)
+}
+
+// parity checks a traced run against the sequential Kruskal reference:
+// equal weight, equal component count, and full structural verification.
 func parity(t *testing.T, name string, g *graph.EdgeList, opt Options) {
 	t.Helper()
-	f, stats := Run(g, opt)
+	f, s := traced(g, opt)
 	ref := seq.Kruskal(g)
 	if f.Components != ref.Components || f.Size() != ref.Size() {
 		t.Fatalf("%s: got %d components / %d edges, Kruskal %d / %d",
@@ -37,8 +45,8 @@ func parity(t *testing.T, name string, g *graph.EdgeList, opt Options) {
 	if err := verify.Forest(g, f); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if stats.Algorithm != "Bor-CAS" {
-		t.Fatalf("stats algorithm %q", stats.Algorithm)
+	if s.Algorithm != "Bor-CAS" {
+		t.Fatalf("summary algorithm %q", s.Algorithm)
 	}
 }
 
@@ -64,7 +72,7 @@ func TestKruskalParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, p := range []int{1, 2, 8} {
-			parity(t, tc.name, tc.g, Options{Workers: p, Stats: true, Seed: uint64(p)})
+			parity(t, tc.name, tc.g, Options{Workers: p, Seed: uint64(p)})
 		}
 	}
 }
@@ -73,10 +81,10 @@ func TestTiedBucketsGoParallel(t *testing.T) {
 	// Small-int weights pile every edge into 8 buckets, all far beyond
 	// parCutoff — the parallel hook path must engage and stay correct.
 	g := gen.Reweight(gen.Random(3000, 18000, 11), gen.WeightsSmallInts, 12)
-	f, stats := Run(g, Options{Workers: 4, Stats: true})
-	if stats.ParallelBuckets == 0 {
+	f, s := traced(g, Options{Workers: 4})
+	if s.Args["hook.parallel_buckets"] == 0 {
 		t.Fatalf("no bucket took the parallel path (buckets=%d max=%d)",
-			stats.Buckets, stats.MaxBucket)
+			s.Args["hook.buckets"], s.Args["hook.max_bucket"])
 	}
 	ref := seq.Kruskal(g)
 	if math.Abs(f.Weight-ref.Weight) > 1e-9 {
@@ -89,12 +97,12 @@ func TestTiedBucketsGoParallel(t *testing.T) {
 
 func TestDistinctWeightsBucketPerEdge(t *testing.T) {
 	g := gen.Random(300, 900, 13) // uniform [0,1) weights: ties ~impossible
-	_, stats := Run(g, Options{Workers: 2, Stats: true})
-	if stats.Buckets != len(g.Edges) {
-		t.Fatalf("%d buckets for %d distinct-weight edges", stats.Buckets, len(g.Edges))
+	_, s := traced(g, Options{Workers: 2})
+	if b := s.Args["hook.buckets"]; b != int64(len(g.Edges)) {
+		t.Fatalf("%d buckets for %d distinct-weight edges", b, len(g.Edges))
 	}
-	if stats.MaxBucket != 1 {
-		t.Fatalf("max bucket %d, want 1", stats.MaxBucket)
+	if mb := s.Args["hook.max_bucket"]; mb != 1 {
+		t.Fatalf("max bucket %d, want 1", mb)
 	}
 }
 

@@ -451,8 +451,8 @@ func repairWork(t *testing.T, n int) int64 {
 			continue
 		}
 		w := int64(0)
-		for _, r := range obs.ChildrenOf(spans, s.ID) {
-			if r.Name == "repair" {
+		for _, r := range spans {
+			if r.Parent == s.ID && r.Name == "repair" {
 				v, _ := r.Arg("visited")
 				sc, _ := r.Arg("scanned")
 				w += v + sc

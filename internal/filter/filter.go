@@ -42,8 +42,6 @@ type Options struct {
 	SampleP float64
 	// Seed drives the sampling and the inner Bor-FAL runs.
 	Seed uint64
-	// Stats enables instrumentation.
-	Stats bool
 	// MaxLevels bounds the filtering recursion: the sample's MSF is
 	// itself computed with the filter while the sample still has more
 	// than RecurseBelow edges and the depth budget lasts (the full
@@ -54,28 +52,19 @@ type Options struct {
 	// Bor-FAL solves directly; 0 means 1<<16.
 	RecurseBelow int
 	// Trace, when non-nil, receives hierarchical spans for every filter
-	// stage and the inner Bor-FAL runs.
+	// stage and the inner Bor-FAL runs. The root span carries m, and its
+	// sample, filter and final-msf children carry the sampled, discarded
+	// and surviving edge counts; a recursive sample MSF nests another
+	// Filter root under sample-msf.
 	Trace *obs.Collector
 	// Parent, when live, nests the run's spans under an enclosing span;
 	// it implies the parent's collector and overrides Trace.
 	Parent obs.Span
 }
 
-// Stats instruments a filtered run.
-type Stats struct {
-	M          int // input edges
-	Sampled    int // edges in the sample
-	Discarded  int // non-sample edges eliminated as F'-heavy
-	FinalM     int // edges entering the final MSF computation
-	Levels     int // recursion depth actually used (1 = single level)
-	SampleMSF  *boruvka.Stats
-	FinalMSF   *boruvka.Stats
-	SampleProb float64
-}
-
 // Run computes the minimum spanning forest of g with the sampling
 // filter.
-func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
+func Run(g *graph.EdgeList, opt Options) *graph.Forest {
 	p := opt.Workers
 	if p <= 0 {
 		p = par.DefaultWorkers()
@@ -84,7 +73,6 @@ func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 	if prob <= 0 || prob >= 1 {
 		prob = 0.5
 	}
-	stats := &Stats{M: len(g.Edges), SampleProb: prob}
 
 	c := opt.Trace
 	if opt.Parent.Live() {
@@ -98,8 +86,7 @@ func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 
 	m := len(g.Edges)
 	if m == 0 {
-		f, _ := boruvka.FAL(g, boruvka.Options{Workers: p, Seed: opt.Seed, Parent: root})
-		return f, stats
+		return boruvka.FAL(g, boruvka.Options{Workers: p, Seed: opt.Seed, Parent: root})
 	}
 
 	// Step 1: sample. Per-worker split RNG streams keep this
@@ -123,7 +110,6 @@ func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 		})
 
 		sampleIDs = par.PackIndices(p, m, func(i int) bool { return inSample[i] })
-		stats.Sampled = len(sampleIDs)
 		sample = &graph.EdgeList{N: g.N, Edges: make([]graph.Edge, len(sampleIDs))}
 		par.For(p, len(sampleIDs), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -141,7 +127,6 @@ func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 	if recurseBelow <= 0 {
 		recurseBelow = 1 << 16
 	}
-	stats.Levels = 1
 	var sf *graph.Forest
 	sampleMSF := root.Child("sample-msf")
 	if opt.MaxLevels > 1 && len(sample.Edges) > recurseBelow {
@@ -149,18 +134,9 @@ func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 		childOpt.MaxLevels = opt.MaxLevels - 1
 		childOpt.Seed = opt.Seed + 0x9e37
 		childOpt.Parent = sampleMSF
-		var childStats *Stats
-		sf, childStats = Run(sample, childOpt)
-		stats.Levels = childStats.Levels + 1
-		if opt.Stats {
-			stats.SampleMSF = childStats.SampleMSF
-		}
+		sf = Run(sample, childOpt)
 	} else {
-		var sfStats *boruvka.Stats
-		sf, sfStats = boruvka.FAL(sample, boruvka.Options{Workers: p, Seed: opt.Seed, Stats: opt.Stats, Parent: sampleMSF})
-		if opt.Stats {
-			stats.SampleMSF = sfStats
-		}
+		sf = boruvka.FAL(sample, boruvka.Options{Workers: p, Seed: opt.Seed, Parent: sampleMSF})
 	}
 	sampleMSF.End()
 	// Map the sample forest's local ids back to input ids.
@@ -209,31 +185,28 @@ func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 	// saving of the KKT filter.
 
 	keptIDs := par.PackIndices(p, m, func(i int) bool { return keep[i] })
-	stats.Discarded = m - len(keptIDs)
-	stats.FinalM = len(keptIDs)
-	filterSpan.SetInt("discarded", int64(stats.Discarded))
+	discarded := m - len(keptIDs)
+	filterSpan.SetInt("discarded", int64(discarded))
 	filterSpan.End()
-	if stats.Discarded > 0 && obs.MetricsOn() {
-		obs.EdgesRetired.Add(int64(stats.Discarded))
+	if discarded > 0 && obs.MetricsOn() {
+		obs.EdgesRetired.Add(int64(discarded))
 	}
 
 	// Step 4: final MSF over the survivors.
 	finalMSF := root.Child("final-msf")
+	finalMSF.SetInt("m", int64(len(keptIDs)))
 	final := &graph.EdgeList{N: g.N, Edges: make([]graph.Edge, len(keptIDs))}
 	par.For(p, len(keptIDs), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			final.Edges[i] = g.Edges[keptIDs[i]]
 		}
 	})
-	ff, ffStats := boruvka.FAL(final, boruvka.Options{Workers: p, Seed: opt.Seed + 1, Stats: opt.Stats, Parent: finalMSF})
+	ff := boruvka.FAL(final, boruvka.Options{Workers: p, Seed: opt.Seed + 1, Parent: finalMSF})
 	finalMSF.End()
-	if opt.Stats {
-		stats.FinalMSF = ffStats
-	}
 	out := &graph.Forest{Components: ff.Components, Weight: ff.Weight}
 	out.EdgeIDs = make([]int32, len(ff.EdgeIDs))
 	for i, local := range ff.EdgeIDs {
 		out.EdgeIDs[i] = keptIDs[local]
 	}
-	return out, stats
+	return out
 }

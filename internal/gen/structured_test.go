@@ -5,7 +5,20 @@ import (
 
 	"pmsf/internal/boruvka"
 	"pmsf/internal/graph"
+	"pmsf/internal/obs"
 )
+
+// iterationSizes runs Bor-AL on g under a trace and returns the
+// supervertex count at the start of each iteration.
+func iterationSizes(g *graph.EdgeList) []int {
+	tr := obs.NewCollector()
+	boruvka.AL(g, boruvka.Options{Trace: tr})
+	var ns []int
+	for _, it := range tr.Summarize(nil).Rounds {
+		ns = append(ns, int(it.Arg("n")))
+	}
+	return ns
+}
 
 // The structured graphs are spanning trees by construction.
 func TestStructuredAreTrees(t *testing.T) {
@@ -43,14 +56,14 @@ func TestStr0RoundsToPow2(t *testing.T) {
 func TestStr0ForcesLog2nIterations(t *testing.T) {
 	const n = 256
 	g := Str0(n, 3)
-	_, stats := boruvka.AL(g, boruvka.Options{Stats: true})
-	if len(stats.Iters) != 8 {
-		t.Fatalf("str0(256) took %d iterations, want 8", len(stats.Iters))
+	ns := iterationSizes(g)
+	if len(ns) != 8 {
+		t.Fatalf("str0(256) took %d iterations, want 8", len(ns))
 	}
-	for i, it := range stats.Iters {
-		if want := n >> i; it.N != want {
+	for i, got := range ns {
+		if want := n >> i; got != want {
 			t.Fatalf("iteration %d started with %d supervertices, want exactly %d",
-				i+1, it.N, want)
+				i+1, got, want)
 		}
 	}
 }
@@ -59,16 +72,16 @@ func TestStr0ForcesLog2nIterations(t *testing.T) {
 // collapse much faster than halving (n -> ~sqrt(n) per iteration).
 func TestStr1CollapsesFast(t *testing.T) {
 	g := Str1(10_000, 4)
-	_, stats := boruvka.AL(g, boruvka.Options{Stats: true})
-	if len(stats.Iters) == 0 {
+	ns := iterationSizes(g)
+	if len(ns) == 0 {
 		t.Fatal("no iterations")
 	}
-	if len(stats.Iters) > 6 {
-		t.Fatalf("str1(10000) took %d iterations; the sqrt-chain structure should finish in ~4", len(stats.Iters))
+	if len(ns) > 6 {
+		t.Fatalf("str1(10000) took %d iterations; the sqrt-chain structure should finish in ~4", len(ns))
 	}
 	// The second iteration must start with roughly sqrt(n) supervertices.
-	if len(stats.Iters) > 1 {
-		n2 := stats.Iters[1].N
+	if len(ns) > 1 {
+		n2 := ns[1]
 		if n2 > 400 {
 			t.Fatalf("after one iteration %d supervertices remain; want ~sqrt(10000)", n2)
 		}
@@ -78,11 +91,11 @@ func TestStr1CollapsesFast(t *testing.T) {
 // str2's recurrence is n -> n/4 + 1.
 func TestStr2Recurrence(t *testing.T) {
 	g := Str2(4096, 5)
-	_, stats := boruvka.AL(g, boruvka.Options{Stats: true})
-	if len(stats.Iters) < 2 {
+	ns := iterationSizes(g)
+	if len(ns) < 2 {
 		t.Fatal("too few iterations")
 	}
-	n2 := stats.Iters[1].N
+	n2 := ns[1]
 	if n2 < 4096/4 || n2 > 4096/4+64 {
 		t.Fatalf("after one iteration %d supervertices, want ~%d", n2, 4096/4+1)
 	}
@@ -92,9 +105,8 @@ func TestStr2Recurrence(t *testing.T) {
 // count drops to ~sqrt(n) per iteration like str1.
 func TestStr3CollapsesFast(t *testing.T) {
 	g := Str3(10_000, 6)
-	_, stats := boruvka.AL(g, boruvka.Options{Stats: true})
-	if len(stats.Iters) > 6 {
-		t.Fatalf("str3(10000) took %d iterations", len(stats.Iters))
+	if ns := iterationSizes(g); len(ns) > 6 {
+		t.Fatalf("str3(10000) took %d iterations", len(ns))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pmsf/internal/graph"
+	"pmsf/internal/obs"
 	"pmsf/internal/seq"
 	"pmsf/internal/verify"
 )
@@ -68,8 +69,9 @@ func sortedWeights(g *graph.EdgeList, f *graph.Forest) []graph.Weight {
 // a forest the verifier accepts.
 //
 // How many levels a run takes depends on how the workers' trees meet,
-// so each case runs several seeds. With one OS thread a single tree
-// usually absorbs its whole component in level 0, so the multi-level
+// so each case runs at least four seeds, and more (up to 32) until one
+// contracts more than once. With one OS thread a single tree usually
+// absorbs its whole component in level 0, so the multi-level
 // requirement applies only when GOMAXPROCS > 1.
 func TestMultiLevelExactness(t *testing.T) {
 	shapes := []struct{ n, m int }{
@@ -83,10 +85,15 @@ func TestMultiLevelExactness(t *testing.T) {
 		want := sortedWeights(g, ref)
 		for _, p := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("n=%d/m=%d/p=%d", sh.n, sh.m, p), func(t *testing.T) {
+				multi := p > 1 && runtime.GOMAXPROCS(0) > 1
 				maxLevels := 0
-				for seed := uint64(0); seed < 4; seed++ {
-					f, stats := Run(g, Options{Workers: p, BaseSize: 8, Seed: seed, Stats: true})
-					maxLevels = max(maxLevels, len(stats.Levels))
+				for seed := uint64(0); seed < 32; seed++ {
+					if seed >= 4 && (maxLevels >= 2 || !multi) {
+						break
+					}
+					tr := obs.NewCollector()
+					f := Run(g, Options{Workers: p, BaseSize: 8, Seed: seed, Trace: tr})
+					maxLevels = max(maxLevels, tr.Summarize(nil).Counts["level"])
 					if len(f.EdgeIDs) != len(ref.EdgeIDs) {
 						t.Fatalf("seed %d: %d forest edges, Kruskal has %d", seed, len(f.EdgeIDs), len(ref.EdgeIDs))
 					}
@@ -103,8 +110,8 @@ func TestMultiLevelExactness(t *testing.T) {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
 				}
-				if p > 1 && runtime.GOMAXPROCS(0) > 1 && maxLevels < 2 {
-					t.Fatalf("no seed contracted more than once (max %d levels)", maxLevels)
+				if multi && maxLevels < 2 {
+					t.Fatalf("no seed of 32 contracted more than once (max %d levels)", maxLevels)
 				}
 			})
 		}

@@ -16,7 +16,6 @@ package mstbc
 import (
 	"math"
 	"sync/atomic"
-	"time"
 
 	"pmsf/internal/boruvka"
 	"pmsf/internal/graph"
@@ -45,10 +44,10 @@ type Options struct {
 	// Seed drives the claim-order permutation and the per-worker
 	// work-stealing victim order.
 	Seed uint64
-	// Stats enables per-level instrumentation.
-	Stats bool
 	// Trace, when non-nil, receives hierarchical spans for every level
-	// and phase. The returned Stats derive from the same span tree.
+	// and phase: a "level" child of the root per contraction, carrying
+	// n, m, trees, collisions, steals and visited, with grow, fixup and
+	// contract children, then a "seq-base" child carrying n and m.
 	Trace *obs.Collector
 	// Parent, when live, nests the run's spans under an enclosing span;
 	// it implies the parent's collector and overrides Trace.
@@ -57,27 +56,6 @@ type Options struct {
 
 // DefaultBaseSize is the default sequential cutoff n_b.
 const DefaultBaseSize = 256
-
-// LevelStats instruments one recursion level.
-type LevelStats struct {
-	N, M       int   // supervertices / undirected edges at level start
-	Trees      int64 // subtrees grown by the parallel Prim phase
-	Collisions int64 // growth stops due to a foreign color
-	Steals     int64 // start vertices claimed from another partition
-	Visited    int64 // vertices incorporated into mature subtrees
-	GrowTime   time.Duration
-	FixupTime  time.Duration // Borůvka step for unvisited vertices
-	Contract   time.Duration // union-find + relabel + rebuild
-}
-
-// Stats instruments a run.
-type Stats struct {
-	Workers   int
-	Levels    []LevelStats
-	SeqBaseN  int // size of the problem handed to the sequential solver
-	SeqBaseM  int
-	TotalTime time.Duration
-}
 
 // partition is a work-stealing range of the claim order: the owner takes
 // from the front, thieves from the back (the paper's decreasing pointer).
@@ -136,8 +114,7 @@ func (pt *partition) takeBack() (int, bool) {
 
 // Run computes the minimum spanning forest of g with the MST-BC
 // algorithm.
-func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
-	start := time.Now()
+func Run(g *graph.EdgeList, opt Options) *graph.Forest {
 	r := newRun(g, opt)
 	defer r.close()
 	level := 0
@@ -168,9 +145,7 @@ func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *Stats) {
 		sb.End()
 	}
 	r.root.End()
-	stats := statsView(r.c, r.root, r.p, opt.Stats)
-	stats.TotalTime = time.Since(start)
-	return finishForest(g, r.ws.ForestIDs(), n), stats
+	return finishForest(g, r.ws.ForestIDs(), n)
 }
 
 // algoName is the span/category/pprof-label name of the algorithm.
@@ -237,9 +212,6 @@ func newRun(g *graph.EdgeList, opt Options) *run {
 	if opt.Parent.Live() {
 		c = opt.Parent.Collector()
 	}
-	if c == nil && opt.Stats {
-		c = obs.NewCollector()
-	}
 	r := &run{p: p, nb: nb, opt: opt, c: c, n: g.N, ws: boruvka.NewWorkspace(p, g.N)}
 	r.team = r.ws.Team()
 	r.parent, r.sel = r.ws.Selections()
@@ -297,53 +269,6 @@ func (r *run) compact(sp obs.Span, n int) {
 	r.edges, r.spare = r.comp.Compact(r.edges, r.spare, n, r.keepIdx, r.starts[:n+1])
 	s.SetInt("radix_passes", int64(r.comp.Passes))
 	s.End()
-}
-
-// statsView materializes the Stats of a run as a view over its span
-// tree: one LevelStats per "level" child of root, counters from span
-// args, phase times from the phase child spans. When collect is false
-// only the identity fields are filled.
-func statsView(c *obs.Collector, root obs.Span, p int, collect bool) *Stats {
-	stats := &Stats{Workers: p}
-	if !collect || c == nil {
-		return stats
-	}
-	spans := c.Spans()
-	for _, r := range spans {
-		if r.Parent != root.ID() {
-			continue
-		}
-		switch r.Name {
-		case "level":
-			var lv LevelStats
-			arg := func(key string) int64 { v, _ := r.Arg(key); return v }
-			lv.N = int(arg("n"))
-			lv.M = int(arg("m"))
-			lv.Trees = arg("trees")
-			lv.Collisions = arg("collisions")
-			lv.Steals = arg("steals")
-			lv.Visited = arg("visited")
-			for _, ph := range obs.ChildrenOf(spans, r.ID) {
-				switch ph.Name {
-				case "grow":
-					lv.GrowTime = ph.Dur
-				case "fixup":
-					lv.FixupTime = ph.Dur
-				case "contract":
-					lv.Contract = ph.Dur
-				}
-			}
-			stats.Levels = append(stats.Levels, lv)
-		case "seq-base":
-			if v, ok := r.Arg("n"); ok {
-				stats.SeqBaseN = int(v)
-			}
-			if v, ok := r.Arg("m"); ok {
-				stats.SeqBaseM = int(v)
-			}
-		}
-	}
-	return stats
 }
 
 // level executes one round of Alg. 1 (steps 1-5): the concurrent Prim

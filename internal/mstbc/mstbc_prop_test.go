@@ -23,7 +23,7 @@ func TestRunAgreesWithKruskalProperty(t *testing.T) {
 		}
 		g := gen.Random(n, m, r.Uint64())
 		ref := seq.Kruskal(g)
-		got, _ := Run(g, Options{
+		got := Run(g, Options{
 			Workers:   1 + r.Intn(8),
 			BaseSize:  1 + r.Intn(n),
 			NoPermute: r.Bool(),
@@ -53,7 +53,7 @@ func TestRunOnStructuredManySeeds(t *testing.T) {
 		for seed := uint64(0); seed < 6; seed++ {
 			g := mk(seed)
 			ref := seq.Kruskal(g)
-			got, _ := Run(g, Options{Workers: 7, BaseSize: 16, Seed: seed})
+			got := Run(g, Options{Workers: 7, BaseSize: 16, Seed: seed})
 			d := got.Weight - ref.Weight
 			if d > 1e-9 || d < -1e-9 || got.Components != ref.Components {
 				t.Fatalf("%s seed %d: weight %g vs %g", name, seed, got.Weight, ref.Weight)

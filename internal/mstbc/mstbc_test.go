@@ -42,7 +42,7 @@ func TestMSTBCProducesMSF(t *testing.T) {
 		for _, p := range []int{1, 2, 4, 7} {
 			for _, nb := range []int{1, 64, 1 << 20} {
 				t.Run(fmt.Sprintf("%s/p=%d/nb=%d", name, p, nb), func(t *testing.T) {
-					f, _ := Run(g, Options{Workers: p, BaseSize: nb, Seed: 42})
+					f := Run(g, Options{Workers: p, BaseSize: nb, Seed: 42})
 					if err := verify.Full(g, f); err != nil {
 						t.Fatal(err)
 					}
@@ -58,7 +58,7 @@ func TestMSTBCProducesMSF(t *testing.T) {
 func TestMSTBCRaces(t *testing.T) {
 	g := gen.Random(800, 3000, 99)
 	for rep := 0; rep < 30; rep++ {
-		f, _ := Run(g, Options{Workers: 8, BaseSize: 16, Seed: uint64(rep)})
+		f := Run(g, Options{Workers: 8, BaseSize: 16, Seed: uint64(rep)})
 		if err := verify.Full(g, f); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}

@@ -5,54 +5,68 @@ import (
 
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
+	"pmsf/internal/obs"
 	"pmsf/internal/verify"
 )
+
+// traced runs MST-BC on g under a fresh trace and returns the forest and
+// the run's span summary.
+func traced(g *graph.EdgeList, opt Options) (*graph.Forest, *obs.Summary) {
+	opt.Trace = obs.NewCollector()
+	f := Run(g, opt)
+	return f, opt.Trace.Summarize(nil)
+}
 
 // NoPermute (the ablation toggle) must not affect correctness.
 func TestNoPermuteCorrect(t *testing.T) {
 	g := gen.Random(2000, 8000, 1)
 	for _, p := range []int{1, 4} {
-		f, _ := Run(g, Options{Workers: p, NoPermute: true, BaseSize: 32, Seed: 3})
+		f := Run(g, Options{Workers: p, NoPermute: true, BaseSize: 32, Seed: 3})
 		if err := verify.Full(g, f); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 	}
 }
 
-// Stats must be coherent: levels' N decrease, trees+collisions counted,
-// base-case sizes recorded, and every vertex of a level accounted for.
+// The summary must be coherent: levels' n decrease, trees+collisions
+// counted, base-case sizes recorded, and every vertex of a level
+// accounted for.
 func TestStatsCoherent(t *testing.T) {
 	g := gen.Random(4000, 16000, 2)
-	f, stats := Run(g, Options{Workers: 4, BaseSize: 64, Stats: true, Seed: 5})
+	f, s := traced(g, Options{Workers: 4, BaseSize: 64, Seed: 5})
 	if err := verify.Full(g, f); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Workers != 4 {
-		t.Fatalf("workers = %d", stats.Workers)
+	if s.Algorithm != "MST-BC" || s.Workers != 4 {
+		t.Fatalf("summary identity = %q/%d", s.Algorithm, s.Workers)
 	}
-	if len(stats.Levels) == 0 {
-		t.Fatal("no levels recorded")
+	if len(s.Rounds) == 0 || len(s.Rounds) != s.Counts["level"] {
+		t.Fatalf("%d level rounds of %d level spans", len(s.Rounds), s.Counts["level"])
 	}
-	prevN := g.N + 1
-	for i, lv := range stats.Levels {
-		if lv.N >= prevN {
-			t.Fatalf("level %d: N %d did not decrease from %d", i, lv.N, prevN)
+	prevN := int64(g.N + 1)
+	for i, lv := range s.Rounds {
+		n := lv.Arg("n")
+		if n >= prevN {
+			t.Fatalf("level %d: n %d did not decrease from %d", i, n, prevN)
 		}
-		prevN = lv.N
-		if lv.Trees <= 0 {
-			t.Fatalf("level %d: %d trees", i, lv.Trees)
+		prevN = n
+		if lv.Arg("trees") <= 0 {
+			t.Fatalf("level %d: %d trees", i, lv.Arg("trees"))
 		}
-		if lv.Visited > int64(lv.N) {
-			t.Fatalf("level %d: visited %d > N %d", i, lv.Visited, lv.N)
+		if lv.Arg("visited") > n {
+			t.Fatalf("level %d: visited %d > n %d", i, lv.Arg("visited"), n)
 		}
-		if lv.M <= 0 {
-			t.Fatalf("level %d: M = %d", i, lv.M)
+		if lv.Arg("m") <= 0 {
+			t.Fatalf("level %d: m = %d", i, lv.Arg("m"))
+		}
+		if lv.Step("grow") <= 0 {
+			t.Fatalf("level %d: grow time not recorded", i)
 		}
 	}
-	if stats.SeqBaseN > 64 {
-		t.Fatalf("sequential base ran at n=%d > nb=64", stats.SeqBaseN)
+	if n := s.Args["seq-base.n"]; n > 64 {
+		t.Fatalf("sequential base ran at n=%d > nb=64", n)
 	}
-	if stats.TotalTime <= 0 {
+	if s.PhaseTotal("MST-BC") <= 0 {
 		t.Fatal("total time not recorded")
 	}
 }
@@ -61,18 +75,18 @@ func TestStatsCoherent(t *testing.T) {
 // with BaseSize 1 the parallel levels must carry it all the way down.
 func TestBaseSizeExtremes(t *testing.T) {
 	g := gen.Random(1000, 4000, 3)
-	fBig, sBig := Run(g, Options{Workers: 4, BaseSize: 1 << 30, Stats: true, Seed: 1})
+	fBig, sBig := traced(g, Options{Workers: 4, BaseSize: 1 << 30, Seed: 1})
 	if err := verify.Minimum(g, fBig); err != nil {
 		t.Fatal(err)
 	}
-	if len(sBig.Levels) != 0 {
-		t.Fatalf("huge BaseSize still ran %d parallel levels", len(sBig.Levels))
+	if n := sBig.Counts["level"]; n != 0 {
+		t.Fatalf("huge BaseSize still ran %d parallel levels", n)
 	}
-	fSmall, sSmall := Run(g, Options{Workers: 4, BaseSize: 1, Stats: true, Seed: 1})
+	fSmall, sSmall := traced(g, Options{Workers: 4, BaseSize: 1, Seed: 1})
 	if err := verify.Minimum(g, fSmall); err != nil {
 		t.Fatal(err)
 	}
-	if len(sSmall.Levels) == 0 {
+	if sSmall.Counts["level"] == 0 {
 		t.Fatal("BaseSize=1 ran no parallel levels")
 	}
 	if d := fBig.Weight - fSmall.Weight; d > 1e-9 || d < -1e-9 {
@@ -85,29 +99,29 @@ func TestBaseSizeExtremes(t *testing.T) {
 // every vertex; no collisions can occur.
 func TestSingleWorkerBehavesAsPrim(t *testing.T) {
 	g := gen.Random(2000, 8000, 4)
-	f, stats := Run(g, Options{Workers: 1, BaseSize: 16, Stats: true, Seed: 7})
+	f, s := traced(g, Options{Workers: 1, BaseSize: 16, Seed: 7})
 	if err := verify.Full(g, f); err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.Levels) != 1 {
-		t.Fatalf("p=1 took %d levels, want 1", len(stats.Levels))
+	if len(s.Rounds) != 1 {
+		t.Fatalf("p=1 took %d levels, want 1", len(s.Rounds))
 	}
-	lv := stats.Levels[0]
-	if lv.Collisions != 0 {
-		t.Fatalf("p=1 recorded %d collisions", lv.Collisions)
+	lv := s.Rounds[0]
+	if c := lv.Arg("collisions"); c != 0 {
+		t.Fatalf("p=1 recorded %d collisions", c)
 	}
-	if lv.Trees != int64(f.Components) {
-		t.Fatalf("p=1 grew %d trees, want one per component (%d)", lv.Trees, f.Components)
+	if tr := lv.Arg("trees"); tr != int64(f.Components) {
+		t.Fatalf("p=1 grew %d trees, want one per component (%d)", tr, f.Components)
 	}
-	if lv.Visited != int64(lv.N) {
-		t.Fatalf("p=1 visited %d of %d vertices", lv.Visited, lv.N)
+	if lv.Arg("visited") != lv.Arg("n") {
+		t.Fatalf("p=1 visited %d of %d vertices", lv.Arg("visited"), lv.Arg("n"))
 	}
 }
 
 // Many workers on a tiny graph: heavier contention than vertices.
 func TestMoreWorkersThanVertices(t *testing.T) {
 	g := gen.Random(16, 40, 5)
-	f, _ := Run(g, Options{Workers: 64, BaseSize: 1, Seed: 2})
+	f := Run(g, Options{Workers: 64, BaseSize: 1, Seed: 2})
 	if err := verify.Full(g, f); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +140,7 @@ func TestCycleGraphProgress(t *testing.T) {
 		})
 	}
 	for rep := 0; rep < 20; rep++ {
-		f, _ := Run(g, Options{Workers: 8, BaseSize: 1, Seed: uint64(rep), NoPermute: true})
+		f := Run(g, Options{Workers: 8, BaseSize: 1, Seed: uint64(rep), NoPermute: true})
 		if err := verify.Full(g, f); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}

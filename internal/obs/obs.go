@@ -9,10 +9,10 @@
 // carry their instrumentation unconditionally and pay nothing when it is
 // off.
 //
-// The per-phase Stats structs the public API returns (boruvka.Stats,
-// mstbc.Stats, filter.Stats) are derived views over the span tree
-// recorded here, so the text reports, the Chrome trace, and the JSON
-// summary of one run always agree exactly.
+// The span tree is the single source of a run's instrumentation: the
+// Summary roll-up (which the public API returns as pmsf.Stats and the
+// CLIs print), the Chrome trace and the JSON export are all views over
+// it, so they always agree exactly.
 package obs
 
 import (
@@ -47,11 +47,21 @@ func NewCollector() *Collector {
 // elapsed returns the monotonic time since the collector was created.
 func (c *Collector) elapsed() time.Duration { return c.clock() }
 
-// Arg is one integer attribute attached to a span (iteration sizes,
-// level counters, ...).
+// Arg is one named integer: an attribute attached to a span (iteration
+// sizes, level counters, ...), or in a Round a step's duration.
 type Arg struct {
-	Key   string
-	Value int64
+	Key   string `json:"key"`
+	Value int64  `json:"value"`
+}
+
+// lookup returns the value of the named entry and whether it is present.
+func lookup(args []Arg, key string) (int64, bool) {
+	for _, a := range args {
+		if a.Key == key {
+			return a.Value, true
+		}
+	}
+	return 0, false
 }
 
 // SpanRecord is one completed span. Records are appended when a span
@@ -71,14 +81,7 @@ type SpanRecord struct {
 func (r SpanRecord) End() time.Duration { return r.Start + r.Dur }
 
 // Arg returns the value of the named argument and whether it is present.
-func (r SpanRecord) Arg(key string) (int64, bool) {
-	for _, a := range r.Args {
-		if a.Key == key {
-			return a.Value, true
-		}
-	}
-	return 0, false
-}
+func (r SpanRecord) Arg(key string) (int64, bool) { return lookup(r.Args, key) }
 
 // Spans returns a snapshot of every completed span, in end order.
 func (c *Collector) Spans() []SpanRecord {
@@ -205,26 +208,4 @@ func StartUnder(c *Collector, parent Span, name, cat string) Span {
 		return ch
 	}
 	return c.Start(name, cat)
-}
-
-// PhaseTotals sums span durations by name: the aggregation behind the
-// run summary and behind the Stats views' "total" rows.
-func (c *Collector) PhaseTotals() map[string]time.Duration {
-	totals := make(map[string]time.Duration)
-	for _, r := range c.Spans() {
-		totals[r.Name] += r.Dur
-	}
-	return totals
-}
-
-// ChildrenOf returns the completed children of the span with the given
-// id, in end order.
-func ChildrenOf(spans []SpanRecord, id int64) []SpanRecord {
-	var out []SpanRecord
-	for _, r := range spans {
-		if r.Parent == id {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -286,24 +286,36 @@ func TestPhaseTotalsAndSummary(t *testing.T) {
 	stubClock(c)
 	root := c.Start("MST-BC", "MST-BC")
 	root.SetInt("workers", 3)
+	setup := root.Child("setup")
+	setup.SetInt("radix_passes", 2)
+	setup.End()
 	for i := 0; i < 2; i++ {
 		lv := root.Child("level")
+		lv.SetInt("n", int64(100>>i))
 		g := lv.Child("grow")
+		inner := g.Child("sort")
+		inner.End()
 		g.End()
+		for j := 0; j < 2; j++ {
+			f := lv.Child("fixup")
+			f.End()
+		}
 		lv.End()
 	}
 	root.End()
 
-	totals := c.PhaseTotals()
 	spans := c.Spans()
 	var wantLevel time.Duration
+	var grows, fixups []time.Duration
 	for _, r := range spans {
-		if r.Name == "level" {
+		switch r.Name {
+		case "level":
 			wantLevel += r.Dur
+		case "grow":
+			grows = append(grows, r.Dur)
+		case "fixup":
+			fixups = append(fixups, r.Dur)
 		}
-	}
-	if totals["level"] != wantLevel {
-		t.Fatalf("PhaseTotals[level] = %v, want %v", totals["level"], wantLevel)
 	}
 
 	reg := NewRegistry()
@@ -318,6 +330,36 @@ func TestPhaseTotalsAndSummary(t *testing.T) {
 	if s.PhaseTotal("level") != wantLevel {
 		t.Fatalf("PhaseTotal(level) = %v, want %v", s.PhaseTotal("level"), wantLevel)
 	}
+	if s.Counts["level"] != 2 || s.Counts["fixup"] != 4 || s.Counts["MST-BC"] != 1 {
+		t.Fatalf("counts = %v", s.Counts)
+	}
+	// Args: the root's and its non-round children's, never a round's.
+	wantArgs := map[string]int64{"MST-BC.workers": 3, "setup.radix_passes": 2}
+	if len(s.Args) != len(wantArgs) {
+		t.Fatalf("args = %v, want %v", s.Args, wantArgs)
+	}
+	for k, v := range wantArgs {
+		if s.Args[k] != v {
+			t.Fatalf("args = %v, want %v", s.Args, wantArgs)
+		}
+	}
+	// Rounds: one per level, its args, and its direct children's
+	// durations summed by name in end order (the nested sort is not a
+	// step of the level).
+	if len(s.Rounds) != 2 {
+		t.Fatalf("%d rounds, want 2", len(s.Rounds))
+	}
+	for i, r := range s.Rounds {
+		if r.Name != "level" || r.Arg("n") != int64(100>>i) {
+			t.Fatalf("round %d = %+v", i, r)
+		}
+		if len(r.StepNS) != 2 || r.StepNS[0].Key != "grow" || r.StepNS[1].Key != "fixup" {
+			t.Fatalf("round %d steps = %+v, want grow then fixup", i, r.StepNS)
+		}
+		if r.Step("grow") != grows[i] || r.Step("fixup") != fixups[2*i]+fixups[2*i+1] {
+			t.Fatalf("round %d steps = %+v, want grow %v and fixups %v", i, r.StepNS, grows[i], fixups[2*i:2*i+2])
+		}
+	}
 	if s.Counters["edges_retired"] != 42 {
 		t.Fatalf("counters = %v", s.Counters)
 	}
@@ -329,6 +371,51 @@ func TestPhaseTotalsAndSummary(t *testing.T) {
 	}
 	if got, want := time.Duration(s.WallNS), root2.End(); got != want {
 		t.Fatalf("WallNS = %v, want root end %v", got, want)
+	}
+}
+
+// Team workers end their spans concurrently; the summary must still see
+// every one of them in the right round.
+func TestSummarizeConcurrentRounds(t *testing.T) {
+	c := NewCollector()
+	root := c.Start("run", "cat")
+	const rounds, workers, per = 3, 4, 50
+	for i := 0; i < rounds; i++ {
+		it := root.Child("iteration")
+		it.SetInt("n", int64(i))
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				for j := 0; j < per; j++ {
+					s := it.Child("work")
+					s.SetWorker(w)
+					s.End()
+				}
+			}(w)
+		}
+		wg.Wait()
+		it.End()
+	}
+	root.End()
+
+	s := c.Summarize(nil)
+	if s.Counts["work"] != rounds*workers*per || s.Counts["iteration"] != rounds {
+		t.Fatalf("counts = %v", s.Counts)
+	}
+	if len(s.Rounds) != rounds {
+		t.Fatalf("%d rounds, want %d", len(s.Rounds), rounds)
+	}
+	var sum time.Duration
+	for i, r := range s.Rounds {
+		if r.Arg("n") != int64(i) || len(r.StepNS) != 1 {
+			t.Fatalf("round %d = %+v", i, r)
+		}
+		sum += r.Step("work")
+	}
+	if sum != s.PhaseTotal("work") {
+		t.Fatalf("rounds hold %v of work, phase total %v", sum, s.PhaseTotal("work"))
 	}
 }
 

@@ -1,119 +1,95 @@
-// Package report renders algorithm instrumentation (the Borůvka
-// per-iteration stats, MST-BC per-level stats, and filter stats) as
-// human-readable text. The CLI uses it; keeping the formatting here
-// makes it testable and reusable by examples.
+// Package report renders the span-derived summary of a run (obs.Summary,
+// which the public API returns as pmsf.Stats) as human-readable text.
+// The CLIs use it; keeping the formatting here makes it testable.
 package report
 
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
+	"text/tabwriter"
 	"time"
 
-	"pmsf/internal/boruvka"
-	"pmsf/internal/cashook"
-	"pmsf/internal/filter"
-	"pmsf/internal/mstbc"
 	"pmsf/internal/obs"
 )
 
-// Boruvka writes a per-iteration table of a Borůvka run.
-func Boruvka(w io.Writer, s *boruvka.Stats) error {
-	if _, err := fmt.Fprintf(w, "%s, p=%d, %d iterations\n", s.Algorithm, s.Workers, len(s.Iters)); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-5s %12s %14s %12s %12s %12s\n",
-		"iter", "supervertices", "list size", "find-min", "conn-comp", "compact"); err != nil {
-		return err
-	}
-	for i, it := range s.Iters {
-		if _, err := fmt.Fprintf(w, "%-5d %12d %14d %12v %12v %12v\n",
-			i+1, it.N, it.ListSize,
-			round(it.Steps.FindMin), round(it.Steps.ConnectComponents), round(it.Steps.CompactGraph)); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%-5s %12s %14s %12v %12v %12v\n",
-		"total", "", "",
-		round(s.Total.FindMin), round(s.Total.ConnectComponents), round(s.Total.CompactGraph))
-	return err
-}
-
-// CASHook writes a summary of a Bor-CAS run: bucket shape and the three
-// phase wall times.
-func CASHook(w io.Writer, s *cashook.Stats) error {
-	_, err := fmt.Fprintf(w,
-		"%s, p=%d: %d weight bucket(s), max %d edge(s), %d hooked on the team\n  sort %v  hook %v  collect %v\n",
-		s.Algorithm, s.Workers, s.Buckets, s.MaxBucket, s.ParallelBuckets,
-		round(s.Sort), round(s.Hook), round(s.Collect))
-	return err
-}
-
-// MSTBC writes a per-level table of an MST-BC run.
-func MSTBC(w io.Writer, s *mstbc.Stats) error {
-	if _, err := fmt.Fprintf(w, "MST-BC, p=%d, %d parallel levels, sequential base n=%d m=%d, total %v\n",
-		s.Workers, len(s.Levels), s.SeqBaseN, s.SeqBaseM, round(s.TotalTime)); err != nil {
-		return err
-	}
-	if len(s.Levels) == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "%-5s %10s %10s %8s %10s %8s %10s %10s\n",
-		"level", "n", "m", "trees", "collisions", "steals", "visited", "grow"); err != nil {
-		return err
-	}
-	for i, lv := range s.Levels {
-		if _, err := fmt.Fprintf(w, "%-5d %10d %10d %8d %10d %8d %10d %10v\n",
-			i+1, lv.N, lv.M, lv.Trees, lv.Collisions, lv.Steals, lv.Visited, round(lv.GrowTime)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Filter writes a summary of a filtered run.
-func Filter(w io.Writer, s *filter.Stats) error {
-	_, err := fmt.Fprintf(w,
-		"filter: sampled %d of %d edges (p=%.2f, %d level(s)), discarded %d as heavy, final %d (%.2fx reduction)\n",
-		s.Sampled, s.M, s.SampleProb, s.Levels, s.Discarded, s.FinalM, reduction(s.M, s.FinalM))
-	return err
-}
-
-// Summary writes the machine-independent roll-up of a traced run: phase
-// totals in name order, then counters (when the summary has any).
+// Summary writes the roll-up of a traced run: a title line; when the run
+// has rounds, a table with one row per round (its args, then its step
+// times) and a totals row; the args of the root span and its top-level
+// phases; every span name with its count and summed time; then the
+// counters, when the summary has any.
 func Summary(w io.Writer, s *obs.Summary) error {
-	if _, err := fmt.Fprintf(w, "%s, p=%d, %d spans, wall %v\n",
-		s.Algorithm, s.Workers, s.SpanCount, round(time.Duration(s.WallNS))); err != nil {
-		return err
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s, p=%d", s.Algorithm, s.Workers)
+	if len(s.Rounds) > 0 {
+		fmt.Fprintf(&b, ", %d %ss", len(s.Rounds), s.Rounds[0].Name)
 	}
-	names := make([]string, 0, len(s.PhaseTotalNS))
-	for name := range s.PhaseTotalNS {
-		names = append(names, name)
+	fmt.Fprintf(&b, ", %d spans, wall %v\n", s.SpanCount, round(time.Duration(s.WallNS)))
+	if len(s.Rounds) > 0 {
+		rounds(&b, s.Rounds)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "  %-20s %12v\n", name, round(time.Duration(s.PhaseTotalNS[name]))); err != nil {
-			return err
-		}
+	for _, key := range sortedKeys(s.Args) {
+		fmt.Fprintf(&b, "  %-28s %12d\n", key, s.Args[key])
 	}
-	cnames := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		cnames = append(cnames, name)
+	for _, name := range sortedKeys(s.PhaseTotalNS) {
+		fmt.Fprintf(&b, "  %-20s %6dx %12v\n", name, s.Counts[name], round(time.Duration(s.PhaseTotalNS[name])))
 	}
-	sort.Strings(cnames)
-	for _, name := range cnames {
-		if _, err := fmt.Fprintf(w, "  %-20s %12d\n", name, s.Counters[name]); err != nil {
-			return err
-		}
+	for _, name := range sortedKeys(s.Counters) {
+		fmt.Fprintf(&b, "  %-28s %12d\n", name, s.Counters[name])
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
-func reduction(m, final int) float64 {
-	if final <= 0 {
-		return 0
+// rounds writes the per-round table. Its columns are every arg and step
+// name any round carries, in the order they first appear.
+func rounds(b *strings.Builder, rs []obs.Round) {
+	var args, steps []string
+	for _, r := range rs {
+		args, steps = union(args, r.Args), union(steps, r.StepNS)
 	}
-	return float64(m) / float64(final)
+	tw := tabwriter.NewWriter(b, 0, 0, 2, ' ', tabwriter.AlignRight)
+	header := append(append([]string{rs[0].Name}, args...), steps...)
+	fmt.Fprintf(tw, "%s\t\n", strings.Join(header, "\t"))
+	total := make([]time.Duration, len(steps))
+	for i, r := range rs {
+		fmt.Fprintf(tw, "%d\t", i+1)
+		for _, key := range args {
+			fmt.Fprintf(tw, "%d\t", r.Arg(key))
+		}
+		for j, name := range steps {
+			d := r.Step(name)
+			total[j] += d
+			fmt.Fprintf(tw, "%v\t", round(d))
+		}
+		fmt.Fprintln(tw)
+	}
+	fmt.Fprintf(tw, "total\t%s", strings.Repeat("\t", len(args)))
+	for _, d := range total {
+		fmt.Fprintf(tw, "%v\t", round(d))
+	}
+	fmt.Fprintln(tw)
+	tw.Flush()
+}
+
+// union appends to names each key of args it does not hold yet.
+func union(names []string, args []obs.Arg) []string {
+	for _, a := range args {
+		if !slices.Contains(names, a.Key) {
+			names = append(names, a.Key)
+		}
+	}
+	return names
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 func round(d time.Duration) time.Duration { return d.Round(time.Microsecond) }

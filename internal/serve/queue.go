@@ -54,15 +54,16 @@ type Queue struct {
 	progressEvery time.Duration
 }
 
-// NewQueue builds a queue with k workers and a backlog of depth jobs.
+// NewQueue builds a queue with k workers and a backlog of depth jobs
+// (at least one: Submit admits a job only into a free backlog slot).
 // exec performs one job (engine run + cache fill) and is called from
 // the team's workers.
 func NewQueue(k, depth int, m *Metrics, exec func(*Job) (*Result, error)) *Queue {
 	if k < 1 {
 		k = 1
 	}
-	if depth < 0 {
-		depth = 0
+	if depth < 1 {
+		depth = 1
 	}
 	q := &Queue{
 		team:          par.NewTeam(k),
@@ -105,28 +106,31 @@ func (q *Queue) NewJob(kind QueryKind, lease *Lease) *Job {
 }
 
 // Submit admits j into the backlog. On refusal (draining or full) the
-// caller keeps ownership of the job and must release its lease.
+// caller keeps ownership of the job and must release its lease, and the
+// job publishes nothing.
+//
+// An admitted job publishes "queued" and counts in the queued gauge
+// before it reaches the workers, so no worker can report it running
+// first. Every send happens under q.mu, so a free slot seen there stays
+// free until the send.
 func (q *Queue) Submit(j *Job) error {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.draining {
-		q.mu.Unlock()
 		q.metrics.JobsRejected.Add(1)
 		return ErrDraining
 	}
-	select {
-	case q.jobs <- j:
-		q.byID[j.ID] = j
-		q.order = append(q.order, j.ID)
-		q.evictHistoryLocked()
-		q.mu.Unlock()
-	default:
-		q.mu.Unlock()
+	if len(q.jobs) == cap(q.jobs) {
 		q.metrics.JobsRejected.Add(1)
 		return ErrQueueFull
 	}
+	q.byID[j.ID] = j
+	q.order = append(q.order, j.ID)
+	q.evictHistoryLocked()
 	q.metrics.JobsSubmitted.Add(1)
 	q.metrics.JobsQueued.Set(q.queued.Add(1))
 	j.publish("queued")
+	q.jobs <- j //msf:ignore lockhold cannot block: the slot was checked free above and every send holds q.mu
 	return nil
 }
 

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -100,6 +102,47 @@ func TestQueueBoundedAdmission(t *testing.T) {
 	}
 	if f.m.JobsRejected.Value() != 1 {
 		t.Errorf("rejected = %d, want 1", f.m.JobsRejected.Value())
+	}
+}
+
+// TestQueueGaugeNeverNegative: an admitted job counts in the queued
+// gauge and publishes "queued" before any worker can claim it, so the
+// gauge never dips below zero and no job reports running first, however
+// fast the single worker is.
+func TestQueueGaugeNeverNegative(t *testing.T) {
+	f := newQueueFixture(t, 1, 4)
+	var low atomic.Int64
+	f.q.exec = func(j *Job) (*Result, error) {
+		if v := f.m.JobsQueued.Value(); v < low.Load() {
+			low.Store(v) // only the one worker writes low
+		}
+		return &Result{}, nil
+	}
+	var jobs []*Job
+	for len(jobs) < 2000 {
+		j := f.job(t)
+		for {
+			err := f.q.Submit(j)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, ErrQueueFull) {
+				t.Fatal(err)
+			}
+			runtime.Gosched()
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		<-j.Done()
+		replay, _, cancel := j.Subscribe()
+		cancel()
+		if len(replay) == 0 || replay[0].Type != "queued" {
+			t.Fatalf("%s: first event %+v, want queued", j.ID, replay)
+		}
+	}
+	if low.Load() < 0 {
+		t.Fatalf("queued gauge read %d", low.Load())
 	}
 }
 

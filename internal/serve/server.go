@@ -174,9 +174,12 @@ func (s *Server) execute(j *Job) (*Result, error) {
 		s.metrics.EngineRuns.Add(1)
 		opt := j.Opt
 		opt.Trace = j.trace
-		f, _, err := pmsf.MinimumSpanningForest(g, j.Algo, opt)
+		f, stats, err := pmsf.MinimumSpanningForest(g, j.Algo, opt)
 		if err != nil {
 			return nil, err
+		}
+		if len(stats.PhaseTotalNS) > 0 {
+			res.PhaseTotalNS = stats.PhaseTotalNS
 		}
 		res.Algorithm = j.Algo.String()
 		res.Weight = f.Weight
@@ -199,12 +202,6 @@ func (s *Server) execute(j *Job) (*Result, error) {
 		return nil, ErrBadQuery
 	}
 	res.WallNS = time.Since(start).Nanoseconds()
-	if totals := j.trace.PhaseTotals(); len(totals) > 0 {
-		res.PhaseTotalNS = make(map[string]int64, len(totals))
-		for name, d := range totals {
-			res.PhaseTotalNS[name] = d.Nanoseconds()
-		}
-	}
 	s.cache.Put(j.CacheKey, res)
 	return res, nil
 }

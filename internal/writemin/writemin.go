@@ -26,7 +26,6 @@ package writemin
 import (
 	"sync/atomic"
 
-	"pmsf/internal/boruvka"
 	"pmsf/internal/cc"
 	"pmsf/internal/graph"
 	"pmsf/internal/obs"
@@ -38,12 +37,13 @@ import (
 type Options struct {
 	// Workers is the number of parallel workers p; 0 means GOMAXPROCS.
 	Workers int
-	// Stats enables per-iteration instrumentation.
-	Stats bool
 	// Seed drives the setup sample sort's splitter selection only; the
 	// result is identical for every seed.
 	Seed uint64
-	// Trace, when non-nil, receives the iteration/step spans.
+	// Trace, when non-nil, receives the iteration/step spans, in the
+	// Borůvka engines' schema (identical span and arg names), so
+	// reporting and benching treat Bor-WM like the other round-loop
+	// engines.
 	Trace *obs.Collector
 }
 
@@ -149,9 +149,6 @@ func weightLess(a, b graph.WEdge) bool {
 func newRun(g *graph.EdgeList, opt Options) *run {
 	p := workers(opt)
 	c := opt.Trace
-	if c == nil && opt.Stats {
-		c = obs.NewCollector()
-	}
 	root := obs.StartUnder(c, obs.Span{}, "Bor-WM", "Bor-WM")
 	root.SetInt("workers", int64(p))
 
@@ -399,10 +396,8 @@ func (r *run) filterScatterWork(w int) {
 	}
 }
 
-// Run computes the minimum spanning forest of g. Stats reuse the Borůvka
-// schema (identical step names), so reporting and benching treat Bor-WM
-// like the other round-loop engines.
-func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *boruvka.Stats) {
+// Run computes the minimum spanning forest of g.
+func Run(g *graph.EdgeList, opt Options) *graph.Forest {
 	r := newRun(g, opt)
 	defer r.close()
 	for r.round() {
@@ -412,7 +407,7 @@ func Run(g *graph.EdgeList, opt Options) (*graph.Forest, *boruvka.Stats) {
 	for _, id := range f.EdgeIDs {
 		f.Weight += g.Edges[id].W
 	}
-	return f, boruvka.StatsView(r.c, r.root, r.name, r.p, opt.Stats)
+	return f
 }
 
 // labeled runs fn under the collector's pprof phase label when tracing

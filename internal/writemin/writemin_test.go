@@ -21,11 +21,19 @@ func constWeights(g *graph.EdgeList, w float64) *graph.EdgeList {
 	return out
 }
 
-// parity checks a run against the sequential Kruskal reference: equal
-// weight, equal component count, and full structural verification.
+// traced runs Bor-WM on g under a fresh trace and returns the forest and
+// the run's span summary.
+func traced(g *graph.EdgeList, opt Options) (*graph.Forest, *obs.Summary) {
+	opt.Trace = obs.NewCollector()
+	f := Run(g, opt)
+	return f, opt.Trace.Summarize(nil)
+}
+
+// parity checks a traced run against the sequential Kruskal reference:
+// equal weight, equal component count, and full structural verification.
 func parity(t *testing.T, name string, g *graph.EdgeList, opt Options) {
 	t.Helper()
-	f, stats := Run(g, opt)
+	f, s := traced(g, opt)
 	ref := seq.Kruskal(g)
 	if f.Components != ref.Components || f.Size() != ref.Size() {
 		t.Fatalf("%s: got %d components / %d edges, Kruskal %d / %d",
@@ -37,8 +45,8 @@ func parity(t *testing.T, name string, g *graph.EdgeList, opt Options) {
 	if err := verify.Forest(g, f); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if stats.Algorithm != "Bor-WM" {
-		t.Fatalf("stats algorithm %q", stats.Algorithm)
+	if s.Algorithm != "Bor-WM" {
+		t.Fatalf("summary algorithm %q", s.Algorithm)
 	}
 }
 
@@ -67,26 +75,26 @@ func TestKruskalParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, p := range []int{1, 2, 8} {
-			parity(t, tc.name, tc.g, Options{Workers: p, Stats: true, Seed: uint64(p)})
+			parity(t, tc.name, tc.g, Options{Workers: p, Seed: uint64(p)})
 		}
 	}
 }
 
 func TestStatsIterations(t *testing.T) {
 	g := gen.Random(2000, 12000, 11)
-	_, stats := Run(g, Options{Workers: 4, Stats: true})
-	if len(stats.Iters) == 0 {
+	_, s := traced(g, Options{Workers: 4})
+	if len(s.Rounds) == 0 {
 		t.Fatal("no iterations recorded")
 	}
 	// Supervertex counts must strictly decrease across rounds.
-	for i := 1; i < len(stats.Iters); i++ {
-		if stats.Iters[i].N >= stats.Iters[i-1].N {
+	for i := 1; i < len(s.Rounds); i++ {
+		if s.Rounds[i].Arg("n") >= s.Rounds[i-1].Arg("n") {
 			t.Fatalf("iteration %d: n=%d did not shrink from %d",
-				i, stats.Iters[i].N, stats.Iters[i-1].N)
+				i, s.Rounds[i].Arg("n"), s.Rounds[i-1].Arg("n"))
 		}
 	}
-	if stats.Iters[0].N != 2000 {
-		t.Fatalf("first iteration n=%d, want 2000", stats.Iters[0].N)
+	if n := s.Rounds[0].Arg("n"); n != 2000 {
+		t.Fatalf("first iteration n=%d, want 2000", n)
 	}
 }
 

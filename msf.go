@@ -46,31 +46,25 @@ type Graph = graph.EdgeList
 // in the input edge list, the total weight, and the component count.
 type Forest = graph.Forest
 
-// BoruvkaStats is the per-iteration instrumentation of the Borůvka
-// variants (find-min / connect-components / compact-graph times and the
-// working-list sizes that regenerate Table 1 and Fig. 2 of the paper).
-type BoruvkaStats = boruvka.Stats
-
-// MSTBCStats is the per-level instrumentation of the MST-BC algorithm.
-type MSTBCStats = mstbc.Stats
-
-// FilterStats is the instrumentation of the sampling filter (sample
-// size, discarded edge count, inner MSF stats).
-type FilterStats = filter.Stats
-
 // Trace collects the hierarchical spans of one run: every Borůvka
 // iteration and step, MST-BC level and phase, filter stage, and shared
 // sort kernel. Export with WriteChromeTrace (chrome://tracing /
-// Perfetto) or Summarize (machine-readable totals). A nil *Trace
-// disables collection at zero cost.
+// Perfetto) or Summarize (the Stats roll-up). A nil *Trace disables
+// collection at zero cost.
 type Trace = obs.Collector
 
 // NewTrace returns an empty trace collector to pass in Options.Trace.
 func NewTrace() *Trace { return obs.NewCollector() }
 
-// TraceSummary is the machine-readable roll-up of a traced run: phase
-// totals and counter values.
-type TraceSummary = obs.Summary
+// Stats is the roll-up of a traced run's span tree: per-name span counts
+// and phase totals, the args of the top-level phases (Bor-CAS's
+// hook.buckets, the filter's sample.sampled and filter.discarded,
+// MST-BC's seq-base.n, ...), and one Round per Borůvka iteration or
+// MST-BC level with its args (n, list_size; n, m, trees, collisions,
+// steals, visited) and step times — the numbers behind Table 1 and
+// Fig. 2 of the paper. Summarize a Trace to get one, optionally with a
+// counter snapshot.
+type Stats = obs.Summary
 
 // MetricsRegistry is the expvar-compatible registry of process-wide
 // counters and gauges.
@@ -232,13 +226,10 @@ type Options struct {
 	// and the Filter's sampling. The forest produced is a correct MSF
 	// for every seed.
 	Seed uint64
-	// CollectStats enables per-iteration instrumentation, returned in
-	// Stats.
-	CollectStats bool
 	// Trace, when non-nil, collects hierarchical spans for the run
 	// (iterations, steps, levels, sort kernels) for export as a Chrome
-	// trace or JSON summary. Implies the same instrumentation
-	// CollectStats produces.
+	// trace or JSON summary; MinimumSpanningForest also returns their
+	// Stats roll-up.
 	Trace *Trace
 	// Metrics enables the process-wide counters (see Metrics()) for the
 	// duration of the run.
@@ -248,23 +239,10 @@ type Options struct {
 	SortEngine SortEngine
 }
 
-// CASHookStats is the instrumentation of the Bor-CAS engine (bucket
-// counts and phase wall times).
-type CASHookStats = cashook.Stats
-
-// Stats carries optional instrumentation; at most one field is non-nil,
-// matching the algorithm family that ran. Bor-WM reports through Boruvka:
-// it shares the round-loop step schema.
-type Stats struct {
-	Boruvka *BoruvkaStats
-	MSTBC   *MSTBCStats
-	Filter  *FilterStats
-	CASHook *CASHookStats
-}
-
 // MinimumSpanningForest computes the MSF of g with the chosen algorithm.
 // It validates the input graph and returns an error for malformed inputs
-// or unknown algorithms.
+// or unknown algorithms. The Stats are opt.Trace's roll-up after the run
+// (nil when opt.Trace is nil).
 func MinimumSpanningForest(g *Graph, algo Algorithm, opt Options) (*Forest, *Stats, error) {
 	if g == nil {
 		return nil, nil, fmt.Errorf("pmsf: nil graph")
@@ -272,65 +250,49 @@ func MinimumSpanningForest(g *Graph, algo Algorithm, opt Options) (*Forest, *Sta
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
 	}
-	stats := &Stats{}
 	if opt.Metrics && !obs.MetricsOn() {
 		obs.EnableMetrics(true)
 		defer obs.EnableMetrics(false)
 	}
+	f, err := run(g, algo, opt)
+	if err != nil || opt.Trace == nil {
+		return f, nil, err
+	}
+	return f, opt.Trace.Summarize(nil), nil
+}
+
+// run dispatches to the algorithm's engine.
+func run(g *Graph, algo Algorithm, opt Options) (*Forest, error) {
 	bopt := boruvka.Options{
-		Workers: opt.Workers, Stats: opt.CollectStats, Seed: opt.Seed,
-		Trace: opt.Trace, SortEngine: opt.SortEngine,
+		Workers: opt.Workers, Seed: opt.Seed, Trace: opt.Trace, SortEngine: opt.SortEngine,
 	}
 	switch algo {
 	case BorEL:
-		f, s := boruvka.EL(g, bopt)
-		stats.Boruvka = s
-		return f, stats, nil
+		return boruvka.EL(g, bopt), nil
 	case BorAL:
-		f, s := boruvka.AL(g, bopt)
-		stats.Boruvka = s
-		return f, stats, nil
+		return boruvka.AL(g, bopt), nil
 	case BorALM:
-		f, s := boruvka.ALM(g, bopt)
-		stats.Boruvka = s
-		return f, stats, nil
+		return boruvka.ALM(g, bopt), nil
 	case BorFAL:
-		f, s := boruvka.FAL(g, bopt)
-		stats.Boruvka = s
-		return f, stats, nil
+		return boruvka.FAL(g, bopt), nil
 	case MSTBC:
-		f, s := mstbc.Run(g, mstbc.Options{
-			Workers: opt.Workers, BaseSize: opt.BaseSize,
-			Seed: opt.Seed, Stats: opt.CollectStats, Trace: opt.Trace,
-		})
-		stats.MSTBC = s
-		return f, stats, nil
+		return mstbc.Run(g, mstbc.Options{
+			Workers: opt.Workers, BaseSize: opt.BaseSize, Seed: opt.Seed, Trace: opt.Trace,
+		}), nil
 	case Filter:
-		f, s := filter.Run(g, filter.Options{
-			Workers: opt.Workers, Seed: opt.Seed, Stats: opt.CollectStats, Trace: opt.Trace,
-		})
-		stats.Filter = s
-		return f, stats, nil
+		return filter.Run(g, filter.Options{Workers: opt.Workers, Seed: opt.Seed, Trace: opt.Trace}), nil
 	case BorCAS:
-		f, s := cashook.Run(g, cashook.Options{
-			Workers: opt.Workers, Stats: opt.CollectStats, Seed: opt.Seed, Trace: opt.Trace,
-		})
-		stats.CASHook = s
-		return f, stats, nil
+		return cashook.Run(g, cashook.Options{Workers: opt.Workers, Seed: opt.Seed, Trace: opt.Trace}), nil
 	case BorWM:
-		f, s := writemin.Run(g, writemin.Options{
-			Workers: opt.Workers, Stats: opt.CollectStats, Seed: opt.Seed, Trace: opt.Trace,
-		})
-		stats.Boruvka = s
-		return f, stats, nil
+		return writemin.Run(g, writemin.Options{Workers: opt.Workers, Seed: opt.Seed, Trace: opt.Trace}), nil
 	case SeqPrim:
-		return seq.Prim(g), stats, nil
+		return seq.Prim(g), nil
 	case SeqKruskal:
-		return seq.Kruskal(g), stats, nil
+		return seq.Kruskal(g), nil
 	case SeqBoruvka:
-		return seq.Boruvka(g), stats, nil
+		return seq.Boruvka(g), nil
 	}
-	return nil, nil, fmt.Errorf("pmsf: unknown algorithm %v", algo)
+	return nil, fmt.Errorf("pmsf: unknown algorithm %v", algo)
 }
 
 // Verify checks that f is a valid minimum spanning forest of g by

@@ -29,8 +29,8 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", gname, algo, err)
 			}
-			if stats == nil {
-				t.Fatalf("%s/%v: nil stats", gname, algo)
+			if stats != nil {
+				t.Fatalf("%s/%v: stats without a Trace", gname, algo)
 			}
 			if i == 0 {
 				refWeight, refEdges, refComps = f.Weight, f.Size(), f.Components
@@ -50,31 +50,32 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-func TestCollectStats(t *testing.T) {
+// A traced run returns its trace's summary: named after the algorithm,
+// one round per Borůvka iteration or MST-BC level.
+func TestTraceStats(t *testing.T) {
 	g := pmsf.RandomGraph(1000, 4000, 1)
-	f, stats, err := pmsf.MinimumSpanningForest(g, pmsf.BorFAL, pmsf.Options{CollectStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Size() != g.N-1 {
-		t.Fatalf("forest size %d", f.Size())
-	}
-	if stats.Boruvka == nil || len(stats.Boruvka.Iters) == 0 {
-		t.Fatal("Borůvka stats missing")
-	}
-	if stats.Boruvka.Algorithm != "Bor-FAL" {
-		t.Fatalf("stats algorithm %q", stats.Boruvka.Algorithm)
-	}
-	if stats.MSTBC != nil {
-		t.Fatal("unexpected MSTBC stats")
-	}
-
-	_, stats, err = pmsf.MinimumSpanningForest(g, pmsf.MSTBC, pmsf.Options{CollectStats: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.MSTBC == nil {
-		t.Fatal("MSTBC stats missing")
+	rounds := map[pmsf.Algorithm]string{pmsf.BorFAL: "iteration", pmsf.BorWM: "iteration", pmsf.MSTBC: "level"}
+	for _, algo := range pmsf.Algorithms() {
+		tr := pmsf.NewTrace()
+		f, stats, err := pmsf.MinimumSpanningForest(g, algo, pmsf.Options{Trace: tr, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Size() != g.N-1 {
+			t.Fatalf("%v: forest size %d", algo, f.Size())
+		}
+		if stats == nil || stats.SpanCount != len(tr.Spans()) {
+			t.Fatalf("%v: stats %+v do not summarize the trace's %d spans", algo, stats, len(tr.Spans()))
+		}
+		if !algo.Parallel() {
+			continue
+		}
+		if stats.Algorithm != algo.String() || stats.Workers != 4 {
+			t.Fatalf("%v: stats identity %q/%d", algo, stats.Algorithm, stats.Workers)
+		}
+		if want, ok := rounds[algo]; ok && (len(stats.Rounds) == 0 || stats.Rounds[0].Name != want) {
+			t.Fatalf("%v: rounds %+v, want %s rounds", algo, stats.Rounds, want)
+		}
 	}
 }
 
@@ -84,11 +85,8 @@ func TestStatsOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Boruvka == nil {
-		t.Fatal("stats object missing")
-	}
-	if len(stats.Boruvka.Iters) != 0 {
-		t.Fatal("per-iteration stats collected without CollectStats")
+	if stats != nil {
+		t.Fatalf("stats %+v collected without a Trace", stats)
 	}
 }
 
