@@ -388,8 +388,8 @@ func BenchmarkAblationELSortEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineMatrix runs the lock-free engines (Bor-CAS, Bor-WM)
-// against the Bor-EL reference, end to end through the public API,
+// BenchmarkEngineMatrix runs the lock-free engine (Bor-CAS) against
+// the Bor-EL reference, end to end through the public API,
 // across low-diameter and tie-heavy families. CI runs it once under
 // -race as a smoke test; perfbench's static-random workload is where
 // Bor-EL's and Bor-CAS's speed is gated.
@@ -406,7 +406,7 @@ func BenchmarkEngineMatrix(b *testing.B) {
 		{"mesh", meshGraph("mesh")},
 	}
 	for _, fam := range families {
-		for _, algo := range []Algorithm{BorEL, BorCAS, BorWM} {
+		for _, algo := range []Algorithm{BorEL, BorCAS} {
 			for _, p := range []int{1, 4, 8} {
 				b.Run(fmt.Sprintf("%s/%v/p=%d", fam.name, algo, p), func(b *testing.B) {
 					b.ReportAllocs()

@@ -7,8 +7,7 @@ package pmsf_test
 // disconnected shards, self-loops and parallel edges. Conformance checks
 // each engine against the oracle; this file checks the engines against
 // each other through the common reference, which is what pins the
-// equal-weight matroid-exchange guarantees of Bor-CAS and the packed-key
-// total order of Bor-WM.
+// equal-weight matroid-exchange guarantees of Bor-CAS.
 
 import (
 	"fmt"

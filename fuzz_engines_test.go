@@ -2,9 +2,9 @@ package pmsf_test
 
 // FuzzEngineParity decodes an arbitrary byte string into a small
 // multigraph — with a weight alphabet biased toward duplicates, zeros,
-// negatives and extremes — and asserts that the two lock-free engines
-// (Bor-CAS, Bor-WM) agree with SeqKruskal on forest weight, edge count
-// and component count. Run continuously by the CI fuzz-smoke job.
+// negatives and extremes — and asserts that every parallel engine
+// agrees with SeqKruskal on forest weight, edge count and component
+// count. Run continuously by the CI fuzz-smoke job.
 
 import (
 	"math"
@@ -77,7 +77,7 @@ func FuzzEngineParity(f *testing.F) {
 		if err != nil {
 			t.Skip() // decoder produced an invalid graph; not interesting
 		}
-		for _, algo := range []pmsf.Algorithm{pmsf.BorCAS, pmsf.BorWM} {
+		for _, algo := range pmsf.ParallelAlgorithms() {
 			f2, _, err := pmsf.MinimumSpanningForest(g, algo, pmsf.Options{Workers: 4})
 			if err != nil {
 				t.Fatalf("%v: %v", algo, err)

@@ -1,8 +1,8 @@
-// Package atomicpack enforces the packed-key access protocol on the
-// lock-free engines' atomics. writemin and mstbc pack two 32-bit values
-// into one atomic.Uint64 (rank<<32|index race keys, head<<32|tail claim
-// ranges); the packing layout is an invariant shared by every reader
-// and writer, so it must live in one blessed place. The directives:
+// Package atomicpack enforces the packed-key access protocol on atomics
+// that pack two 32-bit values into one atomic.Uint64, such as mstbc's
+// head<<32|tail claim ranges or a rank<<32|index write-min race key;
+// the packing layout is an invariant shared by every reader and writer,
+// so it must live in one blessed place. The directives:
 //
 //	//msf:packed          on an atomic field/var declaration: its values
 //	                      are packed and subject to this protocol
@@ -11,16 +11,15 @@
 //	//msf:unpacker        on a function: it decodes packed values; raw
 //	                      bit operations are allowed inside it
 //	//msf:packsink p ...  on a function: the named parameters receive
-//	                      already-packed values (a CAS loop helper like
-//	                      writemin.writeMin)
+//	                      already-packed values (a CAS write-min loop
+//	                      helper)
 //
 // Checked, per function, with reaching definitions deciding where a
 // value came from:
 //
 //   - Store/Swap/CompareAndSwap on a packed atomic: every stored value
 //     must flow from a packer call, a load of a packed atomic, a
-//     packsink parameter, or a constant (sentinels like writemin's
-//     noMin).
+//     packsink parameter, or a constant (an "empty slot" sentinel).
 //   - No raw shifts, masks, or integer truncations of a packed value at
 //     call sites — decoding goes through the matching //msf:unpacker.
 //   - A packed atomic's address may only be passed to //msf:packsink
@@ -225,7 +224,7 @@ type checkerState struct {
 
 func (c *checkerState) checkCall(call *ast.CallExpr) {
 	// Integer conversion of a packed value truncates half the key —
-	// writemin's winnerWork bug class: edges[uint32(b)].
+	// the bug class of indexing by a raw slot: edges[uint32(b)].
 	if tv, ok := c.info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		if b, isBasic := tv.Type.Underlying().(*types.Basic); isBasic &&
 			b.Info()&types.IsInteger != 0 && c.packedValue(call.Args[0], 3) {

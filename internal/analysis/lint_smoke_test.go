@@ -64,7 +64,7 @@ func TestBrokenInvariantReported(t *testing.T) {
 }
 
 // TestSuiteSmoke seeds one violation per v2 concurrency analyzer —
-// miniatures of the writemin race slots and the serve queue/handlers —
+// miniatures of packed write-min race slots and the serve queue/handlers —
 // and asserts every analyzer fires. This is the CI step proving the
 // gate catches each regression class, not just that the tree is clean.
 func TestSuiteSmoke(t *testing.T) {

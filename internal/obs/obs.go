@@ -11,8 +11,8 @@
 //
 // The span tree is the single source of a run's instrumentation: the
 // Summary roll-up (which the public API returns as pmsf.Stats and the
-// CLIs print), the Chrome trace and the JSON export are all views over
-// it, so they always agree exactly.
+// CLIs print) and the Chrome trace are both views over it, so they
+// always agree exactly.
 package obs
 
 import (

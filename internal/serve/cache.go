@@ -5,12 +5,15 @@ import (
 	"sync"
 )
 
-// CacheKey addresses one computed result: the graph content hash
-// (pmsf.Fingerprint) plus the query hash (pmsf.HashOptions mixed with
-// the query kind). Two requests collide iff they would run the same
-// engine with the same semantics on the same bytes — the definition the
-// root-package hashes were built for.
+// CacheKey addresses one computed result: the registered graph name,
+// its content hash (pmsf.Fingerprint) and the query hash
+// (pmsf.HashOptions mixed with the query kind). The name keeps two
+// graphs with equal content apart, since a result carries its graph's
+// name and a patch must drop only its own graph's entries; the
+// fingerprint keeps a graph deleted and re-registered under the same
+// name from hitting the old content's entries.
 type CacheKey struct {
+	Name  string
 	Graph uint64
 	Query uint64
 }
@@ -83,15 +86,15 @@ func (c *Cache) Put(k CacheKey, res *Result) {
 	}
 }
 
-// DropGraph removes every entry computed against the given graph
-// fingerprint. Edge patches call it so a mutated graph can never be
-// answered from a stale forest. Returns the number of entries dropped.
-func (c *Cache) DropGraph(fp uint64) int {
+// DropGraph removes every entry computed against the named graph.
+// Edge patches call it so a mutated graph can never be answered from a
+// stale forest. Returns the number of entries dropped.
+func (c *Cache) DropGraph(name string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dropped := 0
 	for k, el := range c.items {
-		if k.Graph != fp {
+		if k.Name != name {
 			continue
 		}
 		c.ll.Remove(el)

@@ -2,7 +2,7 @@ package serve
 
 import "testing"
 
-func key(g, q uint64) CacheKey { return CacheKey{Graph: g, Query: q} }
+func key(g, q uint64) CacheKey { return CacheKey{Name: "g", Graph: g, Query: q} }
 
 func TestCacheLRUEviction(t *testing.T) {
 	m := NewMetrics()
@@ -42,6 +42,9 @@ func TestCacheKeySeparation(t *testing.T) {
 	}
 	if _, ok := c.Get(key(2, 1)); ok {
 		t.Error("different graph hash hit the same entry")
+	}
+	if _, ok := c.Get(CacheKey{Name: "other", Graph: 1, Query: 1}); ok {
+		t.Error("different graph name with equal content hit the same entry")
 	}
 }
 

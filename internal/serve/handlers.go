@@ -137,18 +137,23 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// counterSnapshot is one registry's counters and gauges by name.
+type counterSnapshot struct {
+	Counters map[string]int64 `json:"counters"`
+}
+
 // metricsResponse is the GET /v1/metrics body: the service's own
-// control-plane registry plus the process-wide engine-kernel registry,
-// both as obs JSON exports (no expvar text scraping).
+// control-plane registry plus the process-wide engine-kernel registry
+// (no expvar text scraping).
 type metricsResponse struct {
-	Server  *obs.Export `json:"server"`
-	Process *obs.Export `json:"process"`
+	Server  counterSnapshot `json:"server"`
+	Process counterSnapshot `json:"process"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, metricsResponse{
-		Server:  obs.BuildExport(nil, s.metrics.Registry()),
-		Process: obs.BuildExport(nil, obs.Default()),
+		Server:  counterSnapshot{s.metrics.Registry().Snapshot()},
+		Process: counterSnapshot{obs.Default().Snapshot()},
 	})
 }
 
@@ -369,7 +374,7 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	newG, forest := dyn.SnapshotWithForest()
 	info := guard.Commit(newG, forest, dyn)
-	dropped := s.cache.DropGraph(guard.OldFingerprint)
+	dropped := s.cache.DropGraph(name)
 
 	s.metrics.Patches.Add(1)
 	s.metrics.PatchedEdges.Add(int64(delta.Added + delta.Deleted))
@@ -489,7 +494,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := CacheKey{Graph: lease.Fingerprint, Query: queryHash(kind, algo, opt)}
+	key := CacheKey{Name: lease.Name, Graph: lease.Fingerprint, Query: queryHash(kind, algo, opt)}
 	// The include flags change the response payload, so they are part
 	// of the key: a labels-included result is a different cache entry.
 	if req.IncludeEdges {

@@ -332,26 +332,59 @@ func TestPatchGuardRegistryFlow(t *testing.T) {
 func TestCacheDropGraph(t *testing.T) {
 	m := NewMetrics()
 	c := NewCache(8, m)
-	put := func(gfp, q uint64) {
-		c.Put(CacheKey{Graph: gfp, Query: q}, &Result{Kind: KindMSF})
+	put := func(name string, q uint64) {
+		c.Put(CacheKey{Name: name, Graph: 1, Query: q}, &Result{Kind: KindMSF})
 	}
-	put(1, 10)
-	put(1, 11)
-	put(2, 10)
-	if n := c.DropGraph(1); n != 2 {
-		t.Fatalf("DropGraph(1) = %d, want 2", n)
+	put("a", 10)
+	put("a", 11)
+	put("b", 10)
+	if n := c.DropGraph("a"); n != 2 {
+		t.Fatalf("DropGraph(a) = %d, want 2", n)
 	}
-	if _, ok := c.Get(CacheKey{Graph: 2, Query: 10}); !ok {
-		t.Error("DropGraph removed an entry of a different graph")
+	if _, ok := c.Get(CacheKey{Name: "b", Graph: 1, Query: 10}); !ok {
+		t.Error("DropGraph removed an entry of a different graph with equal content")
 	}
-	if _, ok := c.Get(CacheKey{Graph: 1, Query: 10}); ok {
+	if _, ok := c.Get(CacheKey{Name: "a", Graph: 1, Query: 10}); ok {
 		t.Error("dropped entry still served")
 	}
 	if got := m.CacheInvalidations.Value(); got != 2 {
 		t.Errorf("invalidation counter = %d, want 2", got)
 	}
-	if n := c.DropGraph(99); n != 0 {
-		t.Errorf("DropGraph(99) = %d, want 0", n)
+	if n := c.DropGraph("missing"); n != 0 {
+		t.Errorf("DropGraph(missing) = %d, want 0", n)
+	}
+}
+
+// TestCacheSeparatesEqualContentGraphs registers one body under two
+// names: each name's query runs its own engine and reports its own
+// name, and patching one graph invalidates only that graph's entries.
+func TestCacheSeparatesEqualContentGraphs(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body := graphText(t, 300, 1200, 5)
+	registerGraph(t, ts, "a", body)
+	registerGraph(t, ts, "b", body)
+
+	for _, name := range []string{"a", "b"} {
+		code, qr := postQuery(t, ts, QueryRequest{Graph: name, Algo: "Kruskal"})
+		if code != http.StatusOK || qr.Result == nil {
+			t.Fatalf("query %s: %d %+v", name, code, qr)
+		}
+		if qr.Result.Graph != name || qr.Result.Cached {
+			t.Errorf("query %s answered graph=%q cached=%v, want its own uncached result",
+				name, qr.Result.Graph, qr.Result.Cached)
+		}
+	}
+
+	code, pr := doPatch(t, ts, "b", PatchRequest{Add: []PatchEdge{{U: 0, V: 1, W: 0.5}}})
+	if code != http.StatusOK {
+		t.Fatalf("patch b: status %d", code)
+	}
+	if pr.Invalidated != 1 {
+		t.Errorf("patch b invalidated %d cache entries, want 1 (b's own)", pr.Invalidated)
+	}
+	code, qr := postQuery(t, ts, QueryRequest{Graph: "a", Algo: "Kruskal"})
+	if code != http.StatusOK || qr.Result == nil || !qr.Result.Cached || qr.Result.Graph != "a" {
+		t.Errorf("a after patching b: %d %+v, want a's cached result", code, qr.Result)
 	}
 }
 

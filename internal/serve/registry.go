@@ -223,8 +223,6 @@ type PatchGuard struct {
 	// seeds one and passes it to Commit).
 	Graph *pmsf.Graph
 	Dyn   *pmsf.Dynamic
-	// OldFingerprint identifies the cache entries the commit makes stale.
-	OldFingerprint uint64
 
 	r     *Registry
 	entry *graphEntry
@@ -251,7 +249,7 @@ func (r *Registry) BeginPatch(name string, addedBytes int64) (*PatchGuard, error
 	}
 	e.patching = true
 	e.refs++
-	return &PatchGuard{Graph: e.g, Dyn: e.dyn, OldFingerprint: e.fp, r: r, entry: e}, nil
+	return &PatchGuard{Graph: e.g, Dyn: e.dyn, r: r, entry: e}, nil
 }
 
 // Commit publishes the patched snapshot: the new graph, its maintained

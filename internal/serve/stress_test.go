@@ -71,7 +71,7 @@ func TestServiceConcurrentClients(t *testing.T) {
 			registerGraph(t, ts, name, graphText(t, 200, 600, uint64(c)+20))
 			for i := 0; i < 5; i++ {
 				// Same request every iteration → later rounds hit the cache.
-				if code, _ := postQuery(t, ts, QueryRequest{Graph: "shared", Algo: "Bor-WM"}); code != http.StatusOK {
+				if code, _ := postQuery(t, ts, QueryRequest{Graph: "shared", Algo: "Bor-CAS"}); code != http.StatusOK {
 					t.Errorf("client %d shared query: %d", c, code)
 				}
 				code, qr := postQuery(t, ts, QueryRequest{Graph: name, Async: i%2 == 0})

@@ -32,7 +32,6 @@ import (
 	"pmsf/internal/obs"
 	"pmsf/internal/seq"
 	"pmsf/internal/verify"
-	"pmsf/internal/writemin"
 )
 
 // Edge is one undirected edge: endpoints in [0, N) and a weight.
@@ -114,12 +113,6 @@ const (
 	// concurrent union-find's CAS-hook protocol. No round loop over the
 	// graph at all.
 	BorCAS
-	// BorWM is the write-min filter-Borůvka engine (parlaylib style):
-	// find-min is a concurrent CAS write-min race on per-vertex packed
-	// (rank, index) keys, and compact-graph degenerates to a relabel plus
-	// self-edge filter — no sort and no duplicate merge inside the round
-	// loop.
-	BorWM
 	// SeqPrim is sequential Prim's algorithm with a binary heap.
 	SeqPrim
 	// SeqKruskal is sequential Kruskal's algorithm with a non-recursive
@@ -146,8 +139,6 @@ func (a Algorithm) String() string {
 		return "Filter"
 	case BorCAS:
 		return "Bor-CAS"
-	case BorWM:
-		return "Bor-WM"
 	case SeqPrim:
 		return "Prim"
 	case SeqKruskal:
@@ -160,16 +151,16 @@ func (a Algorithm) String() string {
 
 // Algorithms lists every implementation, parallel first.
 func Algorithms() []Algorithm {
-	return []Algorithm{BorEL, BorAL, BorALM, BorFAL, MSTBC, Filter, BorCAS, BorWM, SeqPrim, SeqKruskal, SeqBoruvka}
+	return []Algorithm{BorEL, BorAL, BorALM, BorFAL, MSTBC, Filter, BorCAS, SeqPrim, SeqKruskal, SeqBoruvka}
 }
 
-// ParallelAlgorithms lists the eight parallel implementations.
+// ParallelAlgorithms lists the seven parallel implementations.
 func ParallelAlgorithms() []Algorithm {
-	return []Algorithm{BorEL, BorAL, BorALM, BorFAL, MSTBC, Filter, BorCAS, BorWM}
+	return []Algorithm{BorEL, BorAL, BorALM, BorFAL, MSTBC, Filter, BorCAS}
 }
 
 // Parallel reports whether the algorithm uses multiple workers.
-func (a Algorithm) Parallel() bool { return a <= BorWM }
+func (a Algorithm) Parallel() bool { return a <= BorCAS }
 
 // ParseAlgorithm resolves a paper-style name ("Bor-FAL", case
 // insensitive, '-' optional) to an Algorithm.
@@ -283,8 +274,6 @@ func run(g *Graph, algo Algorithm, opt Options) (*Forest, error) {
 		return filter.Run(g, filter.Options{Workers: opt.Workers, Seed: opt.Seed, Trace: opt.Trace}), nil
 	case BorCAS:
 		return cashook.Run(g, cashook.Options{Workers: opt.Workers, Seed: opt.Seed, Trace: opt.Trace}), nil
-	case BorWM:
-		return writemin.Run(g, writemin.Options{Workers: opt.Workers, Seed: opt.Seed, Trace: opt.Trace}), nil
 	case SeqPrim:
 		return seq.Prim(g), nil
 	case SeqKruskal:

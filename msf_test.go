@@ -51,10 +51,11 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 }
 
 // A traced run returns its trace's summary: named after the algorithm,
-// one round per Borůvka iteration or MST-BC level.
+// one round per Borůvka iteration or MST-BC level, and none for the
+// round-free Bor-CAS, whose bucket count is a top-level arg.
 func TestTraceStats(t *testing.T) {
 	g := pmsf.RandomGraph(1000, 4000, 1)
-	rounds := map[pmsf.Algorithm]string{pmsf.BorFAL: "iteration", pmsf.BorWM: "iteration", pmsf.MSTBC: "level"}
+	rounds := map[pmsf.Algorithm]string{pmsf.BorFAL: "iteration", pmsf.MSTBC: "level"}
 	for _, algo := range pmsf.Algorithms() {
 		tr := pmsf.NewTrace()
 		f, stats, err := pmsf.MinimumSpanningForest(g, algo, pmsf.Options{Trace: tr, Workers: 4})
@@ -75,6 +76,9 @@ func TestTraceStats(t *testing.T) {
 		}
 		if want, ok := rounds[algo]; ok && (len(stats.Rounds) == 0 || stats.Rounds[0].Name != want) {
 			t.Fatalf("%v: rounds %+v, want %s rounds", algo, stats.Rounds, want)
+		}
+		if algo == pmsf.BorCAS && (len(stats.Rounds) != 0 || stats.Args["hook.buckets"] == 0) {
+			t.Fatalf("%v: rounds %+v args %v, want no rounds and hook.buckets", algo, stats.Rounds, stats.Args)
 		}
 	}
 }
@@ -162,7 +166,7 @@ func TestParseAlgorithmRoundTrip(t *testing.T) {
 }
 
 func TestAlgorithmMetadata(t *testing.T) {
-	if len(pmsf.Algorithms()) != 11 || len(pmsf.ParallelAlgorithms()) != 8 {
+	if len(pmsf.Algorithms()) != 10 || len(pmsf.ParallelAlgorithms()) != 7 {
 		t.Fatal("algorithm lists wrong")
 	}
 	for _, a := range pmsf.ParallelAlgorithms() {

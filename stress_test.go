@@ -15,8 +15,8 @@ import (
 // The stress matrix: ~200 seeded graphs across random, geometric, mesh,
 // structured and adversarial shapes (disconnected, self-loop-heavy,
 // duplicate-edge, zero/negative-weight), each solved by every algorithm
-// in Algorithms() — including the lock-free Bor-CAS and Bor-WM engines —
-// at several worker counts. Every run must agree with the others on
+// in Algorithms() — including the lock-free Bor-CAS engine — at
+// several worker counts. Every run must agree with the others on
 // forest weight and component count, and one result per graph is fully
 // verified against the library's independent checker.
 
