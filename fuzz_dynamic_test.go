@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,7 +108,8 @@ func FuzzDynamicParity(f *testing.F) {
 
 func FuzzServePatchParity(f *testing.F) {
 	addDynamicSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzDynamicStream(t, data, newPatchTarget(t)) })
+	ps := newPatchServer(f)
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzDynamicStream(t, data, ps.target(t)) })
 }
 
 // fuzzDynamicStream decodes data into a starting graph and batches and
@@ -242,26 +244,45 @@ func checkAgainst(t *testing.T, what string, weight float64, size, components in
 	}
 }
 
-// patchTarget is the graph "fuzz" registered on an in-process server,
-// mutated through PATCH /v1/graphs/fuzz/edges.
+// patchTarget is one fuzz case's graph on the process's in-process
+// server, registered under a name of its own and mutated through PATCH
+// /v1/graphs/{name}/edges.
 type patchTarget struct {
-	url string
+	url, name string
 }
 
-// newPatchTarget boots a server of its own for one fuzz case: the
-// result cache is keyed by graph content, so a server shared between
-// cases could answer one case's query from another's cached result.
-func newPatchTarget(t *testing.T) *patchTarget {
+// patchServer is the in-process server every case of one fuzz process
+// shares; it shuts down when the fuzz target returns.
+type patchServer struct {
+	url   string
+	cases atomic.Int64 // numbers the cases, so each registers a fresh graph name
+}
+
+func newPatchServer(f *testing.F) *patchServer {
 	s := serve.New(serve.Config{Workers: 1, RatePerSecond: -1})
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
+	f.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = s.Shutdown(ctx)
 	})
-	return &patchTarget{url: ts.URL}
+	return &patchServer{url: ts.URL}
+}
+
+// target returns a graph name of the case's own on the server. The
+// result cache is keyed by graph name as well as content, so no case is
+// answered from another case's cached result; the graph is deleted when
+// the case ends.
+func (ps *patchServer) target(t *testing.T) *patchTarget {
+	pt := &patchTarget{url: ps.url, name: fmt.Sprintf("fuzz-%d", ps.cases.Add(1))}
+	t.Cleanup(func() {
+		if code := pt.call(t, "DELETE", "/v1/graphs/"+pt.name, nil, nil); code != http.StatusOK && code != http.StatusNotFound {
+			t.Errorf("delete %s: status %d", pt.name, code)
+		}
+	})
+	return pt
 }
 
 // call issues one request and decodes its JSON body into out; a body
@@ -297,7 +318,7 @@ func (pt *patchTarget) register(t *testing.T, n int, live []pmsf.Edge) {
 	if err := pmsf.WriteGraph(&buf, pmsf.NewGraph(n, live), pmsf.FormatText); err != nil {
 		t.Fatal(err)
 	}
-	if code := pt.call(t, "POST", "/v1/graphs/fuzz?format=text", buf.Bytes(), nil); code != http.StatusCreated {
+	if code := pt.call(t, "POST", "/v1/graphs/"+pt.name+"?format=text", buf.Bytes(), nil); code != http.StatusCreated {
 		t.Fatalf("register: status %d", code)
 	}
 }
@@ -316,7 +337,7 @@ func (pt *patchTarget) patch(t *testing.T, adds, dels []pmsf.Edge) (int, serve.P
 		t.Fatal(err)
 	}
 	var pr serve.PatchResponse
-	code := pt.call(t, "PATCH", "/v1/graphs/fuzz/edges", body, &pr)
+	code := pt.call(t, "PATCH", "/v1/graphs/"+pt.name+"/edges", body, &pr)
 	return code, pr
 }
 
@@ -334,7 +355,7 @@ func (pt *patchTarget) check(t *testing.T, batch int, valid bool, code int, pr s
 	case valid:
 		checkAgainst(t, fmt.Sprintf("batch %d PATCH delta", batch), pr.Delta.Weight, pr.Delta.ForestSize, pr.Delta.Components, ref)
 	}
-	body, err := json.Marshal(serve.QueryRequest{Graph: "fuzz"})
+	body, err := json.Marshal(serve.QueryRequest{Graph: pt.name})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,15 @@
 package cashook
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
 	"pmsf/internal/obs"
+	"pmsf/internal/rng"
 	"pmsf/internal/seq"
 	"pmsf/internal/verify"
 )
@@ -119,4 +122,128 @@ func TestTraceSpans(t *testing.T) {
 			t.Fatalf("missing span %q (got %v)", want, names)
 		}
 	}
+}
+
+// filterWeights are the parity table's weight assignments: every
+// generator distribution, plus the degenerate and extreme keys the
+// pivot and the radix key must handle.
+func filterWeights(g *graph.EdgeList) map[string]*graph.EdgeList {
+	out := map[string]*graph.EdgeList{"equal": constWeights(g, 2.5)}
+	for _, d := range gen.WeightDists() {
+		out[d.String()] = gen.Reweight(g, d, 21)
+	}
+	r := rng.New(22)
+	pick := func(ws ...float64) *graph.EdgeList {
+		h := g.Clone()
+		for i := range h.Edges {
+			h.Edges[i].W = ws[r.Intn(len(ws))]
+		}
+		return h
+	}
+	out["signed-zeros"] = pick(math.Copysign(0, -1), 0)
+	out["extremes"] = pick(math.Inf(-1), -math.MaxFloat64, -1, math.Copysign(0, -1), 0, 1, math.MaxFloat64, math.Inf(1))
+	return out
+}
+
+// distinctWeights reports whether no two edges of g share a weight.
+func distinctWeights(g *graph.EdgeList) bool {
+	seen := make(map[float64]bool, len(g.Edges))
+	for _, e := range g.Edges {
+		if seen[e.W] {
+			return false
+		}
+		seen[e.W] = true
+	}
+	return true
+}
+
+// TestFilterParityTable drives the Filter-Kruskal recursion with tiny
+// base-case cutoffs, so every graph splits and filters, and checks each
+// run against Kruskal.
+func TestFilterParityTable(t *testing.T) {
+	families := []struct {
+		name   string
+		g      *graph.EdgeList
+		cycles bool // has edges outside every spanning forest
+	}{
+		{"random", gen.Random(300, 1500, 23), true},
+		{"mesh", gen.Mesh2D(20, 20, 24), true},
+		{"str0", gen.Str0(256, 25), false},
+		{"str1", gen.Str1(256, 26), false},
+		{"str2", gen.Str2(256, 27), false},
+		{"str3", gen.Str3(256, 28), false},
+		{"star", gen.Star(400, 29), false},
+		{"path", gen.Path(400, 30), false},
+	}
+	for _, fam := range families {
+		for wname, g := range filterWeights(fam.g) {
+			ref := seq.Kruskal(g)
+			distinct := distinctWeights(g)
+			for _, cutoff := range []int{1, 16, 256} {
+				for _, p := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s/%s/cutoff=%d/p=%d", fam.name, wname, cutoff, p)
+					opt := Options{Workers: p, Seed: uint64(cutoff + p), Trace: obs.NewCollector()}
+					f := solve(g, opt, cutoff)
+					s := opt.Trace.Summarize(nil)
+					checkForest(t, name, g, f, ref, distinct)
+					filtered := s.Args["filter.filtered"]
+					switch {
+					case fam.cycles && distinct && cutoff == 1:
+						// Every edge outside the forest closes a cycle with
+						// lighter edges, is split away from them into a
+						// heavy part, and dies in that part's filter.
+						if want := int64(len(g.Edges) - f.Size()); filtered != want {
+							t.Errorf("%s: filtered %d edges, want all %d non-forest edges", name, filtered, want)
+						}
+					case fam.cycles && distinct && filtered == 0:
+						t.Errorf("%s: the recursion filtered no heavy edge", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkForest compares f with the Kruskal forest ref of g: weight, size
+// and components, the sorted edge weights, structural validity, and with
+// distinct weights the edge set itself.
+func checkForest(t *testing.T, name string, g *graph.EdgeList, f, ref *graph.Forest, distinct bool) {
+	t.Helper()
+	if f.Components != ref.Components || f.Size() != ref.Size() {
+		t.Fatalf("%s: got %d components / %d edges, Kruskal %d / %d",
+			name, f.Components, f.Size(), ref.Components, ref.Size())
+	}
+	if f.Weight != ref.Weight && math.Abs(f.Weight-ref.Weight) > 1e-9*(1+math.Abs(ref.Weight)) {
+		t.Fatalf("%s: weight %v, Kruskal %v", name, f.Weight, ref.Weight)
+	}
+	if !sameWeights(g, f, ref) {
+		t.Fatalf("%s: sorted edge weights differ from Kruskal's", name)
+	}
+	if err := verify.Forest(g, f); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if distinct {
+		got, want := slices.Clone(f.EdgeIDs), slices.Clone(ref.EdgeIDs)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: forest edge ids differ from Kruskal's with distinct weights", name)
+		}
+	}
+}
+
+// sameWeights reports whether forests a and b of g have equal sorted
+// edge-weight sequences, as every pair of MSFs of g does. Unlike the
+// totals, the sequences compare exactly when weights are infinite (a
+// forest with both a +Inf and a -Inf edge totals NaN).
+func sameWeights(g *graph.EdgeList, a, b *graph.Forest) bool {
+	weights := func(f *graph.Forest) []float64 {
+		ws := make([]float64, len(f.EdgeIDs))
+		for i, id := range f.EdgeIDs {
+			ws[i] = g.Edges[id].W
+		}
+		slices.Sort(ws)
+		return ws
+	}
+	return slices.Equal(weights(a), weights(b))
 }

@@ -107,9 +107,12 @@ const (
 	// with Bor-FAL, discard F-heavy edges via parallel path-maximum
 	// queries, and finish on the (expected O(n)-edge) remainder.
 	Filter
-	// BorCAS is the lock-free CAS-hook engine (GBBS nd.h style): one
-	// setup sort by (weight, id), then equal-weight buckets processed in
-	// increasing order, every edge of a bucket racing through the
+	// BorCAS is the lock-free engine: a parallel Filter-Kruskal over the
+	// CAS-hook union-find (GBBS nd.h style). Edges split around sampled
+	// weight pivots; the light part is solved first, and heavy edges
+	// whose endpoints it already joined are filtered out unsorted. Below
+	// a cutoff the survivors are radix-sorted by weight and hooked in
+	// equal-weight buckets, every edge of a bucket racing through the
 	// concurrent union-find's CAS-hook protocol. No round loop over the
 	// graph at all.
 	BorCAS
@@ -212,9 +215,9 @@ type Options struct {
 	// BaseSize is MST-BC's sequential cutoff n_b; 0 means the default.
 	BaseSize int
 	// Seed drives the randomized components: the sample-sort splitters
-	// of Bor-EL's SortSampleSort engine and of Bor-CAS's setup sort,
-	// MST-BC's claim-order permutation and work-stealing victim order,
-	// and the Filter's sampling. The forest produced is a correct MSF
+	// of Bor-EL's SortSampleSort engine, Bor-CAS's Filter-Kruskal pivot
+	// samples, MST-BC's claim-order permutation and work-stealing victim
+	// order, and the Filter's sampling. The forest produced is a correct MSF
 	// for every seed.
 	Seed uint64
 	// Trace, when non-nil, collects hierarchical spans for the run
