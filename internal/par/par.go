@@ -18,6 +18,16 @@ import (
 	"pmsf/internal/obs"
 )
 
+// PadWords is the stride, in 8-byte words, that puts per-worker
+// counters a cache line apart, so workers writing their own slots share
+// no line.
+const PadWords = 8
+
+// SeqCutoff is the input length below which a data-parallel pass runs
+// on the calling goroutine instead of the team: below it a team barrier
+// costs more than the pass it splits.
+const SeqCutoff = 1 << 13
+
 // DefaultWorkers returns the default parallelism for the library:
 // GOMAXPROCS at the time of the call.
 func DefaultWorkers() int {
