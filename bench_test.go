@@ -15,7 +15,6 @@ import (
 
 	"pmsf/internal/boruvka"
 	"pmsf/internal/cc"
-	"pmsf/internal/filter"
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
 	"pmsf/internal/mstbc"
@@ -324,25 +323,6 @@ func BenchmarkAblationTeam(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkFilter compares the sampling-based edge filter against plain
-// Bor-FAL across densities (the Section 3 "exclude heavy edges early"
-// extension): the filter's advantage grows with m/n.
-func BenchmarkFilter(b *testing.B) {
-	for _, ratio := range []int{6, 20} {
-		g := randomGraph(ratio)
-		b.Run(fmt.Sprintf("filter/m=%dx", ratio), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				filter.Run(g, filter.Options{Seed: 1})
-			}
-		})
-		b.Run(fmt.Sprintf("bor-fal/m=%dx", ratio), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				boruvka.FAL(g, boruvka.Options{Seed: 1})
-			}
-		})
-	}
 }
 
 // BenchmarkConnectedComponents times the follow-on connected-components

@@ -1,8 +1,8 @@
 // Package spanpairing enforces the obs tracing contract from PR 1:
 // every span a function starts (a local obs.Span assigned from a call —
-// Collector.Start, Span.Child, obs.StartUnder or any helper returning a
-// Span) must be ended on every path out of its declaring block, either
-// by a dominating s.End(), a defer s.End(), or an End inside a
+// Collector.Start, Span.Child or any helper returning a Span) must be
+// ended on every path out of its declaring block, either by a
+// dominating s.End(), a defer s.End(), or an End inside a
 // synchronously-invoked closure in the same statement (the
 // Collector.Labeled pattern). Reassigning a span variable before ending
 // the previous span is also reported — that is how the

@@ -50,10 +50,6 @@ type Options struct {
 	// carrying n and list_size, with find-min, connect-components and
 	// compact-graph children.
 	Trace *obs.Collector
-	// Parent, when live, nests the run's spans under an enclosing span
-	// (e.g. the sampling filter's inner MSF phases); it implies the
-	// parent's collector and overrides Trace.
-	Parent obs.Span
 }
 
 // SortEngine names a compact-graph sorting engine for the Bor-EL edge
@@ -113,18 +109,13 @@ func (o Options) cutoff() int {
 	return o.InsertionCutoff
 }
 
-// obsStart resolves the span sink of a run: an explicit Parent span
-// wins over opt.Trace. The returned root span carries the algorithm name
-// and worker count. Both returns are nil-safe no-ops when observability
-// is disabled.
+// obsStart opens a run's root span on opt.Trace, carrying the algorithm
+// name and worker count. Both returns are nil-safe no-ops when
+// observability is disabled.
 func obsStart(opt Options, name string, p int) (*obs.Collector, obs.Span) {
-	c := opt.Trace
-	if opt.Parent.Live() {
-		c = opt.Parent.Collector()
-	}
-	root := obs.StartUnder(c, opt.Parent, name, name)
+	root := opt.Trace.Start(name, name)
 	root.SetInt("workers", int64(p))
-	return c, root
+	return opt.Trace, root
 }
 
 // retire reports working-list entries eliminated by a compaction to the

@@ -110,7 +110,7 @@ func TestBorCASRoundZeroAllocs(t *testing.T) {
 	for _, tc := range cases {
 		var last *run
 		pinZeroAfterWarmup(t, tc.name, minStepAllocs(1<<12, func() (func() bool, func()) {
-			r := newRun(tc.g, Options{Workers: tc.workers, Seed: 5}, obs.StartUnder(nil, obs.Span{}, "pin", "pin"), tc.cutoff)
+			r := newRun(tc.g, Options{Workers: tc.workers, Seed: 5}, obs.Span{}, tc.cutoff)
 			last = r
 			return r.step, r.close
 		}))

@@ -557,7 +557,7 @@ func Run(g *graph.EdgeList, opt Options) *graph.Forest { return solve(g, opt, ba
 // solve is Run with the given base-case cutoff.
 func solve(g *graph.EdgeList, opt Options, cutoff int) *graph.Forest {
 	p := workers(opt)
-	root := obs.StartUnder(opt.Trace, obs.Span{}, "Bor-CAS", "Bor-CAS")
+	root := opt.Trace.Start("Bor-CAS", "Bor-CAS")
 	root.SetInt("workers", int64(p))
 
 	r := newRun(g, opt, root, cutoff)

@@ -49,9 +49,6 @@ type Options struct {
 	// n, m, trees, collisions, steals and visited, with grow, fixup and
 	// contract children, then a "seq-base" child carrying n and m.
 	Trace *obs.Collector
-	// Parent, when live, nests the run's spans under an enclosing span;
-	// it implies the parent's collector and overrides Trace.
-	Parent obs.Span
 }
 
 // DefaultBaseSize is the default sequential cutoff n_b.
@@ -208,14 +205,10 @@ func newRun(g *graph.EdgeList, opt Options) *run {
 	if nb <= 0 {
 		nb = DefaultBaseSize
 	}
-	c := opt.Trace
-	if opt.Parent.Live() {
-		c = opt.Parent.Collector()
-	}
-	r := &run{p: p, nb: nb, opt: opt, c: c, n: g.N, ws: boruvka.NewWorkspace(p, g.N)}
+	r := &run{p: p, nb: nb, opt: opt, c: opt.Trace, n: g.N, ws: boruvka.NewWorkspace(p, g.N)}
 	r.team = r.ws.Team()
 	r.parent, r.sel = r.ws.Selections()
-	r.root = obs.StartUnder(c, opt.Parent, algoName, algoName)
+	r.root = r.c.Start(algoName, algoName)
 	r.root.SetInt("workers", int64(p))
 	r.comp = sorts.NewCompactor(p, r.team)
 	r.rng = rng.New(opt.Seed + 0x5eed)
@@ -231,7 +224,7 @@ func newRun(g *graph.EdgeList, opt Options) *run {
 	r.keepIdx = make([]int32, m)
 	r.starts = make([]int64, g.N+1)
 	setup := r.root.Child("setup")
-	c.Labeled(algoName, "setup", func() { r.compact(setup, r.n) })
+	r.c.Labeled(algoName, "setup", func() { r.compact(setup, r.n) })
 	setup.End()
 
 	if len(r.edges) > 0 && r.n > nb {

@@ -125,16 +125,6 @@ func (c *Collector) Start(name, cat string) Span {
 	}
 }
 
-// Live reports whether the span records into a collector.
-func (s *Span) Live() bool { return s.c != nil }
-
-// ID returns the span's record identifier (0 for an inert span).
-func (s *Span) ID() int64 { return s.id }
-
-// Collector returns the collector the span records into (nil for an
-// inert span).
-func (s *Span) Collector() *Collector { return s.c }
-
 // Child opens a sub-span inheriting the category and worker id.
 func (s *Span) Child(name string) Span {
 	if s.c == nil {
@@ -195,17 +185,4 @@ func (s *Span) End() {
 	s.c.mu.Lock()
 	s.c.spans = append(s.c.spans, rec)
 	s.c.mu.Unlock()
-}
-
-// StartUnder opens a child of parent when parent is live; otherwise a
-// root span on c (which may itself be nil). It is how an algorithm nests
-// its run under an enclosing span (e.g. the filter's inner MSF calls)
-// while still working standalone.
-func StartUnder(c *Collector, parent Span, name, cat string) Span {
-	if parent.Live() {
-		ch := parent.Child(name)
-		ch.cat = cat
-		return ch
-	}
-	return c.Start(name, cat)
 }

@@ -92,7 +92,7 @@ func TestSpanEndIdempotentAndInert(t *testing.T) {
 
 	var nilC *Collector
 	inert := nilC.Start("a", "b")
-	if inert.Live() {
+	if inert.c != nil {
 		t.Fatal("span on nil collector is live")
 	}
 	ch := inert.Child("c")
@@ -101,30 +101,6 @@ func TestSpanEndIdempotentAndInert(t *testing.T) {
 	inert.End()
 	if nilC.Spans() != nil {
 		t.Fatal("nil collector has spans")
-	}
-}
-
-func TestStartUnder(t *testing.T) {
-	c := NewCollector()
-	parent := c.Start("parent", "cat")
-	child := StartUnder(nil, parent, "child", "childcat")
-	if child.Collector() != c {
-		t.Fatal("StartUnder did not adopt the parent's collector")
-	}
-	child.End()
-	parent.End()
-	spans := c.Spans()
-	if spans[0].Parent != spans[1].ID {
-		t.Fatal("StartUnder child not nested under parent")
-	}
-	if spans[0].Cat != "childcat" {
-		t.Fatalf("StartUnder kept category %q, want override", spans[0].Cat)
-	}
-
-	root := StartUnder(c, Span{}, "root", "cat")
-	root.End()
-	if got := c.Spans()[2]; got.Parent != 0 {
-		t.Fatal("StartUnder with inert parent is not a root span")
 	}
 }
 

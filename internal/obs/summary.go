@@ -23,7 +23,7 @@ type Summary struct {
 	// PhaseTotalNS sums span durations by span name.
 	PhaseTotalNS map[string]int64 `json:"phase_total_ns"`
 	// Counts is the number of spans per name: Borůvka iterations, MST-BC
-	// levels, nested Filter runs.
+	// levels, Bor-CAS filter and sort steps.
 	Counts map[string]int `json:"counts"`
 	// Args holds the integer args of the root span and of its direct
 	// children other than rounds, keyed "span.arg" ("hook.buckets",

@@ -1,12 +1,11 @@
 // Package pathmax answers maximum-weight-edge queries over the paths of
 // a spanning forest: given a forest F of a weighted graph, Query(u, v)
 // returns the heaviest F-edge on the tree path between u and v. It is
-// the engine behind the cycle-property verification oracle and the
-// sampling-based edge filter (the "exclude heavy edges early" idea the
-// paper discusses alongside Cole et al.'s and Katriel et al.'s
-// cycle-property algorithms). The index is built once per forest; the
-// dynamic-MSF layer, whose forest changes, keeps path maxima in a
-// link-cut tree instead.
+// the engine behind the cycle-property verification oracle
+// (verify.CycleProperty), which catches non-minimal forests whose excess
+// weight is too small for a reference-weight comparison to see. The
+// index is built once per forest; the dynamic-MSF layer, whose forest
+// changes, keeps path maxima in a link-cut tree instead.
 //
 // Construction is O(n log n) (BFS rooting + binary lifting); each query
 // is O(log n).
@@ -144,8 +143,7 @@ func Build(g *graph.EdgeList, forestIDs []int32) (*Index, error) {
 // heavier returns the heavier edge id (-1 means no edge). Ties break
 // toward the LARGER id, so the result is the maximum under the library's
 // perturbed total order (W, id) — the order every algorithm's tie-break
-// induces. Weight-only consumers (the verification oracle) are
-// unaffected; the order-sensitive sampling filter relies on it.
+// induces; the weight-only verification oracle is unaffected by it.
 func (idx *Index) heavier(a, b int32) int32 {
 	if a < 0 {
 		return b

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pmsf/internal/boruvka"
-	"pmsf/internal/filter"
 	"pmsf/internal/gen"
 	"pmsf/internal/mstbc"
 	"pmsf/internal/obs"
@@ -64,10 +63,4 @@ func TestMSTBCReportNoLevels(t *testing.T) {
 	if strings.Contains(out, "level") || strings.Contains(out, "total") {
 		t.Errorf("expected no level table:\n%s", out)
 	}
-}
-
-func TestFilterReport(t *testing.T) {
-	g := gen.Random(1000, 20000, 4)
-	_, out := render(t, func(c *obs.Collector) { filter.Run(g, filter.Options{Trace: c}) })
-	wantAll(t, out, "Filter.m", "sample.sampled", "filter.discarded", "final-msf.m")
 }

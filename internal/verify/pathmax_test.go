@@ -47,6 +47,24 @@ func TestCyclePropertyRejectsNonMinimal(t *testing.T) {
 	}
 }
 
+// TestCyclePropertyCatchesWhatMinimumTolerates is why the cycle-property
+// oracle (and internal/pathmax behind it) stays: a non-minimal tree whose
+// excess weight is inside Minimum's relative tolerance passes Minimum
+// but not Full.
+func TestCyclePropertyCatchesWhatMinimumTolerates(t *testing.T) {
+	g := &graph.EdgeList{N: 3, Edges: []graph.Edge{
+		{U: 0, V: 1, W: 1e10}, {U: 1, V: 2, W: 1e10 + 1}, {U: 0, V: 2, W: 1e10 + 2},
+	}}
+	f := &graph.Forest{EdgeIDs: []int32{0, 2}, Components: 1}
+	f.Weight = f.SumWeights(g)
+	if err := Minimum(g, f); err != nil {
+		t.Fatalf("Minimum rejected a forest within its tolerance: %v", err)
+	}
+	if err := Full(g, f); err == nil || !strings.Contains(err.Error(), "cycle property") {
+		t.Fatalf("Full accepted a non-minimal tree: %v", err)
+	}
+}
+
 func TestCyclePropertyRejectsSwappedEdge(t *testing.T) {
 	// Take a real MSF and swap one tree edge for a heavier non-tree edge
 	// that keeps the forest spanning (find one by brute force).

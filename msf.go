@@ -26,7 +26,6 @@ import (
 	"pmsf/internal/boruvka"
 	"pmsf/internal/cashook"
 	"pmsf/internal/dynmsf"
-	"pmsf/internal/filter"
 	"pmsf/internal/graph"
 	"pmsf/internal/mstbc"
 	"pmsf/internal/obs"
@@ -46,10 +45,10 @@ type Graph = graph.EdgeList
 type Forest = graph.Forest
 
 // Trace collects the hierarchical spans of one run: every Borůvka
-// iteration and step, MST-BC level and phase, filter stage, and shared
-// sort kernel. Export with WriteChromeTrace (chrome://tracing /
-// Perfetto) or Summarize (the Stats roll-up). A nil *Trace disables
-// collection at zero cost.
+// iteration and step, MST-BC level and phase, Bor-CAS Filter-Kruskal
+// step, and shared sort kernel. Export with WriteChromeTrace
+// (chrome://tracing / Perfetto) or Summarize (the Stats roll-up). A nil
+// *Trace disables collection at zero cost.
 type Trace = obs.Collector
 
 // NewTrace returns an empty trace collector to pass in Options.Trace.
@@ -57,8 +56,8 @@ func NewTrace() *Trace { return obs.NewCollector() }
 
 // Stats is the roll-up of a traced run's span tree: per-name span counts
 // and phase totals, the args of the top-level phases (Bor-CAS's
-// hook.buckets, the filter's sample.sampled and filter.discarded,
-// MST-BC's seq-base.n, ...), and one Round per Borůvka iteration or
+// hook.buckets, filter.filtered and sort.elements, MST-BC's
+// seq-base.n, ...), and one Round per Borůvka iteration or
 // MST-BC level with its args (n, list_size; n, m, trees, collisions,
 // steals, visited) and step times — the numbers behind Table 1 and
 // Fig. 2 of the paper. Summarize a Trace to get one, optionally with a
@@ -101,12 +100,6 @@ const (
 	// MSTBC is the paper's new algorithm: p coordinated Prim instances
 	// growing disjoint subtrees, plus Borůvka contraction and recursion.
 	MSTBC
-	// Filter is the sampling-based edge-elimination extension the paper's
-	// Section 3 motivates (Cole-Klein-Tarjan / Katriel-Sanders-Träff
-	// cycle-property filtering): sample edges, build the sample's MSF
-	// with Bor-FAL, discard F-heavy edges via parallel path-maximum
-	// queries, and finish on the (expected O(n)-edge) remainder.
-	Filter
 	// BorCAS is the lock-free engine: a parallel Filter-Kruskal over the
 	// CAS-hook union-find (GBBS nd.h style). Edges split around sampled
 	// weight pivots; the light part is solved first, and heavy edges
@@ -138,8 +131,6 @@ func (a Algorithm) String() string {
 		return "Bor-FAL"
 	case MSTBC:
 		return "MST-BC"
-	case Filter:
-		return "Filter"
 	case BorCAS:
 		return "Bor-CAS"
 	case SeqPrim:
@@ -154,12 +145,12 @@ func (a Algorithm) String() string {
 
 // Algorithms lists every implementation, parallel first.
 func Algorithms() []Algorithm {
-	return []Algorithm{BorEL, BorAL, BorALM, BorFAL, MSTBC, Filter, BorCAS, SeqPrim, SeqKruskal, SeqBoruvka}
+	return []Algorithm{BorEL, BorAL, BorALM, BorFAL, MSTBC, BorCAS, SeqPrim, SeqKruskal, SeqBoruvka}
 }
 
-// ParallelAlgorithms lists the seven parallel implementations.
+// ParallelAlgorithms lists the six parallel implementations.
 func ParallelAlgorithms() []Algorithm {
-	return []Algorithm{BorEL, BorAL, BorALM, BorFAL, MSTBC, Filter, BorCAS}
+	return []Algorithm{BorEL, BorAL, BorALM, BorFAL, MSTBC, BorCAS}
 }
 
 // Parallel reports whether the algorithm uses multiple workers.
@@ -216,9 +207,8 @@ type Options struct {
 	BaseSize int
 	// Seed drives the randomized components: the sample-sort splitters
 	// of Bor-EL's SortSampleSort engine, Bor-CAS's Filter-Kruskal pivot
-	// samples, MST-BC's claim-order permutation and work-stealing victim
-	// order, and the Filter's sampling. The forest produced is a correct MSF
-	// for every seed.
+	// samples, and MST-BC's claim-order permutation and work-stealing
+	// victim order. The forest produced is a correct MSF for every seed.
 	Seed uint64
 	// Trace, when non-nil, collects hierarchical spans for the run
 	// (iterations, steps, levels, sort kernels) for export as a Chrome
@@ -273,8 +263,6 @@ func run(g *Graph, algo Algorithm, opt Options) (*Forest, error) {
 		return mstbc.Run(g, mstbc.Options{
 			Workers: opt.Workers, BaseSize: opt.BaseSize, Seed: opt.Seed, Trace: opt.Trace,
 		}), nil
-	case Filter:
-		return filter.Run(g, filter.Options{Workers: opt.Workers, Seed: opt.Seed, Trace: opt.Trace}), nil
 	case BorCAS:
 		return cashook.Run(g, cashook.Options{Workers: opt.Workers, Seed: opt.Seed, Trace: opt.Trace}), nil
 	case SeqPrim:
@@ -288,9 +276,12 @@ func run(g *Graph, algo Algorithm, opt Options) (*Forest, error) {
 }
 
 // Verify checks that f is a valid minimum spanning forest of g by
-// structural validation plus comparison against an independently computed
-// reference. Intended for tests and example programs; it costs a full
-// sequential MSF computation.
+// structural validation, comparison against an independently computed
+// reference, and the cycle property (no non-forest edge is lighter than
+// a forest edge on its path), which also catches non-minimal forests
+// whose excess weight is within the reference comparison's tolerance.
+// Intended for tests and example programs; it costs a full sequential
+// MSF computation plus a path-maximum index.
 func Verify(g *Graph, f *Forest) error {
 	return verify.Full(g, f)
 }

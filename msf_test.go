@@ -166,7 +166,7 @@ func TestParseAlgorithmRoundTrip(t *testing.T) {
 }
 
 func TestAlgorithmMetadata(t *testing.T) {
-	if len(pmsf.Algorithms()) != 10 || len(pmsf.ParallelAlgorithms()) != 7 {
+	if len(pmsf.Algorithms()) != 9 || len(pmsf.ParallelAlgorithms()) != 6 {
 		t.Fatal("algorithm lists wrong")
 	}
 	for _, a := range pmsf.ParallelAlgorithms() {

@@ -13,35 +13,6 @@ import (
 	"pmsf/internal/rng"
 )
 
-// The filter algorithm agrees with sequential Kruskal on arbitrary
-// random instances, sampling probabilities and worker counts.
-func TestFilterAgreesProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 2 + r.Intn(300)
-		maxM := n * (n - 1) / 2
-		m := r.Intn(maxM + 1)
-		g := pmsf.RandomGraph(n, m, r.Uint64())
-		ref, _, err := pmsf.MinimumSpanningForest(g, pmsf.SeqKruskal, pmsf.Options{})
-		if err != nil {
-			return false
-		}
-		got, _, err := pmsf.MinimumSpanningForest(g, pmsf.Filter, pmsf.Options{
-			Workers: 1 + r.Intn(6), Seed: seed,
-		})
-		if err != nil {
-			return false
-		}
-		d := got.Weight - ref.Weight
-		scale := math.Max(math.Abs(ref.Weight), 1)
-		return got.Size() == ref.Size() && got.Components == ref.Components &&
-			d <= 1e-9*scale && d >= -1e-9*scale
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // MST-BC agrees with sequential Kruskal across random instances, base
 // sizes and worker counts — the hybrid's whole parameter space.
 func TestMSTBCAgreesProperty(t *testing.T) {
@@ -89,7 +60,7 @@ func TestReweightedAgreementProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			for _, algo := range []pmsf.Algorithm{pmsf.BorFAL, pmsf.MSTBC, pmsf.Filter} {
+			for _, algo := range []pmsf.Algorithm{pmsf.BorFAL, pmsf.MSTBC, pmsf.BorCAS} {
 				got, _, err := pmsf.MinimumSpanningForest(g, algo, pmsf.Options{Workers: 3, Seed: seed})
 				if err != nil {
 					return false
