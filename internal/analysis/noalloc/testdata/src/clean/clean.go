@@ -34,10 +34,10 @@ func (wk *worker) round(p, n int) {
 	wk.scratch = wk.scratch[:cap(wk.scratch)]
 }
 
-// scatter mirrors the Compactor's write-combining scatter: per-digit
-// staging in a preallocated slab, bulk-flushed with copy, with reslices
-// and full-slice expressions of the reused buffers. None of it
-// allocates in steady state.
+// scatter is a write-combining radix scatter: per-digit staging in a
+// preallocated slab, bulk-flushed with copy, with reslices and
+// full-slice expressions of the reused buffers. None of it allocates in
+// steady state.
 type scatter struct {
 	buf  []int64
 	blen []int32

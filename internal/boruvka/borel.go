@@ -123,8 +123,6 @@ func (r *elRun) round() bool {
 	retire(before - int64(len(r.edges)))
 	step.SetInt("radix_passes", int64(r.comp.Passes))
 	step.SetInt("digit_bits", int64(r.comp.LastDigitBits))
-	step.SetInt("scatter_flushes", r.comp.LastFlushes)
-	step.SetInt("scatter_buffered", boolArg(r.comp.LastScatterBuffered))
 	step.SetInt("scan_parallel", boolArg(r.comp.LastScanParallel))
 	step.End()
 	contracted(r.n)

@@ -162,15 +162,38 @@ var defaultRegistry = NewRegistry()
 // into.
 func Default() *Registry { return defaultRegistry }
 
-// metricsOn gates the kernel counters: a single atomic load on the hot
-// paths keeps the disabled cost unmeasurable.
-var metricsOn atomic.Bool
+// metricsState gates the kernel counters: bit 0 is the EnableMetrics
+// flag and the bits above it count the metered runs in flight, so the
+// hot paths' check stays a single atomic load that keeps the disabled
+// cost unmeasurable.
+var metricsState atomic.Int64
 
-// EnableMetrics turns the process-wide kernel counters on or off.
-func EnableMetrics(on bool) { metricsOn.Store(on) }
+// EnableMetrics sets or clears the process-wide kernel counter flag.
+// Clearing it leaves counting on while metered runs are in flight.
+func EnableMetrics(on bool) {
+	for {
+		old := metricsState.Load()
+		next := old &^ 1
+		if on {
+			next |= 1
+		}
+		if metricsState.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
 
-// MetricsOn reports whether the kernel counters are enabled.
-func MetricsOn() bool { return metricsOn.Load() }
+// BeginMeteredRun turns the kernel counters on for one run; every call
+// must be paired with EndMeteredRun. Overlapping runs keep counting on
+// until the last of them ends.
+func BeginMeteredRun() { metricsState.Add(2) }
+
+// EndMeteredRun ends a run begun with BeginMeteredRun.
+func EndMeteredRun() { metricsState.Add(-2) }
+
+// MetricsOn reports whether the kernel counters are enabled: the
+// EnableMetrics flag is set or a metered run is in flight.
+func MetricsOn() bool { return metricsState.Load() != 0 }
 
 // The canonical process-wide metrics. Kernels update them only while
 // MetricsOn.
@@ -205,10 +228,6 @@ var (
 	// par.Scanner (the sequential small-input fallback is not counted,
 	// so the ratio to RadixPasses shows which scan strategy ran).
 	ParScans = Default().Counter("par_scans")
-	// ScatterFlushes counts write-combining staging-buffer flushes of
-	// the packed-radix scatter (full-buffer bulk copies plus the
-	// end-of-pass drains).
-	ScatterFlushes = Default().Counter("scatter_flushes")
 	// WorkspaceReused counts bytes served from reusable round workspaces
 	// (double-buffered edge arrays, keepIdx/starts/histogram slabs)
 	// instead of fresh heap allocations.

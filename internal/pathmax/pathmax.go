@@ -164,9 +164,6 @@ func (idx *Index) heavier(a, b int32) int32 {
 	return b
 }
 
-// SameTree reports whether u and v belong to one forest tree.
-func (idx *Index) SameTree(u, v int32) bool { return idx.comp[u] == idx.comp[v] }
-
 // Query returns the id of the heaviest forest edge on the path from u to
 // v, or -1 when u == v or they are in different trees.
 func (idx *Index) Query(u, v int32) int32 {
@@ -199,14 +196,4 @@ func (idx *Index) Query(u, v int32) int32 {
 	best = idx.heavier(best, idx.maxe[0][u])
 	best = idx.heavier(best, idx.maxe[0][v])
 	return best
-}
-
-// QueryWeight returns the weight of Query(u, v), or -Inf-like semantics
-// via ok=false when no path exists.
-func (idx *Index) QueryWeight(u, v int32) (graph.Weight, bool) {
-	id := idx.Query(u, v)
-	if id < 0 {
-		return 0, false
-	}
-	return idx.g.Edges[id].W, true
 }

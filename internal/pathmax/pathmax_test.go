@@ -86,7 +86,7 @@ func TestQueryDisconnected(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		u := int32(r.Intn(g.N))
 		v := int32(r.Intn(g.N))
-		same := idx.SameTree(u, v)
+		same := !separates(g, f.EdgeIDs, -1, u, v)
 		q := idx.Query(u, v)
 		if !same && q != -1 {
 			t.Fatalf("cross-tree query returned %d", q)
@@ -104,9 +104,6 @@ func TestQuerySelf(t *testing.T) {
 	if idx.Query(7, 7) != -1 {
 		t.Fatal("self query must be -1")
 	}
-	if w, ok := idx.QueryWeight(7, 7); ok || w != 0 {
-		t.Fatal("self QueryWeight must be !ok")
-	}
 }
 
 func TestQueryWeight(t *testing.T) {
@@ -114,9 +111,8 @@ func TestQueryWeight(t *testing.T) {
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 5},
 	}}
 	idx := mustBuild(t, g, []int32{0, 1})
-	w, ok := idx.QueryWeight(0, 2)
-	if !ok || w != 5 {
-		t.Fatalf("QueryWeight = %g,%v", w, ok)
+	if id := idx.Query(0, 2); id != 1 || g.Edges[id].W != 5 {
+		t.Fatalf("Query(0, 2) = %d, want the weight-5 edge 1", id)
 	}
 }
 

@@ -76,8 +76,11 @@ func GraphBytes(g *pmsf.Graph) int64 {
 }
 
 // Register stores g under name. The graph must already be validated.
+// Its fingerprint, a pass over every edge, is taken before the lock so
+// leases on other graphs never wait behind it.
 func (r *Registry) Register(name string, g *pmsf.Graph) (GraphInfo, error) {
 	bytes := GraphBytes(g)
+	fp := pmsf.Fingerprint(g)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.graphs[name]; ok {
@@ -87,7 +90,7 @@ func (r *Registry) Register(name string, g *pmsf.Graph) (GraphInfo, error) {
 		return GraphInfo{}, fmt.Errorf("%w: %d + %d > %d (delete a graph first)",
 			ErrRegistryFull, r.bytes, bytes, r.capBytes)
 	}
-	e := &graphEntry{name: name, g: g, fp: pmsf.Fingerprint(g), bytes: bytes}
+	e := &graphEntry{name: name, g: g, fp: fp, bytes: bytes}
 	r.graphs[name] = e
 	r.bytes += bytes
 	r.publish()
@@ -255,8 +258,10 @@ func (r *Registry) BeginPatch(name string, addedBytes int64) (*PatchGuard, error
 // Commit publishes the patched snapshot: the new graph, its maintained
 // forest, and the dynamic handle that produced them. Leases taken
 // before the commit keep the previous graph; new leases see the new
-// snapshot and its forest. Returns the updated info.
+// snapshot and its forest. Returns the updated info. As in Register,
+// the fingerprint is taken before the lock.
 func (g *PatchGuard) Commit(newG *pmsf.Graph, f *pmsf.Forest, dyn *pmsf.Dynamic) GraphInfo {
+	fp := pmsf.Fingerprint(newG)
 	g.r.mu.Lock()
 	defer g.r.mu.Unlock()
 	if g.done {
@@ -268,7 +273,7 @@ func (g *PatchGuard) Commit(newG *pmsf.Graph, f *pmsf.Forest, dyn *pmsf.Dynamic)
 	g.r.bytes += newBytes - e.bytes
 	e.bytes = newBytes
 	e.g = newG
-	e.fp = pmsf.Fingerprint(newG)
+	e.fp = fp
 	e.forest = f
 	e.dyn = dyn
 	info := g.r.infoLocked(e)

@@ -14,34 +14,24 @@ package sorts
 //     significant bits, and the digit plan is chosen from that bit
 //     count (and from the per-worker element count; see RadixPlanFor).
 //
-// Four further changes make the kernel scale with p instead of merely
-// running on p workers:
+// Three further changes cut the work around the passes:
 //
-//   - One-shot histogramming: a pass's GLOBAL histogram depends only on
-//     the key multiset, but the per-worker histograms that make a
-//     parallel pass stable depend on which elements land in each
-//     worker's block — which earlier passes change. So the single-read
-//     formulation splits by p: at p = 1 the lone worker's histograms
-//     for every pass are computed in one read of the input; at p > 1
-//     pass 0 is counted up front and each later pass's histogram is
-//     FUSED into the previous pass's scatter (the writer already holds
-//     the element and knows its destination, so it bills the next-pass
-//     digit to the destination's future reader). Either way the edge
-//     array is streamed once per scatter instead of twice.
+//   - One-shot histogramming at p = 1: a pass's GLOBAL histogram
+//     depends only on the key multiset, so the lone worker counts every
+//     pass of the plan in one read of the input. At p > 1 the
+//     per-worker histograms that make a parallel pass stable depend on
+//     which elements land in each worker's block — which earlier passes
+//     change — so each pass is the plain stable LSD pass WeightSorter
+//     runs: count the pass's digit per worker block, scan, scatter.
 //   - Team-parallel offset computation: the digit-major exclusive scan
 //     over the p<<digitBits histogram slab (up to 65536·p entries per
 //     pass) and the backward fill of the per-vertex starts array both
 //     run on the worker team via par.Scanner instead of serially on the
 //     coordinator.
-//   - Write-combining scatter: with narrow digits each worker stages
-//     edges in small per-digit buffers and flushes them to dst in bulk,
-//     so p workers stop interleaving single-edge writes into shared
-//     cache lines (false sharing) and touch far fewer pages per step.
 //   - Adaptive digit width: RadixPlanFor shrinks digitBits when m/p is
 //     small, keeping the histogram slab cache-resident in the late
 //     small-m rounds instead of always paying the 16-bit 256KB/worker
-//     worst case (and enabling the buffered scatter, which needs a
-//     bounded digit space).
+//     worst case.
 //
 // All state lives in buffers the caller (boruvka.Workspace) reuses
 // across rounds, so the steady-state iteration performs zero heap
@@ -66,23 +56,6 @@ const minDigitBits = 6
 // can emit (the maximum is the 4-pass 16-bit plan for 62-bit keys), so
 // the one-shot histogram slab is allocated once, worst case, per run.
 const maxHistPerWorker = 4 << maxDigitBits
-
-// scatterBufDigitBits is the widest digit for which the scatter stages
-// writes in per-digit buffers; beyond it the staging area itself would
-// blow the cache the buffering is meant to protect.
-const scatterBufDigitBits = 11
-
-// scatterBufEdges is the number of edges staged per digit before a bulk
-// flush: 8 edges = 192 bytes = 3 cache lines per flush.
-const scatterBufEdges = 8
-
-// fusedDigitBits is the widest digit for which a p > 1 multi-pass plan
-// fuses the next pass's counting into the current scatter. The fused
-// counts live in a p×p<<digitBits slab (writer × future-reader rows),
-// so wider digits would make that slab larger than the array re-read it
-// avoids; beyond it the kernel falls back to one counting read per
-// pass.
-const fusedDigitBits = 14
 
 // PackWidth returns the bit width b such that every vertex id in [0, n)
 // fits in b bits (at least 1). The packed (U, V) key is U<<b | V, a
@@ -140,9 +113,8 @@ func RadixPlanFor(n, m, p int) (passes int, digitBits uint) {
 
 // Compactor is the reusable parallel packed-key radix compaction engine.
 // Create one per run with NewCompactor and call Compact once per Borůvka
-// round; the per-worker histogram slab, the scatter staging buffers and
-// the prebound phase bodies are allocated once, so steady-state calls
-// allocate nothing.
+// round; the per-worker histogram slab and the prebound phase bodies
+// are allocated once, so steady-state calls allocate nothing.
 //
 // A Compactor is owned by a single goroutine; the parallelism comes from
 // the team it runs its phases on.
@@ -151,23 +123,8 @@ type Compactor struct {
 	team *par.Team
 	scn  *par.Scanner
 
-	hist    []int32       // per-pass per-worker histograms, pass-major then worker-major
-	wcount  []int64       // per-worker counts / exclusive offsets for the head pack
-	sbuf    []graph.WEdge // per-worker per-digit scatter staging, p>1 only
-	sbufLen []int32       // staged-edge counts per (worker, digit)
-	flushes []int64       // per-worker flush counts of the current call
-
-	// Fused next-pass counting state, p>1 only: next holds the
-	// writer×reader count slabs, owner maps a current-pass digit to the
-	// reader that owns its output range next pass, digitStart captures
-	// the global digit starts of the pass about to scatter, and
-	// rbound/nrbound are the per-reader element bounds of the current
-	// and next pass (digit-aligned for fused passes, Block otherwise).
-	next       []int32
-	owner      []int32
-	digitStart []int32
-	rbound     []int
-	nrbound    []int
+	hist   []int32 // per-pass per-worker histograms, pass-major then worker-major
+	wcount []int64 // per-worker counts / exclusive offsets for the head pack
 
 	// Per-call state read by the prebound worker bodies.
 	src, dst  []graph.WEdge
@@ -177,9 +134,6 @@ type Compactor struct {
 	digitBits uint
 	mask      uint64
 	pass      int
-	cntPasses int
-	buffered  bool
-	fuse      bool
 	keepIdx   []int32
 	kept      int
 	out       []graph.WEdge
@@ -189,52 +143,32 @@ type Compactor struct {
 	countAllBody    func(int)
 	countPassBody   func(int)
 	scatterBody     func(int)
-	scatterBufBody  func(int)
-	aggBody         func(int)
 	headCountBody   func(int)
 	headScatterBody func(int)
 	reduceBody      func(worker, lo, hi int)
 	startsClearBody func(int)
 	startsMarkBody  func(int)
 
-	// Passes, LastDigitBits, LastScatterBuffered, LastScanParallel and
-	// LastFlushes describe the most recent Compact call (recorded as
-	// span attributes by the caller).
-	Passes              int
-	LastDigitBits       uint
-	LastScatterBuffered bool
-	LastScanParallel    bool
-	LastFlushes         int64
+	// Passes, LastDigitBits and LastScanParallel describe the most
+	// recent Compact call (recorded as span attributes by the caller).
+	Passes           int
+	LastDigitBits    uint
+	LastScanParallel bool
 }
 
 // NewCompactor returns a compactor running its phases on team (whose
 // size must be p).
 func NewCompactor(p int, team *par.Team) *Compactor {
 	c := &Compactor{
-		p:       p,
-		team:    team,
-		scn:     par.NewScanner(p, team),
-		hist:    make([]int32, p*maxHistPerWorker),
-		wcount:  make([]int64, p),
-		flushes: make([]int64, p),
+		p:      p,
+		team:   team,
+		scn:    par.NewScanner(p, team),
+		hist:   make([]int32, p*maxHistPerWorker),
+		wcount: make([]int64, p),
 	}
-	if p > 1 {
-		// The buffered scatter and the fused next-pass counting only run
-		// with p > 1 (a single worker has no false sharing to combine
-		// away, and its one-shot histograms are valid for every pass).
-		c.sbuf = make([]graph.WEdge, (p<<scatterBufDigitBits)*scatterBufEdges)
-		c.sbufLen = make([]int32, p<<scatterBufDigitBits)
-		c.next = make([]int32, (p*p)<<fusedDigitBits)
-		c.owner = make([]int32, 1<<fusedDigitBits)
-		c.digitStart = make([]int32, (1<<fusedDigitBits)+1)
-	}
-	c.rbound = make([]int, p+1)
-	c.nrbound = make([]int, p+1)
 	c.countAllBody = c.countAllWork
 	c.countPassBody = c.countPassWork
 	c.scatterBody = c.scatterWork
-	c.scatterBufBody = c.scatterBufWork
-	c.aggBody = c.aggWork
 	c.headCountBody = c.headCountWork
 	c.headScatterBody = c.headScatterWork
 	c.reduceBody = c.reduceWork
@@ -261,10 +195,7 @@ func (c *Compactor) Compact(edges, spare []graph.WEdge, n int, keepIdx []int32, 
 	c.digitBits = digitBits
 	c.mask = uint64(1)<<digitBits - 1
 	c.Passes, c.LastDigitBits = passes, digitBits
-	c.buffered = c.p > 1 && digitBits <= scatterBufDigitBits
-	c.LastScatterBuffered = c.buffered
 	c.LastScanParallel = false
-	c.LastFlushes = 0
 	if m == 0 {
 		for i := range starts {
 			starts[i] = 0
@@ -275,60 +206,27 @@ func (c *Compactor) Compact(edges, spare []graph.WEdge, n int, keepIdx []int32, 
 	src, dst := edges, spare[:m]
 	nd := 1 << digitBits
 
-	// Histogramming strategy (see the package comment): p == 1 counts
-	// every pass in one read; p > 1 counts pass 0 up front and either
-	// fuses each later pass's count into the previous scatter (narrow
-	// digits) or re-counts it per pass (wide digits).
-	fuseOK := c.p > 1 && digitBits <= fusedDigitBits
-	c.cntPasses = 1
+	// At p = 1 one read counts every pass (see the package comment).
 	if c.p == 1 {
-		c.cntPasses = passes
+		c.src = src
+		c.team.Run(c.countAllBody)
 	}
-	c.src = src
-	c.team.Run(c.countAllBody)
-
-	// Pass 0 readers are the uniform blocks countAllWork counted.
-	for w := 0; w < c.p; w++ {
-		c.rbound[w], _ = par.Block(m, c.p, w)
-	}
-	c.rbound[c.p] = m
-
 	for pass := 0; pass < passes; pass++ {
 		c.pass = pass
 		c.shift = uint(pass) * digitBits
 		c.src, c.dst = src, dst
-		if c.p > 1 && !fuseOK && pass > 0 {
-			// Wide digits: the fused slab would outweigh the read it
-			// saves, so re-count this pass from the current array.
+		if c.p > 1 {
 			c.team.Run(c.countPassBody)
 		}
-		// Offsets: digit-major exclusive scan over (digit, reader), so
-		// readers scatter their contiguous blocks in order — a stable
+		// Offsets: digit-major exclusive scan over (digit, worker), so
+		// workers scatter their contiguous blocks in order — a stable
 		// pass. Team-parallel over the digit space (Θ(nd·p) entries).
 		base := (pass * c.p) << digitBits
 		c.scn.TransposedExclusiveSum(c.hist[base:base+(c.p<<digitBits)], c.p, nd)
 		if c.scn.LastParallel {
 			c.LastScanParallel = true
 		}
-		c.fuse = fuseOK && pass+1 < passes
-		if c.fuse {
-			// The scan just wrote reader 0's offsets, i.e. the global
-			// digit starts, into row 0; capture them before the scatter
-			// advances them and derive the next pass's digit-aligned
-			// reader partition (owner table + element bounds).
-			c.planNextReaders(base, nd)
-		}
-		if c.buffered {
-			c.team.Run(c.scatterBufBody)
-		} else {
-			c.team.Run(c.scatterBody)
-		}
-		if c.fuse {
-			// Sum the writer×reader fused counts into the next pass's
-			// per-reader histogram rows and adopt its reader bounds.
-			c.team.Run(c.aggBody)
-			copy(c.rbound, c.nrbound)
-		}
+		c.team.Run(c.scatterBody)
 		src, dst = dst, src
 	}
 
@@ -357,17 +255,9 @@ func (c *Compactor) Compact(edges, spare []graph.WEdge, n int, keepIdx []int32, 
 	c.team.Run(c.startsMarkBody)
 	c.scn.BackfillNegative(starts[:n+1])
 
-	if c.buffered {
-		var fl int64
-		for w := 0; w < c.p; w++ {
-			fl += c.flushes[w]
-		}
-		c.LastFlushes = fl
-	}
 	if obs.MetricsOn() {
 		obs.RadixPasses.Add(int64(passes))
 		obs.SortElements.Add(int64(m))
-		obs.ScatterFlushes.Add(c.LastFlushes)
 		// Bytes that the sort-allocating engines would have taken fresh
 		// from the heap: both edge buffers, the keep indices, the starts.
 		const wedgeBytes = 24
@@ -383,39 +273,29 @@ func packedKey(e graph.WEdge, width uint) uint64 {
 	return uint64(uint32(e.U))<<width | uint64(uint32(e.V))
 }
 
-// countAllWork zeroes and fills this worker's histogram for the first
-// cntPasses passes in one sweep of its input block: per element, one
-// key computation and cntPasses increments into cache-resident slabs.
-// At p = 1 that is every pass of the plan (one read replaces passes
-// reads); at p > 1 only pass 0 — later passes' per-worker counts depend
-// on the reordered array and are produced by the fused scatter or by
-// countPassWork.
+// countAllWork is the p = 1 one-shot count: it zeroes and fills the
+// lone worker's histogram for every pass of the plan in one sweep of
+// the input — per element, one key computation and Passes increments
+// into cache-resident slabs.
 //
 //msf:noalloc
-func (c *Compactor) countAllWork(w int) {
-	lo, hi := par.Block(c.m, c.p, w)
-	p, db, passes := c.p, c.digitBits, c.cntPasses
-	hist := c.hist
-	for k := 0; k < passes; k++ {
-		h := hist[(k*p+w)<<db : (k*p+w+1)<<db]
-		for i := range h {
-			h[i] = 0
-		}
+func (c *Compactor) countAllWork(int) {
+	db, passes := c.digitBits, c.Passes
+	hist := c.hist[:passes<<db]
+	for i := range hist {
+		hist[i] = 0
 	}
 	width, mask := c.width, c.mask
-	src := c.src
-	for i := lo; i < hi; i++ {
-		key := packedKey(src[i], width)
+	for _, e := range c.src {
+		key := packedKey(e, width)
 		for k := 0; k < passes; k++ {
-			hist[((k*p+w)<<db)+int((key>>(uint(k)*db))&mask)]++
+			hist[(k<<db)+int((key>>(uint(k)*db))&mask)]++
 		}
 	}
-	c.flushes[w] = 0
 }
 
-// countPassWork zeroes and fills this worker's histogram for the
-// current pass from the current array: the p > 1 wide-digit fallback,
-// where the fused writer-side counting is disabled.
+// countPassWork zeroes and fills this worker's histogram of the current
+// pass's digit over its block of the current array (p > 1).
 //
 //msf:noalloc
 func (c *Compactor) countPassWork(w int) {
@@ -432,151 +312,21 @@ func (c *Compactor) countPassWork(w int) {
 	}
 }
 
-// planNextReaders derives the next pass's reader partition from the
-// global digit starts of the pass about to scatter (reader 0's freshly
-// scanned offset row): each next-pass reader owns a contiguous range of
-// WHOLE current-pass digits, so a writer scattering an element to digit
-// d knows — via owner[d] — which reader will stream it next pass and
-// can bill the element's next-pass digit to that reader's fused count
-// row. O(nd) coordinator work with nd <= 1<<fusedDigitBits.
-//
-// Digits are split at the p uniform element quantiles, so the partition
-// tracks Block's balance except when a single digit's run exceeds m/p
-// (skew the digit-aligned scheme cannot subdivide).
-//
-//msf:noalloc
-func (c *Compactor) planNextReaders(base, nd int) {
-	ds := c.digitStart[: nd+1 : nd+1]
-	copy(ds[:nd], c.hist[base:base+nd])
-	ds[nd] = int32(c.m)
-	u := 0
-	c.nrbound[0] = 0
-	m64, p64 := int64(c.m), int64(c.p)
-	for d := 0; d < nd; d++ {
-		for u+1 < c.p && int64(ds[d])*p64 >= m64*int64(u+1) {
-			u++
-			c.nrbound[u] = int(ds[d])
-		}
-		c.owner[d] = int32(u)
-	}
-	for w := u + 1; w <= c.p; w++ {
-		c.nrbound[w] = c.m
-	}
-}
-
-// aggWork sums the writer×reader fused count slabs into reader w's
-// histogram row for the next pass.
-//
-//msf:noalloc
-func (c *Compactor) aggWork(w int) {
-	p, db := c.p, c.digitBits
-	nd := 1 << db
-	next := c.next
-	h := c.hist[((c.pass+1)*p+w)<<db : ((c.pass+1)*p+w+1)<<db]
-	for d := 0; d < nd; d++ {
-		var s int32
-		for wr := 0; wr < p; wr++ {
-			s += next[((wr*p+w)<<db)+d]
-		}
-		h[d] = s
-	}
-}
-
-// scatterWork is the direct scatter: each edge goes straight to its
-// offset slot. Used when the digit space is too wide for staging
-// buffers (and for p = 1, where there is no false sharing to avoid).
-// When fused counting is on, each written element's NEXT-pass digit is
-// billed to the future reader of its destination range.
+// scatterWork writes each edge of this worker's block to its offset
+// slot for the current pass's digit.
 //
 //msf:noalloc
 func (c *Compactor) scatterWork(w int) {
-	lo, hi := c.rbound[w], c.rbound[w+1]
+	lo, hi := par.Block(c.m, c.p, w)
 	h := c.hist[(c.pass*c.p+w)<<c.digitBits : (c.pass*c.p+w+1)<<c.digitBits]
 	width, shift, mask := c.width, c.shift, c.mask
-	db := c.digitBits
-	fuse := c.fuse
-	var next []int32
-	var owner []int32
-	if fuse {
-		next = c.next[(w*c.p)<<db : ((w+1)*c.p)<<db]
-		for i := range next {
-			next[i] = 0
-		}
-		owner = c.owner
-	}
 	src, dst := c.src, c.dst
 	for i := lo; i < hi; i++ {
 		e := src[i]
-		key := packedKey(e, width)
-		d := (key >> shift) & mask
+		d := (packedKey(e, width) >> shift) & mask
 		dst[h[d]] = e
 		h[d]++
-		if fuse {
-			next[(int(owner[d])<<db)+int((key>>(shift+db))&mask)]++
-		}
 	}
-}
-
-// scatterBufWork is the write-combining scatter: edges are staged in
-// per-digit buffers of scatterBufEdges entries and flushed to dst in
-// bulk, so concurrent workers write multi-line blocks instead of
-// interleaving single 24-byte edges into shared cache lines. Within a
-// digit each worker's staging is FIFO and its destination block is
-// contiguous, so the pass stays stable. The staged counts are drained
-// back to zero at the end of the pass, keeping the slab reusable across
-// passes and calls without re-clearing.
-//
-//msf:noalloc
-func (c *Compactor) scatterBufWork(w int) {
-	lo, hi := c.rbound[w], c.rbound[w+1]
-	nd := 1 << c.digitBits
-	h := c.hist[(c.pass*c.p+w)<<c.digitBits : (c.pass*c.p+w)<<c.digitBits+nd]
-	buf := c.sbuf[(w<<scatterBufDigitBits)*scatterBufEdges:]
-	buf = buf[:nd*scatterBufEdges]
-	blen := c.sbufLen[w<<scatterBufDigitBits:]
-	blen = blen[:nd]
-	width, shift, mask := c.width, c.shift, c.mask
-	db := c.digitBits
-	fuse := c.fuse
-	var next []int32
-	var owner []int32
-	if fuse {
-		next = c.next[(w*c.p)<<db : ((w+1)*c.p)<<db]
-		for i := range next {
-			next[i] = 0
-		}
-		owner = c.owner
-	}
-	src, dst := c.src, c.dst
-	var flushed int64
-	for i := lo; i < hi; i++ {
-		e := src[i]
-		key := packedKey(e, width)
-		d := int((key >> shift) & mask)
-		if fuse {
-			next[(int(owner[d])<<db)+int((key>>(shift+db))&mask)]++
-		}
-		s := d * scatterBufEdges
-		l := int(blen[d])
-		buf[s+l] = e
-		l++
-		if l == scatterBufEdges {
-			copy(dst[h[d]:int(h[d])+scatterBufEdges], buf[s:s+scatterBufEdges])
-			h[d] += scatterBufEdges
-			l = 0
-			flushed++
-		}
-		blen[d] = int32(l)
-	}
-	for d := 0; d < nd; d++ {
-		if l := int(blen[d]); l > 0 {
-			copy(dst[h[d]:int(h[d])+l], buf[d*scatterBufEdges:d*scatterBufEdges+l])
-			h[d] += int32(l)
-			blen[d] = 0
-			flushed++
-		}
-	}
-	c.flushes[w] += flushed
 }
 
 //msf:noalloc

@@ -74,8 +74,8 @@ type MetricsRegistry = obs.Registry
 func Metrics() *MetricsRegistry { return obs.Default() }
 
 // EnableMetrics switches process-wide metric counting on or off. It is
-// also switched on for the duration of any run whose Options.Metrics is
-// set.
+// also on for the duration of any run whose Options.Metrics is set,
+// whatever this switch says.
 func EnableMetrics(on bool) { obs.EnableMetrics(on) }
 
 // Algorithm selects an MSF implementation.
@@ -234,9 +234,9 @@ func MinimumSpanningForest(g *Graph, algo Algorithm, opt Options) (*Forest, *Sta
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if opt.Metrics && !obs.MetricsOn() {
-		obs.EnableMetrics(true)
-		defer obs.EnableMetrics(false)
+	if opt.Metrics {
+		obs.BeginMeteredRun()
+		defer obs.EndMeteredRun()
 	}
 	f, err := run(g, algo, opt)
 	if err != nil || opt.Trace == nil {
