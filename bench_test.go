@@ -455,7 +455,7 @@ func BenchmarkCompactGraphEngines(b *testing.B) {
 						b.StopTimer()
 						copy(work, edges)
 						b.StartTimer()
-						boruvka.CompactWorkList(engine, p, work, n, 1, obs.Span{})
+						boruvka.CompactWorkList(engine, p, work, n, 1)
 					}
 				})
 			}
@@ -484,7 +484,7 @@ func BenchmarkCompactScaling(b *testing.B) {
 				b.StopTimer()
 				copy(work, edges)
 				b.StartTimer()
-				boruvka.CompactWorkList(boruvka.SortParallelRadix, p, work, n, 1, obs.Span{})
+				boruvka.CompactWorkList(boruvka.SortParallelRadix, p, work, n, 1)
 			}
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 			b.ReportMetric(float64(runtime.NumCPU()), "numcpu")

@@ -113,6 +113,27 @@ func adversarialFamilies() []familySpec {
 	}
 }
 
+// engineConfig is one engine under test: an algorithm and, for Bor-EL,
+// its compaction kernel.
+type engineConfig struct {
+	name string
+	algo pmsf.Algorithm
+	sort pmsf.SortEngine
+}
+
+// engineConfigs runs each algorithm under its default options, and
+// Bor-EL once more under the sample-sort kernel.
+func engineConfigs(algos []pmsf.Algorithm) []engineConfig {
+	var out []engineConfig
+	for _, a := range algos {
+		out = append(out, engineConfig{a.String(), a, pmsf.SortParallelRadix})
+		if a == pmsf.BorEL {
+			out = append(out, engineConfig{a.String() + "/" + pmsf.SortSampleSort.String(), a, pmsf.SortSampleSort})
+		}
+	}
+	return out
+}
+
 func TestCrossEngineDifferential(t *testing.T) {
 	workerCounts := []int{1, 2, 8}
 	if testing.Short() {
@@ -124,17 +145,17 @@ func TestCrossEngineDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", fam.name, err)
 		}
-		for _, algo := range pmsf.Algorithms() {
-			if algo == pmsf.SeqKruskal {
+		for _, cfg := range engineConfigs(pmsf.Algorithms()) {
+			if cfg.algo == pmsf.SeqKruskal {
 				continue
 			}
 			for _, p := range workerCounts {
-				if !algo.Parallel() && p != workerCounts[0] {
+				if !cfg.algo.Parallel() && p != workerCounts[0] {
 					continue
 				}
-				t.Run(fmt.Sprintf("%s/%v/p=%d", fam.name, algo, p), func(t *testing.T) {
-					f, _, err := pmsf.MinimumSpanningForest(g, algo, pmsf.Options{
-						Workers: p, Seed: uint64(p) + 7,
+				t.Run(fmt.Sprintf("%s/%s/p=%d", fam.name, cfg.name, p), func(t *testing.T) {
+					f, _, err := pmsf.MinimumSpanningForest(g, cfg.algo, pmsf.Options{
+						Workers: p, Seed: uint64(p) + 7, SortEngine: cfg.sort,
 					})
 					if err != nil {
 						t.Fatal(err)

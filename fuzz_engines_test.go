@@ -2,9 +2,10 @@ package pmsf_test
 
 // FuzzEngineParity decodes an arbitrary byte string into a small
 // multigraph — with a weight alphabet biased toward duplicates, zeros,
-// negatives and extremes — and asserts that every parallel engine
-// agrees with SeqKruskal on forest weight, edge count and component
-// count. Run continuously by the CI fuzz-smoke job.
+// negatives and extremes — and asserts that every parallel engine,
+// Bor-EL under both compaction kernels, agrees with SeqKruskal on forest
+// weight, edge count and component count. Run continuously by the CI
+// fuzz-smoke job.
 
 import (
 	"math"
@@ -77,17 +78,17 @@ func FuzzEngineParity(f *testing.F) {
 		if err != nil {
 			t.Skip() // decoder produced an invalid graph; not interesting
 		}
-		for _, algo := range pmsf.ParallelAlgorithms() {
-			f2, _, err := pmsf.MinimumSpanningForest(g, algo, pmsf.Options{Workers: 4})
+		for _, cfg := range engineConfigs(pmsf.ParallelAlgorithms()) {
+			f2, _, err := pmsf.MinimumSpanningForest(g, cfg.algo, pmsf.Options{Workers: 4, SortEngine: cfg.sort})
 			if err != nil {
-				t.Fatalf("%v: %v", algo, err)
+				t.Fatalf("%s: %v", cfg.name, err)
 			}
 			if f2.Size() != ref.Size() || f2.Components != ref.Components {
-				t.Fatalf("%v: got %d edges / %d components, Kruskal %d / %d",
-					algo, f2.Size(), f2.Components, ref.Size(), ref.Components)
+				t.Fatalf("%s: got %d edges / %d components, Kruskal %d / %d",
+					cfg.name, f2.Size(), f2.Components, ref.Size(), ref.Components)
 			}
 			if d := math.Abs(f2.Weight - ref.Weight); d > 1e-9*(1+math.Abs(ref.Weight)) {
-				t.Fatalf("%v: weight %v, Kruskal %v (Δ %g)", algo, f2.Weight, ref.Weight, d)
+				t.Fatalf("%s: weight %v, Kruskal %v (Δ %g)", cfg.name, f2.Weight, ref.Weight, d)
 			}
 		}
 	})

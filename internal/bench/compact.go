@@ -7,7 +7,6 @@ import (
 	"pmsf/internal/boruvka"
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
-	"pmsf/internal/obs"
 )
 
 // The compact-graph engine study: CompactWorkList throughput of the
@@ -60,7 +59,7 @@ func timeCompact(engine boruvka.SortEngine, p int, edges []graph.WEdge, n int, s
 	for r := 0; r < reps; r++ {
 		copy(work, edges)
 		d := timeIt(func() {
-			boruvka.CompactWorkList(engine, p, work, n, seed, obs.Span{})
+			boruvka.CompactWorkList(engine, p, work, n, seed)
 		})
 		if r == 0 || d < best {
 			best = d

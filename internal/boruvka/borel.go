@@ -1,7 +1,6 @@
 package boruvka
 
 import (
-	"pmsf/internal/cc"
 	"pmsf/internal/graph"
 	"pmsf/internal/obs"
 	"pmsf/internal/par"
@@ -27,37 +26,47 @@ func wedgeLess(a, b graph.WEdge) bool {
 
 // EL computes the minimum spanning forest with the Bor-EL variant:
 // parallel Borůvka over an edge-list representation whose compact-graph
-// step is a global sort of the working list. With the default
-// SortParallelRadix engine the whole iteration runs on a persistent
-// worker team out of a reusable round workspace — packed-key parallel
-// radix compaction, zero heap allocations per steady-state round.
+// step is a global sort of the working list. The whole iteration runs
+// on a persistent worker team out of a reusable round workspace; the
+// sort engine only picks the compaction kernel. With the default
+// SortParallelRadix engine that is the packed-key parallel radix
+// compactor, and a steady-state round performs zero heap allocations.
 // SortSampleSort keeps the paper's original formulation: one global
 // parallel sample sort per compaction (the Fig. 2 row and the ablation).
 func EL(g *graph.EdgeList, opt Options) *graph.Forest {
-	if opt.SortEngine == SortParallelRadix {
-		return elTeam(g, opt)
+	r := newELRun(g, opt)
+	for r.round() {
 	}
-	return elSorted(g, opt)
+	r.root.End()
+	f := finish(g, r.ws.ForestIDs(), r.n)
+	r.ws.Close()
+	return f
 }
 
-// elRun is the team-based Bor-EL loop state: every buffer is allocated
-// in newELRun (sized for the first round, the largest the run will see)
+// elRun is the Bor-EL loop state: every buffer is allocated in
+// newELRun (sized for the first round, the largest the run will see)
 // and the phase bodies are prebound method values, so round() allocates
-// nothing in steady state. Tests drive round() directly to pin that.
+// nothing beyond what the compaction kernel does — nothing at all in
+// steady state with the radix kernel. Tests drive round() directly to
+// pin that.
 type elRun struct {
 	name string
 	p    int
 	c    *obs.Collector
 	root obs.Span
+	step obs.Span // the running compaction's span: setup or compact-graph
 	ws   *Workspace
-	comp *sorts.Compactor
+
+	// compact is the engine's compaction kernel; comp is the radix
+	// kernel behind it, nil under SortSampleSort.
+	compact compactKernel
+	comp    *sorts.Compactor
 
 	edges, spare []graph.WEdge
 	keepIdx      []int32
 	starts       []int64
 	labels       []int32
 	n, k         int
-	iter         int
 
 	findMinBody func(worker, lo, hi int)
 	relabelBody func(int)
@@ -71,7 +80,7 @@ func newELRun(g *graph.EdgeList, opt Options) *elRun {
 	c, root := obsStart(opt, "Bor-EL", p)
 	r := &elRun{name: "Bor-EL", p: p, c: c, root: root, n: g.N}
 	r.ws = NewWorkspace(p, g.N)
-	r.comp = sorts.NewCompactor(p, r.ws.team)
+	r.comp, r.compact = newCompactKernel(opt.SortEngine, p, r.ws.team, opt.Seed, &r.step)
 	r.findMinBody = r.findMinWork
 	r.relabelBody = r.relabelWork
 	r.findMinFn = r.findMinPhase
@@ -86,14 +95,16 @@ func newELRun(g *graph.EdgeList, opt Options) *elRun {
 
 	// Initial compaction: merge input parallel edges and compute the
 	// vertex segment starts. (Counted as setup, not as an iteration.)
-	setup := root.Child("setup")
+	r.step = root.Child("setup")
 	labeled(c, r.name, "setup", func() {
 		before := int64(len(r.edges))
-		r.edges, r.spare = r.comp.Compact(r.edges, r.spare, r.n, r.keepIdx, r.starts[:r.n+1])
+		r.edges, r.spare = r.compact(r.edges, r.spare, r.n, r.keepIdx, r.starts[:r.n+1])
 		retire(before - int64(len(r.edges)))
 	})
-	setup.SetInt("radix_passes", int64(r.comp.Passes))
-	setup.End()
+	if r.comp != nil {
+		r.step.SetInt("radix_passes", int64(r.comp.Passes))
+	}
+	r.step.End()
 	return r
 }
 
@@ -117,29 +128,20 @@ func (r *elRun) round() bool {
 	labeled(r.c, r.name, "connect-components", r.connectFn)
 	step.End()
 
-	step = it.Child("compact-graph")
+	r.step = it.Child("compact-graph")
 	before := int64(len(r.edges))
 	labeled(r.c, r.name, "compact-graph", r.compactFn)
 	retire(before - int64(len(r.edges)))
-	step.SetInt("radix_passes", int64(r.comp.Passes))
-	step.SetInt("digit_bits", int64(r.comp.LastDigitBits))
-	step.SetInt("scan_parallel", boolArg(r.comp.LastScanParallel))
-	step.End()
+	if r.comp != nil {
+		r.step.SetInt("radix_passes", int64(r.comp.Passes))
+		r.step.SetInt("digit_bits", int64(r.comp.LastDigitBits))
+		r.step.SetInt("scan_parallel", boolArg(r.comp.LastScanParallel))
+	}
+	r.step.End()
 	contracted(r.n)
 
 	it.End()
-	r.iter++
 	return true
-}
-
-func elTeam(g *graph.EdgeList, opt Options) *graph.Forest {
-	r := newELRun(g, opt)
-	for r.round() {
-	}
-	r.root.End()
-	f := finish(g, r.ws.ForestIDs(), r.n)
-	r.ws.Close()
-	return f
 }
 
 // findMinPhase: each vertex scans its contiguous segment of the sorted
@@ -180,13 +182,13 @@ func (r *elRun) connectPhase() {
 }
 
 // compactPhase: relabel both endpoints to the new supervertex ids, then
-// run the packed-key radix compaction into the ping-pong buffers.
+// run the compaction kernel into the ping-pong buffers.
 //
 //msf:noalloc
 func (r *elRun) compactPhase() {
 	r.ws.team.Run(r.relabelBody)
 	r.n = r.k
-	r.edges, r.spare = r.comp.Compact(r.edges, r.spare, r.n, r.keepIdx, r.starts[:r.n+1])
+	r.edges, r.spare = r.compact(r.edges, r.spare, r.n, r.keepIdx, r.starts[:r.n+1])
 }
 
 //msf:noalloc
@@ -199,148 +201,66 @@ func (r *elRun) relabelWork(w int) {
 	}
 }
 
-// elSorted is the sample-sort Bor-EL loop: the paper's original
-// formulation, kept for the Fig. 2 row and the sort-engine ablation.
-func elSorted(g *graph.EdgeList, opt Options) *graph.Forest {
-	p := opt.workers()
-	const name = "Bor-EL"
-	c, root := obsStart(opt, name, p)
+// compactKernel is the contract of a Bor-EL compaction kernel, that of
+// sorts.Compactor.Compact: sort edges by (U, V), drop self-loops, keep
+// the minimum-(W, ID) edge of every (U, V) run, fill starts (length
+// n+1) with the per-vertex segment boundaries, and return the compacted
+// list with the buffer to pass as spare next time.
+type compactKernel func(edges, spare []graph.WEdge, n int, keepIdx []int32, starts []int64) (out, newSpare []graph.WEdge)
 
-	edges := graph.DirectedWorkList(g)
-	n := g.N
-	// Initial compaction: sort and merge parallel edges, compute vertex
-	// segment starts. (Counted as setup, not as an iteration.)
-	var starts []int64
-	setup := root.Child("setup")
-	c.Labeled(name, "setup", func() {
-		before := int64(len(edges))
-		edges, starts = CompactWorkList(opt.SortEngine, p, edges, n, opt.Seed, setup)
-		retire(before - int64(len(edges)))
-	})
-	setup.End()
-
-	var ids []int32
-	iter := 0
-	for len(edges) > 0 {
-		it := root.Child("iteration")
-		it.SetInt("n", int64(n))
-		it.SetInt("list_size", int64(len(edges)))
-
-		// Step 1: find-min. Segments are contiguous after the sort, so
-		// each vertex scans its own run of the edge list.
-		step := it.Child("find-min")
-		parent := make([]int32, n)
-		sel := make([]int32, n)
-		c.Labeled(name, "find-min", func() {
-			par.ForDynamic(p, n, 1024, func(_, lo, hi int) {
-				for v := lo; v < hi; v++ {
-					segLo, segHi := starts[v], starts[v+1]
-					if segLo == segHi {
-						parent[v] = int32(v)
-						continue
-					}
-					best := segLo
-					for i := segLo + 1; i < segHi; i++ {
-						if edges[i].W < edges[best].W ||
-							(edges[i].W == edges[best].W && edges[i].ID < edges[best].ID) {
-							best = i
-						}
-					}
-					parent[v] = edges[best].V
-					sel[v] = edges[best].ID
-				}
-			})
-			ids = harvest(p, parent, sel, ids)
-		})
-		step.End()
-
-		// Step 2: connect-components by pointer jumping.
-		step = it.Child("connect-components")
-		var labels []int32
-		var k int
-		c.Labeled(name, "connect-components", func() {
-			labels, k = cc.Resolve(p, parent)
-		})
-		step.End()
-
-		// Step 3: compact-graph — relabel, global sort, merge.
-		step = it.Child("compact-graph")
-		c.Labeled(name, "compact-graph", func() {
-			par.For(p, len(edges), func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					edges[i].U = labels[edges[i].U]
-					edges[i].V = labels[edges[i].V]
-				}
-			})
-			n = k
-			before := int64(len(edges))
-			edges, starts = CompactWorkList(opt.SortEngine, p, edges, n, opt.Seed+uint64(iter)+1, step)
-			retire(before - int64(len(edges)))
-		})
-		step.End()
-		contracted(n)
-
-		it.End()
-		iter++
+// newCompactKernel returns engine's compaction kernel, plus the radix
+// compactor behind it (nil for the sample sort). The radix kernel runs
+// on team; the sample-sort kernel draws its splitter seeds from seed on
+// and records each sort as a "sort" child of *parent.
+func newCompactKernel(engine SortEngine, p int, team *par.Team, seed uint64, parent *obs.Span) (*sorts.Compactor, compactKernel) {
+	if engine == SortParallelRadix {
+		comp := sorts.NewCompactor(p, team)
+		return comp, comp.Compact
 	}
-	root.End()
-	return finish(g, ids, n)
+	s := &sampleCompactor{p: p, seed: seed, parent: parent}
+	return nil, s.Compact
 }
 
-// CompactWorkList sorts the directed working edge list by (U, V, W, ID)
-// with the given engine, drops self-loops, merges duplicate (U, V) runs
-// down to their minimum-weight representative, and computes the
-// per-vertex segment starts (length n+1). It returns the compacted list
-// and the starts array. The sort kernel is recorded as a "sort" child
-// span of parent (inert parents record nothing); seed drives sample-sort
-// splitter selection only.
-func CompactWorkList(engine SortEngine, p int, edges []graph.WEdge, n int, seed uint64, parent obs.Span) ([]graph.WEdge, []int64) {
-	sp := parent.Child("sort")
+// sampleCompactor is the sample-sort compaction kernel: the paper's
+// full-key sort of the working list by (U, V, W, ID), after which the
+// head of each (U, V) run is its minimum.
+type sampleCompactor struct {
+	p      int
+	seed   uint64    // splitter seed of the next call; each call takes the next
+	parent *obs.Span // span the next call's "sort" child belongs to
+}
+
+// Compact implements compactKernel; keepIdx is unused.
+func (s *sampleCompactor) Compact(edges, spare []graph.WEdge, n int, _ []int32, starts []int64) (out, newSpare []graph.WEdge) {
+	sp := s.parent.Child("sort")
 	sp.SetInt("elements", int64(len(edges)))
-	if engine == SortParallelRadix {
-		// One-shot use of the packed-key kernel (the team-based EL loop
-		// owns a persistent compactor instead of coming through here).
-		team := par.NewTeam(p)
-		comp := sorts.NewCompactor(p, team)
-		keepIdx := make([]int32, len(edges))
-		starts := make([]int64, n+1)
-		out, _ := comp.Compact(edges, make([]graph.WEdge, len(edges)), n, keepIdx, starts)
-		team.Close()
-		sp.SetInt("radix_passes", int64(comp.Passes))
-		sp.End()
-		return out, starts
-	}
-	sorts.SampleSort(p, edges, wedgeLess, seed)
+	sorts.SampleSort(s.p, edges, wedgeLess, s.seed)
+	s.seed++
 	sp.End()
 
 	// Keep an edge iff it is not a self-loop and is the head of its
 	// (U, V) run: with the sort order above, the head is the minimum.
-	keepIdx := par.PackIndices(p, len(edges), func(i int) bool {
+	heads := par.PackIndices(s.p, len(edges), func(i int) bool {
 		e := edges[i]
 		if e.U == e.V {
 			return false
 		}
-		if i == 0 {
-			return true
-		}
-		prev := edges[i-1]
-		return prev.U != e.U || prev.V != e.V
+		return i == 0 || edges[i-1].U != e.U || edges[i-1].V != e.V
 	})
-	out := make([]graph.WEdge, len(keepIdx))
-	par.For(p, len(keepIdx), func(_, lo, hi int) {
+	out = spare[:len(heads)]
+	par.For(s.p, len(heads), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = edges[keepIdx[i]]
+			out[i] = edges[heads[i]]
 		}
 	})
 
 	// Segment starts: first occurrence of each U, then backward fill for
 	// vertices with no edges.
-	starts := make([]int64, n+1)
 	for i := range starts {
 		starts[i] = -1
 	}
 	starts[n] = int64(len(out))
-	par.For(p, len(out), func(_, lo, hi int) {
+	par.For(s.p, len(out), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if i == 0 || out[i-1].U != out[i].U {
 				starts[out[i].U] = int64(i)
@@ -352,5 +272,20 @@ func CompactWorkList(engine SortEngine, p int, edges []graph.WEdge, n int, seed 
 			starts[v] = starts[v+1]
 		}
 	}
+	return out, edges
+}
+
+// CompactWorkList is the one-shot form of engine's compaction kernel:
+// it sorts the directed working edge list by (U, V), drops self-loops,
+// merges duplicate (U, V) runs down to their minimum-(W, ID)
+// representative, and computes the per-vertex segment starts (length
+// n+1). It returns the compacted list and the starts array; seed drives
+// sample-sort splitter selection only.
+func CompactWorkList(engine SortEngine, p int, edges []graph.WEdge, n int, seed uint64) ([]graph.WEdge, []int64) {
+	team := par.NewTeam(p)
+	defer team.Close()
+	_, compact := newCompactKernel(engine, p, team, seed, new(obs.Span))
+	starts := make([]int64, n+1)
+	out, _ := compact(edges, make([]graph.WEdge, len(edges)), n, make([]int32, len(edges)), starts)
 	return out, starts
 }

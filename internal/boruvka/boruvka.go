@@ -144,30 +144,6 @@ func boolArg(b bool) int64 {
 	return 0
 }
 
-// harvest appends to ids the edge selected by each supervertex that found
-// an outgoing minimum edge, deduplicating the mutual-pair case (when u
-// and v select the same edge, the smaller endpoint owns it). parent must
-// be the raw chosen-neighbor array BEFORE connected components resolves
-// it. It returns the extended slice.
-func harvest(p int, parent, sel []int32, ids []int32) []int32 {
-	picked := par.PackIndices(p, len(parent), func(v int) bool {
-		pv := parent[v]
-		if int(pv) == v {
-			return false
-		}
-		// Mutual pair: both endpoints chose the same undirected edge; the
-		// smaller id owns it.
-		if int(parent[pv]) == v && int(pv) < v {
-			return false
-		}
-		return true
-	})
-	for _, v := range picked {
-		ids = append(ids, sel[v])
-	}
-	return ids
-}
-
 // finish builds the Forest result from the selected edge ids, recomputing
 // the weight against the original graph, and filling in the component
 // count.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pmsf/internal/graph"
-	"pmsf/internal/obs"
 )
 
 // Parity tests for the packed-key parallel radix compactor: on every
@@ -38,11 +37,11 @@ func checkCompactParity(t *testing.T, name string, edges []graph.WEdge, n int) {
 	t.Helper()
 	ref := make([]graph.WEdge, len(edges))
 	copy(ref, edges)
-	wantOut, wantStarts := CompactWorkList(SortSampleSort, 1, ref, n, 7, obs.Span{})
+	wantOut, wantStarts := CompactWorkList(SortSampleSort, 1, ref, n, 7)
 	for _, p := range []int{1, 3, 8} {
 		work := make([]graph.WEdge, len(edges))
 		copy(work, edges)
-		gotOut, gotStarts := CompactWorkList(SortParallelRadix, p, work, n, 7, obs.Span{})
+		gotOut, gotStarts := CompactWorkList(SortParallelRadix, p, work, n, 7)
 		if len(gotOut) != len(wantOut) {
 			t.Fatalf("%s p=%d: %d edges, reference kept %d", name, p, len(gotOut), len(wantOut))
 		}

@@ -7,7 +7,6 @@ import (
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
 	"pmsf/internal/model"
-	"pmsf/internal/obs"
 )
 
 // Every Borůvka variant must at least halve the count of ACTIVE
@@ -171,7 +170,7 @@ func TestCutoffInvariance(t *testing.T) {
 func TestCompactWorkListProperties(t *testing.T) {
 	g := gen.Random(500, 3000, 8)
 	edges := graph.DirectedWorkList(g)
-	out, starts := CompactWorkList(SortSampleSort, 4, edges, g.N, 1, obs.Span{})
+	out, starts := CompactWorkList(SortSampleSort, 4, edges, g.N, 1)
 	if len(starts) != g.N+1 {
 		t.Fatalf("starts length %d", len(starts))
 	}
@@ -201,13 +200,25 @@ func TestCompactWorkListProperties(t *testing.T) {
 	}
 }
 
-// The sort engine is behaviour-preserving for Bor-EL.
+// The sort engine is behaviour-preserving for Bor-EL: both engines pick
+// each run's minimum by (W, ID), so they return the same forest edges.
 func TestSortEngineInvariance(t *testing.T) {
 	g := gen.Random(3000, 30000, 13)
-	ref := EL(g, Options{SortEngine: SortSampleSort})
-	alt := EL(g, Options{SortEngine: SortParallelRadix, Workers: 4})
-	if ref.Weight != alt.Weight || ref.Size() != alt.Size() {
-		t.Fatal("parallel-radix changed the result")
+	for _, p := range []int{1, 2, 4} {
+		ref := EL(g, Options{SortEngine: SortSampleSort, Workers: p})
+		alt := EL(g, Options{SortEngine: SortParallelRadix, Workers: p})
+		if ref.Weight != alt.Weight || ref.Size() != alt.Size() {
+			t.Fatalf("p=%d: parallel-radix changed the result", p)
+		}
+		want := map[int32]bool{}
+		for _, id := range ref.EdgeIDs {
+			want[id] = true
+		}
+		for _, id := range alt.EdgeIDs {
+			if !want[id] {
+				t.Fatalf("p=%d: parallel-radix picked edge %d, sample sort did not", p, id)
+			}
+		}
 	}
 	if SortSampleSort.String() == SortParallelRadix.String() {
 		t.Fatal("engine names collide")

@@ -76,11 +76,12 @@ func (ws *Workspace) AppendForest(id int32) {
 	ws.idsLen++
 }
 
-// Harvest appends the edge selected by each supervertex in [0, n) that
-// found an outgoing minimum edge, deduplicating mutual pairs exactly
-// like the package-level harvest, but out of the reused ids buffer: a
-// per-worker count, an exclusive scan, and a scatter of sel values.
-// parent must be the raw chosen-neighbor array BEFORE resolve.
+// Harvest appends to the forest the edge selected by each supervertex
+// in [0, n) that found an outgoing minimum edge, deduplicating the
+// mutual-pair case (when u and v select the same edge, the smaller
+// endpoint owns it), out of the reused ids buffer: a per-worker count,
+// an exclusive scan, and a scatter of sel values. parent must be the
+// raw chosen-neighbor array BEFORE resolve.
 //
 //msf:noalloc
 func (ws *Workspace) Harvest(n int) {

@@ -5,9 +5,27 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pmsf/internal/par"
 	"pmsf/internal/rng"
 	"pmsf/internal/uf"
 )
+
+// workerCounts are the team sizes every Resolver test runs at.
+var workerCounts = []int{1, 2, 4}
+
+// withResolver runs fn with a Resolver on a fresh team of p workers and
+// closes the team afterwards, even when fn panics.
+func withResolver(p int, fn func(r *Resolver)) {
+	team := par.NewTeam(p)
+	defer team.Close()
+	fn(NewResolver(p, team))
+}
+
+// resolve runs one Resolver.Resolve call on a fresh team of p workers.
+func resolve(p int, parent []int32) (labels []int32, k int) {
+	withResolver(p, func(r *Resolver) { labels, k = r.Resolve(parent) })
+	return labels, k
+}
 
 // checkLabels validates that labels form a dense consistent labelling of
 // the pseudo-forest's components: same component ⇔ same label, labels in
@@ -64,9 +82,9 @@ func TestResolveHandBuilt(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, p := range []int{1, 4} {
+			for _, p := range workerCounts {
 				parent := append([]int32(nil), c.parent...)
-				labels, k := Resolve(p, parent)
+				labels, k := resolve(p, parent)
 				if k != c.k {
 					t.Fatalf("p=%d: k = %d, want %d", p, k, c.k)
 				}
@@ -80,87 +98,98 @@ func TestResolveHandBuilt(t *testing.T) {
 // produces: the pointer graph is a pseudo-forest whose only cycles are
 // mutual pairs (both endpoints of a component's minimum edge select each
 // other) or self-pointers (isolated vertices). Property: Resolve's labels
-// must agree with the union-find partition of the pointer pairs.
+// must agree with the union-find partition of the pointer pairs. One
+// Resolver per team size serves every case, so its buffers are reused
+// across calls of growing and shrinking n.
 func TestResolveProperty(t *testing.T) {
-	r := rng.New(1)
-	f := func(seed uint64) bool {
-		n := 1 + int(seed%200)
-		parent := make([]int32, n)
-		for v := range parent {
-			switch {
-			case v == 0 || r.Intn(5) == 0:
-				parent[v] = int32(v) // isolated / root
-			default:
-				parent[v] = int32(r.Intn(v)) // acyclic downward pointer
+	for _, p := range workerCounts {
+		withResolver(p, func(res *Resolver) {
+			r := rng.New(1)
+			f := func(seed uint64) bool {
+				n := 1 + int(seed%200)
+				parent := make([]int32, n)
+				for v := range parent {
+					switch {
+					case v == 0 || r.Intn(5) == 0:
+						parent[v] = int32(v) // isolated / root
+					default:
+						parent[v] = int32(r.Intn(v)) // acyclic downward pointer
+					}
+				}
+				// Convert some self-roots into mutual pairs with a predecessor.
+				for v := 1; v < n; v++ {
+					if parent[v] == int32(v) && r.Bool() {
+						w := r.Intn(v)
+						parent[v] = int32(w)
+						parent[w] = int32(v)
+						// w's old subtree pointers may now pass through the pair;
+						// that is exactly the legal structure (one 2-cycle per
+						// component).
+					}
+				}
+				parent0 := append([]int32(nil), parent...)
+				labels, k := res.Resolve(parent)
+				// Inline the checks (can't t.Fatal inside quick).
+				u := uf.New(n)
+				for v, p := range parent0 {
+					u.Union(int32(v), p)
+				}
+				rep := map[int32]int32{}
+				for v := 0; v < n; v++ {
+					if labels[v] < 0 || int(labels[v]) >= k {
+						return false
+					}
+					root := u.Find(int32(v))
+					if want, ok := rep[root]; ok && want != labels[v] {
+						return false
+					}
+					rep[root] = labels[v]
+				}
+				return len(rep) == k
 			}
-		}
-		// Convert some self-roots into mutual pairs with a predecessor.
-		for v := 1; v < n; v++ {
-			if parent[v] == int32(v) && r.Bool() {
-				w := r.Intn(v)
-				parent[v] = int32(w)
-				parent[w] = int32(v)
-				// w's old subtree pointers may now pass through the pair;
-				// that is exactly the legal structure (one 2-cycle per
-				// component).
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+				t.Fatalf("p=%d: %v", p, err)
 			}
-		}
-		parent0 := append([]int32(nil), parent...)
-		labels, k := Resolve(4, parent)
-		// Inline the checks (can't t.Fatal inside quick).
-		u := uf.New(n)
-		for v, p := range parent0 {
-			u.Union(int32(v), p)
-		}
-		rep := map[int32]int32{}
-		for v := 0; v < n; v++ {
-			if labels[v] < 0 || int(labels[v]) >= k {
-				return false
-			}
-			root := u.Find(int32(v))
-			if want, ok := rep[root]; ok && want != labels[v] {
-				return false
-			}
-			rep[root] = labels[v]
-		}
-		return len(rep) == k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 
+// TestResolveLongChain runs a single long path, the deepest pointer
+// structure: Resolve panics after bits(n)+2 jump rounds, so this also
+// pins the O(log n) jumping depth.
 func TestResolveLongChain(t *testing.T) {
-	// A single long path exercises the O(log n) jumping depth.
 	const n = 1 << 15
-	parent := make([]int32, n)
-	for v := 1; v < n; v++ {
-		parent[v] = int32(v - 1)
-	}
-	parent[0] = 1 // mutual pair at the head
-	labels, k := Resolve(8, parent)
-	if k != 1 {
-		t.Fatalf("k = %d, want 1", k)
-	}
-	for v, l := range labels {
-		if l != 0 {
-			t.Fatalf("label[%d] = %d", v, l)
-		}
-	}
-}
-
-func TestJumpRoundsLogarithmic(t *testing.T) {
-	for _, exp := range []int{8, 12, 16} {
-		n := 1 << exp
+	for _, p := range workerCounts {
 		parent := make([]int32, n)
 		for v := 1; v < n; v++ {
 			parent[v] = int32(v - 1)
 		}
-		parent[0] = 1
-		rounds := JumpRounds(4, parent)
-		if rounds > exp+2 {
-			t.Fatalf("n=2^%d: %d rounds, want <= %d", exp, rounds, exp+2)
+		parent[0] = 1 // mutual pair at the head
+		labels, k := resolve(p, parent)
+		if k != 1 {
+			t.Fatalf("p=%d: k = %d, want 1", p, k)
 		}
+		for v, l := range labels {
+			if l != 0 {
+				t.Fatalf("p=%d: label[%d] = %d", p, v, l)
+			}
+		}
+	}
+}
+
+// A cycle longer than 2 cannot come out of find-min; Resolve must fail
+// loudly on one instead of looping or labelling it.
+func TestResolvePanicsOnLongCycle(t *testing.T) {
+	for _, p := range workerCounts {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("p=%d: a 3-cycle did not panic", p)
+				}
+			}()
+			// 0 -> 1 -> 2 -> 0, with 3 hanging off the cycle.
+			resolve(p, []int32{1, 2, 0, 2})
+		}()
 	}
 }
 
@@ -183,9 +212,9 @@ func TestResolveDeterministicAcrossP(t *testing.T) {
 		}
 	}
 	var ref []int32
-	for _, p := range []int{1, 2, 4, 8} {
+	for _, p := range workerCounts {
 		parent := append([]int32(nil), base...)
-		labels, _ := Resolve(p, parent)
+		labels, _ := resolve(p, parent)
 		if ref == nil {
 			ref = labels
 			continue
@@ -199,22 +228,25 @@ func TestResolveDeterministicAcrossP(t *testing.T) {
 }
 
 func TestResolveAllSelf(t *testing.T) {
-	parent := []int32{0, 1, 2, 3, 4}
-	labels, k := Resolve(2, parent)
-	if k != 5 {
-		t.Fatalf("k = %d", k)
-	}
-	for v, l := range labels {
-		if int(l) != v {
-			t.Fatalf("label[%d] = %d", v, l)
+	for _, p := range workerCounts {
+		labels, k := resolve(p, []int32{0, 1, 2, 3, 4})
+		if k != 5 {
+			t.Fatalf("p=%d: k = %d", p, k)
+		}
+		for v, l := range labels {
+			if int(l) != v {
+				t.Fatalf("p=%d: label[%d] = %d", p, v, l)
+			}
 		}
 	}
 }
 
-func ExampleResolve() {
+func ExampleResolver_Resolve() {
+	team := par.NewTeam(2)
+	defer team.Close()
+	r := NewResolver(2, team)
 	// Vertices 0 and 1 chose each other; 2 chose 1; 3 is isolated.
-	parent := []int32{1, 0, 1, 3}
-	labels, k := Resolve(1, parent)
+	labels, k := r.Resolve([]int32{1, 0, 1, 3})
 	fmt.Println(k, labels)
 	// Output: 2 [0 0 0 1]
 }

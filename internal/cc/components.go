@@ -12,8 +12,9 @@ package cc
 //   - UnionFind: edge-parallel lock-free union-find, typically faster in
 //     practice, used as the cross-check.
 //
-// Both end in the same dense relabel as Resolve and return dense
-// component labels and the component count.
+// Both end in relabel, which orders dense labels by root id as
+// Resolver does, and return dense component labels and the component
+// count.
 
 import (
 	"sync/atomic"

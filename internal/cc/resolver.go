@@ -4,12 +4,13 @@ import (
 	"pmsf/internal/par"
 )
 
-// Resolver is the reusable, team-based counterpart of Resolve. Its
-// scratch buffers (the double-buffer spare, the dense label output, the
-// per-worker counters) are grown on demand and reused, so after the
-// first Borůvka round — the largest n a run will ever see — every
-// Resolve call is allocation-free. The returned labels slice aliases
-// the resolver's internal buffer and is valid until the next call.
+// Resolver runs the connect-components step of a Borůvka round on a
+// worker team. Its scratch buffers (the double-buffer spare, the dense
+// label output, the per-worker counters) are grown on demand and
+// reused, so after the first Borůvka round — the largest n a run will
+// ever see — every Resolve call is allocation-free. The returned labels
+// slice aliases the resolver's internal buffer and is valid until the
+// next call.
 type Resolver struct {
 	p    int
 	team *par.Team
@@ -47,10 +48,17 @@ func NewResolver(p int, team *par.Team) *Resolver {
 	return r
 }
 
-// Resolve performs the same connect-components step as the package-level
-// Resolve — break mutual pairs, pointer-jump to fixpoint, relabel roots
-// densely — but on the team and out of reused buffers. parent is
-// consumed as scratch and left in a jumped state.
+// Resolve runs the complete connect-components step on a
+// chosen-neighbor array: break the 2-cycles that minimum-edge selection
+// creates (when u and v select each other the smaller id becomes the
+// root), pointer-jump every vertex to its root, and relabel roots
+// densely. It returns dense component labels (labels[v] in [0,k),
+// ordered by root id) and the component count k. parent is consumed as
+// scratch and left in a jumped state. Each jump round at least halves
+// every vertex's distance to its root, so legal inputs need at most
+// ~log2(n) rounds; Resolve panics after bits(n)+2 rounds, which turns a
+// cycle longer than 2 in the pointer graph (input find-min can never
+// produce) into a loud failure.
 func (r *Resolver) Resolve(parent []int32) (labels []int32, k int) {
 	n := len(parent)
 	if n == 0 {

@@ -83,6 +83,10 @@ func Run(g *graph.EdgeList, opt Options) *graph.Forest {
 		}
 	}
 
+	team := par.NewTeam(p)
+	defer team.Close()
+	res := cc.NewResolver(p, team)
+
 	var ids []int32
 	size := n // current supervertex count; matrix occupies the size×size prefix stride n
 	for size > 1 {
@@ -125,7 +129,7 @@ func Run(g *graph.EdgeList, opt Options) *graph.Forest {
 			}
 			ids = append(ids, sel[v])
 		}
-		labels, k := cc.Resolve(p, parent)
+		labels, k := res.Resolve(parent)
 
 		// compact-graph, JáJá style: fold rows and columns by label with
 		// min; the k×k result overwrites the matrix prefix. Two passes

@@ -7,7 +7,6 @@ import (
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
 	"pmsf/internal/heap"
-	"pmsf/internal/obs"
 	"pmsf/internal/uf"
 )
 
@@ -15,7 +14,7 @@ import (
 // package from a plain edge list.
 func workList(t *testing.T, g *graph.EdgeList) ([]graph.WEdge, []int64) {
 	t.Helper()
-	return boruvka.CompactWorkList(boruvka.SortSampleSort, 2, graph.DirectedWorkList(g), g.N, 1, obs.Span{})
+	return boruvka.CompactWorkList(boruvka.SortSampleSort, 2, graph.DirectedWorkList(g), g.N, 1)
 }
 
 func TestLightest(t *testing.T) {

@@ -18,25 +18,6 @@ func BenchmarkForOverhead(b *testing.B) {
 	}
 }
 
-func BenchmarkScanInt64(b *testing.B) {
-	const n = 1 << 20
-	a := make([]int64, n)
-	for i := range a {
-		a[i] = int64(i & 7)
-	}
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			work := make([]int64, n)
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				copy(work, a)
-				b.StartTimer()
-				ScanInt64(p, work)
-			}
-		})
-	}
-}
-
 func BenchmarkPackIndices(b *testing.B) {
 	const n = 1 << 20
 	for i := 0; i < b.N; i++ {

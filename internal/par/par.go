@@ -1,6 +1,6 @@
 // Package par provides the fork-join parallel primitives on which the
 // parallel MSF algorithms are built: parallel-for over index ranges,
-// reductions, prefix sums, reusable barriers, and a static work
+// reductions, prefix sums, a persistent worker team, and a static work
 // partitioner.
 //
 // The package deliberately mirrors the SPMD structure of the SIMPLE
@@ -204,68 +204,4 @@ func ReduceInt64(p, n int, body func(worker, lo, hi int) int64) int64 {
 		sum += v
 	}
 	return sum
-}
-
-// MinFloat64 computes the minimum of per-worker partial minima of body
-// over [0, n), seeded with init. Workers whose range is empty do not
-// contribute, so init is returned when n == 0.
-func MinFloat64(p, n int, init float64, body func(worker, lo, hi int) float64) float64 {
-	p = Clamp(p, n)
-	partial := make([]float64, p)
-	empty := make([]bool, p)
-	For(p, n, func(w, lo, hi int) {
-		if lo == hi {
-			empty[w] = true
-			return
-		}
-		partial[w] = body(w, lo, hi)
-	})
-	min := init
-	for w, v := range partial {
-		if !empty[w] && v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Barrier is a reusable p-party barrier for long-lived SPMD worker teams.
-// All p parties must call Wait; the b-th use of the barrier completes when
-// the last party arrives.
-type Barrier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	count  int
-	phase  uint64
-	inited bool
-}
-
-// NewBarrier returns a barrier for n parties. n must be >= 1.
-func NewBarrier(n int) *Barrier {
-	if n < 1 {
-		panic("par: barrier size must be >= 1")
-	}
-	b := &Barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	b.inited = true
-	return b
-}
-
-// Wait blocks until all n parties have called Wait for the current phase.
-func (b *Barrier) Wait() {
-	b.mu.Lock()
-	phase := b.phase
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.phase++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for phase == b.phase {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
 }

@@ -112,59 +112,6 @@ func TestReduceInt64(t *testing.T) {
 	}
 }
 
-func TestMinFloat64(t *testing.T) {
-	vals := []float64{5, 3, 8, 1.5, 9, 2}
-	got := MinFloat64(3, len(vals), 1e18, func(_, lo, hi int) float64 {
-		m := 1e18
-		for i := lo; i < hi; i++ {
-			if vals[i] < m {
-				m = vals[i]
-			}
-		}
-		return m
-	})
-	if got != 1.5 {
-		t.Fatalf("min = %g, want 1.5", got)
-	}
-	if got := MinFloat64(3, 0, 42, func(_, _, _ int) float64 { return 0 }); got != 42 {
-		t.Fatalf("empty min = %g, want init 42", got)
-	}
-}
-
-func TestBarrier(t *testing.T) {
-	const p, rounds = 8, 50
-	b := NewBarrier(p)
-	var phase atomic.Int64
-	var violations atomic.Int64
-	Do(p, func(w int) {
-		for r := 0; r < rounds; r++ {
-			// Everyone bumps, then waits; after the barrier all p bumps
-			// of this round must be visible.
-			phase.Add(1)
-			b.Wait()
-			if got := phase.Load(); got < int64((r+1)*p) {
-				violations.Add(1)
-			}
-			b.Wait()
-		}
-	})
-	if v := violations.Load(); v != 0 {
-		t.Fatalf("%d barrier violations", v)
-	}
-	if got := phase.Load(); got != int64(p*rounds) {
-		t.Fatalf("phase = %d, want %d", phase.Load(), p*rounds)
-	}
-}
-
-func TestNewBarrierPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBarrier(0) did not panic")
-		}
-	}()
-	NewBarrier(0)
-}
-
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatal("DefaultWorkers < 1")

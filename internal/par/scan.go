@@ -17,18 +17,8 @@ import "pmsf/internal/obs"
 //     array. These are real serial bottlenecks at scale; Scanner below
 //     runs them on the persistent worker team.
 
-// ExclusiveSumInt32 computes, in place, the exclusive prefix sum of a and
-// returns the total. a[i] becomes sum(a[0:i]).
-func ExclusiveSumInt32(a []int32) int32 {
-	var sum int32
-	for i, v := range a {
-		a[i] = sum
-		sum += v
-	}
-	return sum
-}
-
-// ExclusiveSumInt64 is ExclusiveSumInt32 for int64 slices.
+// ExclusiveSumInt64 computes, in place, the exclusive prefix sum of a
+// and returns the total. a[i] becomes sum(a[0:i]).
 func ExclusiveSumInt64(a []int64) int64 {
 	var sum int64
 	for i, v := range a {
@@ -36,40 +26,6 @@ func ExclusiveSumInt64(a []int64) int64 {
 		sum += v
 	}
 	return sum
-}
-
-// ScanInt64 computes the exclusive prefix sum of a in parallel with p
-// workers using the classic two-pass (local-sum, offset, local-scan)
-// scheme, and returns the total. For small inputs it falls back to the
-// sequential scan.
-func ScanInt64(p int, a []int64) int64 {
-	n := len(a)
-	const seqCutoff = 1 << 12
-	p = Clamp(p, n/seqCutoff)
-	if p <= 1 {
-		return ExclusiveSumInt64(a)
-	}
-	ranges := Split(n, p)
-	partial := make([]int64, p)
-	// Pass 1: per-block totals.
-	Do(p, func(w int) {
-		var sum int64
-		for i := ranges[w].Lo; i < ranges[w].Hi; i++ {
-			sum += a[i]
-		}
-		partial[w] = sum
-	})
-	total := ExclusiveSumInt64(partial)
-	// Pass 2: per-block exclusive scans seeded with the block offset.
-	Do(p, func(w int) {
-		sum := partial[w]
-		for i := ranges[w].Lo; i < ranges[w].Hi; i++ {
-			v := a[i]
-			a[i] = sum
-			sum += v
-		}
-	})
-	return total
 }
 
 // scannerSeqCutoff is the input size below which Scanner methods fall
@@ -99,7 +55,6 @@ type Scanner struct {
 	a32        []int32
 	rows, cols int
 
-	sumBody, scanBody   func(int)
 	tsumBody, tscanBody func(int)
 	seedBody, fillBody  func(int)
 
@@ -115,56 +70,11 @@ type Scanner struct {
 // NewScanner returns a scanner running its phases on team (of size p).
 func NewScanner(p int, team *Team) *Scanner {
 	s := &Scanner{p: p, team: team, partial: make([]int64, p), seqCutoff: scannerSeqCutoff}
-	s.sumBody = s.sumWork
-	s.scanBody = s.scanWork
 	s.tsumBody = s.tsumWork
 	s.tscanBody = s.tscanWork
 	s.seedBody = s.seedWork
 	s.fillBody = s.fillWork
 	return s
-}
-
-// ExclusiveSum computes, in place, the exclusive prefix sum of a on the
-// team and returns the total.
-//
-//msf:noalloc
-func (s *Scanner) ExclusiveSum(a []int64) int64 {
-	if s.p == 1 || len(a) < s.seqCutoff {
-		s.LastParallel = false
-		return ExclusiveSumInt64(a)
-	}
-	s.LastParallel = true
-	if obs.MetricsOn() {
-		obs.ParScans.Add(1)
-	}
-	s.a64 = a
-	s.team.Run(s.sumBody)
-	total := ExclusiveSumInt64(s.partial)
-	s.team.Run(s.scanBody)
-	s.a64 = nil
-	return total
-}
-
-//msf:noalloc
-func (s *Scanner) sumWork(w int) {
-	lo, hi := Block(len(s.a64), s.p, w)
-	var sum int64
-	for i := lo; i < hi; i++ {
-		sum += s.a64[i]
-	}
-	s.partial[w] = sum
-}
-
-//msf:noalloc
-func (s *Scanner) scanWork(w int) {
-	lo, hi := Block(len(s.a64), s.p, w)
-	a := s.a64
-	sum := s.partial[w]
-	for i := lo; i < hi; i++ {
-		v := a[i]
-		a[i] = sum
-		sum += v
-	}
 }
 
 // TransposedExclusiveSum scans a rows×cols row-major int32 matrix in
@@ -304,19 +214,6 @@ func (s *Scanner) fillWork(w int) {
 			run = a[i]
 		}
 	}
-}
-
-// CountTrue returns the number of true values in mask using p workers.
-func CountTrue(p int, mask []bool) int {
-	return int(ReduceInt64(p, len(mask), func(_, lo, hi int) int64 {
-		var c int64
-		for i := lo; i < hi; i++ {
-			if mask[i] {
-				c++
-			}
-		}
-		return c
-	}))
 }
 
 // PackIndices returns the indices i in [0, n) for which keep(i) is true,

@@ -1,16 +1,11 @@
 package par
 
-import (
-	"testing"
-	"testing/quick"
+import "testing"
 
-	"pmsf/internal/rng"
-)
-
-func TestExclusiveSumInt32(t *testing.T) {
-	a := []int32{3, 1, 4, 1, 5}
-	total := ExclusiveSumInt32(a)
-	want := []int32{0, 3, 4, 8, 9}
+func TestExclusiveSumInt64(t *testing.T) {
+	a := []int64{3, 1, 4, 1, 5}
+	total := ExclusiveSumInt64(a)
+	want := []int64{0, 3, 4, 8, 9}
 	if total != 14 {
 		t.Fatalf("total = %d, want 14", total)
 	}
@@ -18,67 +13,6 @@ func TestExclusiveSumInt32(t *testing.T) {
 		if a[i] != want[i] {
 			t.Fatalf("a[%d] = %d, want %d", i, a[i], want[i])
 		}
-	}
-}
-
-func TestScanInt64MatchesSequential(t *testing.T) {
-	r := rng.New(1)
-	for _, n := range []int{0, 1, 100, 1 << 12, 1<<16 + 7} {
-		a := make([]int64, n)
-		b := make([]int64, n)
-		for i := range a {
-			a[i] = int64(r.Intn(1000)) - 500
-			b[i] = a[i]
-		}
-		totalSeq := ExclusiveSumInt64(a)
-		totalPar := ScanInt64(8, b)
-		if totalSeq != totalPar {
-			t.Fatalf("n=%d: totals differ: %d vs %d", n, totalSeq, totalPar)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("n=%d: scan[%d] = %d, want %d", n, i, b[i], a[i])
-			}
-		}
-	}
-}
-
-func TestScanInt64Property(t *testing.T) {
-	f := func(vals []int16) bool {
-		a := make([]int64, len(vals))
-		for i, v := range vals {
-			a[i] = int64(v)
-		}
-		b := append([]int64(nil), a...)
-		t1 := ExclusiveSumInt64(a)
-		t2 := ScanInt64(4, b)
-		if t1 != t2 {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCountTrue(t *testing.T) {
-	mask := make([]bool, 1000)
-	want := 0
-	r := rng.New(2)
-	for i := range mask {
-		if r.Bool() {
-			mask[i] = true
-			want++
-		}
-	}
-	if got := CountTrue(4, mask); got != want {
-		t.Fatalf("CountTrue = %d, want %d", got, want)
 	}
 }
 

@@ -11,15 +11,6 @@ import (
 // lowering seqCutoff to 1 so even tiny inputs (including p > len(a))
 // take the barrier-and-partial-sums route.
 
-func naiveExclusiveSum(a []int64) int64 {
-	var sum int64
-	for i, v := range a {
-		a[i] = sum
-		sum += v
-	}
-	return sum
-}
-
 func naiveTransposedSum(a []int32, rows, cols int) int64 {
 	var sum int32
 	for d := 0; d < cols; d++ {
@@ -49,42 +40,6 @@ func scannerForTest(t *testing.T, p int, forcePar bool) (*Scanner, func()) {
 		s.seqCutoff = 1
 	}
 	return s, team.Close
-}
-
-func TestScannerExclusiveSum(t *testing.T) {
-	r := rng.New(7)
-	for _, p := range []int{1, 2, 3, 8} {
-		for _, forcePar := range []bool{false, true} {
-			s, done := scannerForTest(t, p, forcePar)
-			// Sizes below, at, and above the worker count, plus large.
-			for _, n := range []int{0, 1, 2, p - 1, p, p + 1, 100, 5000} {
-				if n < 0 {
-					continue
-				}
-				a := make([]int64, n)
-				b := make([]int64, n)
-				for i := range a {
-					a[i] = int64(r.Intn(1000)) - 500
-					b[i] = a[i]
-				}
-				wantTotal := naiveExclusiveSum(a)
-				gotTotal := s.ExclusiveSum(b)
-				if gotTotal != wantTotal {
-					t.Fatalf("p=%d force=%v n=%d: total %d, want %d", p, forcePar, n, gotTotal, wantTotal)
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("p=%d force=%v n=%d: scan[%d]=%d, want %d", p, forcePar, n, i, b[i], a[i])
-					}
-				}
-				wantPar := p > 1 && (forcePar || n >= scannerSeqCutoff)
-				if n > 0 && s.LastParallel != wantPar {
-					t.Fatalf("p=%d force=%v n=%d: LastParallel=%v, want %v", p, forcePar, n, s.LastParallel, wantPar)
-				}
-			}
-			done()
-		}
-	}
 }
 
 func TestScannerTransposedExclusiveSum(t *testing.T) {

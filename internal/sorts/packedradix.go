@@ -54,7 +54,10 @@ const minDigitBits = 6
 
 // maxHistPerWorker bounds passes<<digitBits over every plan RadixPlanFor
 // can emit (the maximum is the 4-pass 16-bit plan for 62-bit keys), so
-// the one-shot histogram slab is allocated once, worst case, per run.
+// the p = 1 one-shot histogram slab is allocated once, worst case, per
+// run. It cannot be sized from the first call's plan: a later round
+// with a smaller n can pick a wider digit (2b = 36 gives three 12-bit
+// passes, 2b = 32 two 16-bit passes).
 const maxHistPerWorker = 4 << maxDigitBits
 
 // PackWidth returns the bit width b such that every vertex id in [0, n)
@@ -123,7 +126,7 @@ type Compactor struct {
 	team *par.Team
 	scn  *par.Scanner
 
-	hist   []int32 // per-pass per-worker histograms, pass-major then worker-major
+	hist   []int32 // p = 1: one histogram per pass; p > 1: one per worker, reused by every pass
 	wcount []int64 // per-worker counts / exclusive offsets for the head pack
 
 	// Per-call state read by the prebound worker bodies.
@@ -133,7 +136,7 @@ type Compactor struct {
 	shift     uint
 	digitBits uint
 	mask      uint64
-	pass      int
+	base      int // offset of the current pass's histograms in hist
 	keepIdx   []int32
 	kept      int
 	out       []graph.WEdge
@@ -159,11 +162,15 @@ type Compactor struct {
 // NewCompactor returns a compactor running its phases on team (whose
 // size must be p).
 func NewCompactor(p int, team *par.Team) *Compactor {
+	hist := p << maxDigitBits
+	if p == 1 {
+		hist = maxHistPerWorker
+	}
 	c := &Compactor{
 		p:      p,
 		team:   team,
 		scn:    par.NewScanner(p, team),
-		hist:   make([]int32, p*maxHistPerWorker),
+		hist:   make([]int32, hist),
 		wcount: make([]int64, p),
 	}
 	c.countAllBody = c.countAllWork
@@ -212,17 +219,17 @@ func (c *Compactor) Compact(edges, spare []graph.WEdge, n int, keepIdx []int32, 
 		c.team.Run(c.countAllBody)
 	}
 	for pass := 0; pass < passes; pass++ {
-		c.pass = pass
 		c.shift = uint(pass) * digitBits
 		c.src, c.dst = src, dst
-		if c.p > 1 {
+		if c.p == 1 {
+			c.base = pass << digitBits
+		} else {
 			c.team.Run(c.countPassBody)
 		}
 		// Offsets: digit-major exclusive scan over (digit, worker), so
 		// workers scatter their contiguous blocks in order — a stable
 		// pass. Team-parallel over the digit space (Θ(nd·p) entries).
-		base := (pass * c.p) << digitBits
-		c.scn.TransposedExclusiveSum(c.hist[base:base+(c.p<<digitBits)], c.p, nd)
+		c.scn.TransposedExclusiveSum(c.hist[c.base:c.base+(c.p<<digitBits)], c.p, nd)
 		if c.scn.LastParallel {
 			c.LastScanParallel = true
 		}
@@ -295,13 +302,13 @@ func (c *Compactor) countAllWork(int) {
 }
 
 // countPassWork zeroes and fills this worker's histogram of the current
-// pass's digit over its block of the current array (p > 1).
+// pass's digit over its block of the current array (p > 1, where every
+// pass recounts into the same p rows).
 //
 //msf:noalloc
 func (c *Compactor) countPassWork(w int) {
 	lo, hi := par.Block(c.m, c.p, w)
-	base := (c.pass*c.p + w) << c.digitBits
-	h := c.hist[base : base+(1<<c.digitBits)]
+	h := c.hist[w<<c.digitBits : (w+1)<<c.digitBits]
 	for i := range h {
 		h[i] = 0
 	}
@@ -318,7 +325,7 @@ func (c *Compactor) countPassWork(w int) {
 //msf:noalloc
 func (c *Compactor) scatterWork(w int) {
 	lo, hi := par.Block(c.m, c.p, w)
-	h := c.hist[(c.pass*c.p+w)<<c.digitBits : (c.pass*c.p+w+1)<<c.digitBits]
+	h := c.hist[c.base+w<<c.digitBits : c.base+(w+1)<<c.digitBits]
 	width, shift, mask := c.width, c.shift, c.mask
 	src, dst := c.src, c.dst
 	for i := lo; i < hi; i++ {
