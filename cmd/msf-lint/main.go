@@ -6,9 +6,11 @@
 //
 //	msf-lint ./...
 //	msf-lint -tests ./...
-//	msf-lint -only noalloc,atomicslice ./internal/boruvka
-//	msf-lint -json ./... > findings.json
 //	msf-lint -list ./...
+//
+// Diagnostics go to stderr as file:line:col: [analyzer] message, the
+// form CI's problem matcher reads. Every analyzer always runs; a
+// finding is silenced only by an //msf:ignore directive at its line.
 //
 // It also speaks the `go vet -vettool` unitchecker protocol, so
 //
@@ -23,10 +25,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -51,20 +51,14 @@ func main() {
 	}
 
 	list := flag.Bool("list", false, "list the analyzers and exit; with packages, include per-analyzer //msf:ignore counts")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	disable := flag.String("disable", "", "comma-separated analyzer names to skip")
 	tests := flag.Bool("tests", false, "also load and analyze _test.go sources")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON on stdout instead of text on stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: msf-lint [flags] packages...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	analyzers, err := selectAnalyzers(*only, *disable)
-	if err != nil {
-		fatal(err)
-	}
+	analyzers := suite.All()
 	if *list {
 		listAnalyzers(analyzers, *tests, flag.Args())
 		return
@@ -88,15 +82,6 @@ func main() {
 	diags, err := checker.Run(pkgs, analyzers)
 	if err != nil {
 		fatal(err)
-	}
-	if *jsonOut {
-		if err := printJSON(os.Stdout, diags); err != nil {
-			fatal(err)
-		}
-		if len(diags) > 0 {
-			os.Exit(1)
-		}
-		return
 	}
 	if checker.Print(os.Stderr, diags) > 0 {
 		os.Exit(1)
@@ -129,66 +114,6 @@ func listAnalyzers(analyzers []*analysis.Analyzer, tests bool, patterns []string
 		}
 		fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 	}
-}
-
-// jsonDiagnostic is the -json wire form of one finding.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// printJSON renders diagnostics as a JSON array (always an array, so
-// consumers need no null handling on a clean run).
-func printJSON(w io.Writer, diags []checker.Diagnostic) error {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			File:     d.Position.Filename,
-			Line:     d.Position.Line,
-			Column:   d.Position.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-func selectAnalyzers(only, disable string) ([]*analysis.Analyzer, error) {
-	analyzers := suite.All()
-	if only != "" {
-		var picked []*analysis.Analyzer
-		for _, name := range strings.Split(only, ",") {
-			a := suite.ByName(strings.TrimSpace(name))
-			if a == nil {
-				return nil, fmt.Errorf("unknown analyzer %q", name)
-			}
-			picked = append(picked, a)
-		}
-		analyzers = picked
-	}
-	if disable != "" {
-		skip := map[string]bool{}
-		for _, name := range strings.Split(disable, ",") {
-			name = strings.TrimSpace(name)
-			if suite.ByName(name) == nil {
-				return nil, fmt.Errorf("unknown analyzer %q", name)
-			}
-			skip[name] = true
-		}
-		var kept []*analysis.Analyzer
-		for _, a := range analyzers {
-			if !skip[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		analyzers = kept
-	}
-	return analyzers, nil
 }
 
 func fatal(err error) {

@@ -13,7 +13,11 @@
 // files, the *types.Package and the populated *types.Info, and calls
 // Pass.Reportf to emit diagnostics. Package loading lives in the sibling
 // load package (a `go list -export` driver), the multichecker loop in
-// checker, and the fixture harness in antest.
+// checker, and the fixture harness in antest. Every path question —
+// lockhold, ctxdone, atomicpack, onceresp, errflow, and the span and
+// team obligations of spanpairing and teamlifecycle — runs on one
+// engine: cfg builds the per-function graphs and dataflow solves them
+// (its Obligation problem is the shared "must release" check).
 //
 // # Annotation grammar
 //

@@ -350,7 +350,7 @@ func (b *builder) stmt(s ast.Stmt) {
 
 	case *ast.ExprStmt:
 		b.cur.Nodes = append(b.cur.Nodes, s)
-		if call, ok := s.X.(*ast.CallExpr); ok && isTerminalCall(call) {
+		if call, ok := s.X.(*ast.CallExpr); ok && IsTerminalCall(call) {
 			b.jump(b.g.Exit)
 			b.terminated()
 		}
@@ -427,11 +427,11 @@ func (b *builder) findTarget(label *ast.Ident, needCont bool) *target {
 	return nil
 }
 
-// isTerminalCall reports whether call never returns: the panic builtin
+// IsTerminalCall reports whether call never returns: the panic builtin
 // and the conventional process/goroutine terminators. Syntactic only —
 // an import renamed away from "os"/"log"/"runtime" defeats it, which is
 // acceptable for a lint CFG (the result is extra, not missing, paths).
-func isTerminalCall(call *ast.CallExpr) bool {
+func IsTerminalCall(call *ast.CallExpr) bool {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
 		return fun.Name == "panic"

@@ -1,6 +1,7 @@
 // Package dataflow is a small forward/backward worklist solver over the
-// cfg package's block graphs, plus the fact-set and reaching-definitions
-// helpers the msf-lint concurrency analyzers share. Like cfg it is the
+// cfg package's block graphs, plus the fact-set, reaching-definitions
+// and "must release" (Obligation) problems the msf-lint path analyzers
+// share. Like cfg it is the
 // stdlib-only analogue of what golang.org/x/tools ships, rebuilt because
 // the analysis framework vendors nothing.
 //

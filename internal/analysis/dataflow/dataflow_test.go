@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"strings"
 	"testing"
 
 	"pmsf/internal/analysis/cfg"
@@ -239,5 +240,111 @@ func f(c bool) int {
 	before, ok := res.Before(defX)
 	if !ok || before.Has(objX) {
 		t.Errorf("x should be dead before its definition (ok=%v)", ok)
+	}
+}
+
+// TestObligation runs the release problem on a self-contained resource
+// type and checks each finding kind, plus the paths that must stay
+// silent: a defer, a release inside a closure argument, a panic path,
+// and a value stored for another owner.
+func TestObligation(t *testing.T) {
+	src := `package p
+type res struct{}
+func open() *res      { return &res{} }
+func (*res) Close()   {}
+func (*res) Use()     {}
+func run(fn func())   { fn() }
+type box struct{ r *res }
+
+func leakOnBranch(c bool) {
+	r := open() // leak
+	if c {
+		r.Close()
+	}
+}
+func earlyReturn(c bool) {
+	r := open()
+	if c {
+		return // return
+	}
+	r.Close()
+}
+func overwrite() {
+	r := open()
+	r = open() // overwrite
+	r.Close()
+}
+func useAfter(c bool) {
+	r := open()
+	if c {
+		r.Close()
+	}
+	r.Use() // use
+	r.Close()
+}
+func loopBack(xs []int) {
+	for _, x := range xs {
+		r := open() // leak
+		if x < 0 {
+			continue
+		}
+		r.Close()
+	}
+}
+func silent(c bool) *box {
+	d := open()
+	defer d.Close()
+	d.Use()
+	l := open()
+	run(func() { l.Close() })
+	p := open()
+	if c {
+		panic("bad")
+	}
+	p.Close()
+	s := open()
+	return &box{r: s}
+}`
+	fset, f, info := typecheck(t, src)
+	o := &dataflow.Obligation{
+		Tracks: func(t types.Type) bool {
+			p, ok := t.(*types.Pointer)
+			return ok && p.Elem().(*types.Named).Obj().Name() == "res"
+		},
+		Opens: func(_ *types.Info, call *ast.CallExpr) bool {
+			id, ok := call.Fun.(*ast.Ident)
+			return ok && id.Name == "open"
+		},
+		Release:         "Close",
+		PerStatement:    true,
+		UseAfterRelease: true,
+	}
+	kinds := map[string]dataflow.FindingKind{
+		"leak": dataflow.Leaked, "return": dataflow.ReturnedOpen,
+		"overwrite": dataflow.Overwritten, "use": dataflow.UsedAfterRelease,
+	}
+	want := map[int]dataflow.FindingKind{}
+	for i, line := range strings.Split(src, "\n") {
+		if _, mark, ok := strings.Cut(line, "// "); ok {
+			want[i+1] = kinds[mark]
+		}
+	}
+	got := map[int]dataflow.FindingKind{}
+	for _, fd := range o.Check(info, []*ast.File{f}) {
+		line := fset.Position(fd.At.Pos()).Line
+		if _, dup := got[line]; dup {
+			t.Errorf("line %d: duplicate finding", line)
+		}
+		got[line] = fd.Kind
+	}
+	for line, k := range want {
+		if g, ok := got[line]; !ok || g != k {
+			t.Errorf("line %d: finding %v (present %v), want %v", line, g, ok, k)
+		}
+	}
+	for line, k := range got {
+		if _, ok := want[line]; !ok {
+			t.Errorf("line %d: unexpected finding %v", line, k)
+		}
 	}
 }

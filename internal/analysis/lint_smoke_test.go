@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -35,38 +36,49 @@ func TestRepoClean(t *testing.T) {
 
 // TestBrokenInvariantReported pins the other half of the contract:
 // deliberately breaking an invariant (a plain read of a slice marked
-// "// accessed atomically") must produce a diagnostic.
+// "// accessed atomically", brokenv2's plainRead) must produce exactly
+// one atomicslice diagnostic, on the plain read and not on the atomic
+// store beside it.
 func TestBrokenInvariantReported(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go tool")
 	}
-	dir, err := filepath.Abs(filepath.Join("testdata", "src", "broken"))
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", "brokenv2"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pkgs, err := load.Load("", dir)
 	if err != nil {
-		t.Fatalf("loading broken fixture: %v", err)
+		t.Fatalf("loading brokenv2 fixture: %v", err)
 	}
 	diags, err := checker.Run(pkgs, suite.All())
 	if err != nil {
 		t.Fatalf("checker: %v", err)
 	}
-	found := false
+	var hits []checker.Diagnostic
 	for _, d := range diags {
-		if d.Analyzer == "atomicslice" && strings.Contains(d.Message, "non-atomic access") {
-			found = true
+		if d.Analyzer == "atomicslice" {
+			hits = append(hits, d)
 		}
 	}
-	if !found {
-		t.Errorf("expected an atomicslice diagnostic for the plain read, got %d diagnostics: %v", len(diags), diags)
+	if len(hits) != 1 || !strings.Contains(hits[0].Message, "non-atomic access") {
+		t.Fatalf("expected one atomicslice non-atomic access diagnostic, got %v", hits)
+	}
+	src, err := os.ReadFile(hits[0].Position.Filename)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(src), "\n")
+	if l := hits[0].Position.Line; l < 1 || l > len(lines) || !strings.Contains(lines[l-1], "return color[0]") {
+		t.Errorf("atomicslice fired at %s, want the plain read `return color[0]`", hits[0].Position)
 	}
 }
 
-// TestSuiteSmoke seeds one violation per v2 concurrency analyzer —
-// miniatures of packed write-min race slots and the serve queue/handlers —
-// and asserts every analyzer fires. This is the CI step proving the
-// gate catches each regression class, not just that the tree is clean.
+// TestSuiteSmoke seeds one violation per analyzer — miniatures of the
+// engines' atomic arrays, round loops, spans, teams and slabs, and of
+// the serve queue/handlers — and asserts every analyzer of the suite
+// fires. This is the CI step proving the gate catches each regression
+// class, not just that the tree is clean.
 func TestSuiteSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go tool")
@@ -84,11 +96,19 @@ func TestSuiteSmoke(t *testing.T) {
 		t.Fatalf("checker: %v", err)
 	}
 	want := map[string]string{
-		"atomicpack": "raw integer conversion",
-		"lockhold":   "blocking inside a critical section",
-		"ctxdone":    "no ctx.Done()/quit escape",
-		"onceresp":   "status already written",
-		"errflow":    "overwritten before the previous error",
+		"arenaescape":   "stored into field kept",
+		"atomicpack":    "raw integer conversion",
+		"atomicslice":   "non-atomic access",
+		"ctxdone":       "no ctx.Done()/quit escape",
+		"errflow":       "overwritten before the previous error",
+		"lockhold":      "blocking inside a critical section",
+		"noalloc":       "make allocates",
+		"onceresp":      "status already written",
+		"spanpairing":   "not ended on every path",
+		"teamlifecycle": "called after t.Close",
+	}
+	if len(want) != len(suite.All()) {
+		t.Fatalf("smoke covers %d analyzers, suite has %d", len(want), len(suite.All()))
 	}
 	for analyzer, substr := range want {
 		found := false

@@ -68,3 +68,23 @@ func suppressed(c *obs.Collector) {
 	sp := c.Start("root", "algo") //msf:ignore spanpairing fixture span is ended by the test harness
 	_ = sp
 }
+
+func continueLeak(c *obs.Collector, xs []int) {
+	for _, x := range xs {
+		sp := c.Start("item", "algo") // want "not ended on every path"
+		if x < 0 {
+			continue
+		}
+		sp.End()
+	}
+}
+
+func breakLeak(c *obs.Collector, xs []int) {
+	for _, x := range xs {
+		sp := c.Start("item", "algo") // want "not ended on every path"
+		if x < 0 {
+			break
+		}
+		sp.End()
+	}
+}

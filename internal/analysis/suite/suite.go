@@ -31,13 +31,3 @@ func All() []*analysis.Analyzer {
 		teamlifecycle.Analyzer,
 	}
 }
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

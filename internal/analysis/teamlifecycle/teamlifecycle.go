@@ -1,10 +1,12 @@
 // Package teamlifecycle enforces the par.Team contract: every
-// par.NewTeam result must reach a Close (directly, deferred, or by
-// escaping to an owner that closes it), no Team method may be called
-// lexically after a non-deferred Close in the same block, and a phase
-// body passed to Run/For/ForDynamic must not call back into a Team —
-// nested phases deadlock by construction (the workers that would serve
-// the inner phase are all parked inside the outer one).
+// par.NewTeam result must reach a Close on every path (directly,
+// deferred, or by being returned or stored for an owner that closes
+// it), no Team method may be called on a path after a non-deferred
+// Close, and a phase body passed to Run/For/ForDynamic must not call
+// back into a Team — nested phases deadlock by construction (the
+// workers that would serve the inner phase are all parked inside the
+// outer one). The two path rules are the shared dataflow.Obligation
+// problem.
 package teamlifecycle
 
 import (
@@ -12,6 +14,7 @@ import (
 	"go/types"
 
 	"pmsf/internal/analysis"
+	"pmsf/internal/analysis/dataflow"
 )
 
 const parPath = "pmsf/internal/par"
@@ -28,16 +31,34 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
+var teams = &dataflow.Obligation{
+	Tracks: func(t types.Type) bool { return analysis.IsNamed(t, parPath, "Team") },
+	Opens: func(info *types.Info, call *ast.CallExpr) bool {
+		return analysis.IsPkgCall(info, call, parPath, "NewTeam")
+	},
+	Release:         "Close",
+	UseAfterRelease: true,
+}
+
 func run(pass *analysis.Pass) error {
+	for _, f := range teams.Check(pass.TypesInfo, pass.Files) {
+		name := f.Obj.Name()
+		switch f.Kind {
+		case dataflow.Leaked:
+			pass.Reportf(f.At.(*ast.AssignStmt).Rhs[0].Pos(),
+				"par.NewTeam result %s is never closed: missing %s.Close() (or defer)",
+				name, name)
+		case dataflow.UsedAfterRelease:
+			pass.Reportf(f.At.Pos(),
+				"%s.%s called after %s.Close(): the workers are gone",
+				name, f.Method, name)
+		}
+	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				checkNestedPhases(pass, fn)
 			}
-			checkUnclosed(pass, fn)
-			checkUseAfterClose(pass, fn)
-			checkNestedPhases(pass, fn)
 		}
 	}
 	return nil
@@ -47,148 +68,6 @@ func run(pass *analysis.Pass) error {
 func isTeam(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
 	return ok && tv.Type != nil && analysis.IsNamed(tv.Type, parPath, "Team")
-}
-
-// teamIdentObj resolves e to the object of a plain identifier of Team
-// type, or nil.
-func teamIdentObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := info.Uses[id]
-	if obj == nil {
-		obj = info.Defs[id]
-	}
-	if obj == nil || !analysis.IsNamed(obj.Type(), parPath, "Team") {
-		return nil
-	}
-	return obj
-}
-
-// checkUnclosed flags local variables assigned from par.NewTeam that
-// neither reach a Close call nor escape the function.
-func checkUnclosed(pass *analysis.Pass, fn *ast.FuncDecl) {
-	info := pass.TypesInfo
-	// Collect team := par.NewTeam(...) bindings.
-	type binding struct {
-		obj  types.Object
-		call *ast.CallExpr
-	}
-	var teams []binding
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !analysis.IsPkgCall(info, call, parPath, "NewTeam") {
-			return true
-		}
-		if len(as.Lhs) == 1 {
-			if obj := teamIdentObj(info, as.Lhs[0]); obj != nil {
-				teams = append(teams, binding{obj, call})
-			}
-		}
-		return true
-	})
-
-	for _, b := range teams {
-		closed, escaped := false, false
-		analysis.WithStack(fn.Body, func(n ast.Node, stack []ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || info.Uses[id] != b.obj {
-				return true
-			}
-			parent := stack[len(stack)-1]
-			if sel, ok := parent.(*ast.SelectorExpr); ok && sel.X == ast.Expr(id) {
-				if sel.Sel.Name == "Close" {
-					closed = true
-				}
-				return true
-			}
-			// Any non-method use — call argument, return value, struct
-			// field store, composite literal — hands ownership off.
-			if as, ok := parent.(*ast.AssignStmt); ok {
-				for _, lhs := range as.Lhs {
-					if lhs == ast.Expr(id) {
-						return true // being (re)assigned, not escaping
-					}
-				}
-			}
-			escaped = true
-			return true
-		})
-		if !closed && !escaped {
-			pass.Reportf(b.call.Pos(),
-				"par.NewTeam result %s is never closed: missing %s.Close() (or defer)",
-				b.obj.Name(), b.obj.Name())
-		}
-	}
-}
-
-// checkUseAfterClose flags Team method calls that appear lexically
-// after a non-deferred t.Close() in the same statement list.
-func checkUseAfterClose(pass *analysis.Pass, fn *ast.FuncDecl) {
-	info := pass.TypesInfo
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		block, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		// closedAt: statement index of the first plain t.Close() per team.
-		closedAt := map[types.Object]int{}
-		for i, stmt := range block.List {
-			es, ok := stmt.(*ast.ExprStmt)
-			if ok {
-				if obj, name := teamMethodCall(info, es.X); obj != nil && name == "Close" {
-					if _, seen := closedAt[obj]; !seen {
-						closedAt[obj] = i
-					}
-					continue
-				}
-			}
-			if len(closedAt) == 0 {
-				continue
-			}
-			ast.Inspect(stmt, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				obj, name := teamMethodCall(info, call)
-				if obj == nil || name == "Close" { // Close is idempotent
-					return true
-				}
-				if at, seen := closedAt[obj]; seen && at < i {
-					pass.Reportf(call.Pos(),
-						"%s.%s called after %s.Close(): the workers are gone",
-						obj.Name(), name, obj.Name())
-				}
-				return true
-			})
-		}
-		return true
-	})
-}
-
-// teamMethodCall matches expressions of the form t.Method(...) where t
-// is an identifier of Team type, returning t's object and the method
-// name.
-func teamMethodCall(info *types.Info, e ast.Expr) (types.Object, string) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return nil, ""
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, ""
-	}
-	obj := teamIdentObj(info, sel.X)
-	if obj == nil {
-		return nil, ""
-	}
-	return obj, sel.Sel.Name
 }
 
 // checkNestedPhases flags phase closures that call back into a Team.

@@ -43,3 +43,20 @@ func suppressed(p int) {
 	t := par.NewTeam(p) //msf:ignore teamlifecycle closed by the caller through a finalizer in this fixture
 	t.Run(func(w int) {})
 }
+
+func closedOnOneBranch(p int, cond bool) {
+	t := par.NewTeam(p) // want "never closed"
+	t.Run(func(w int) {})
+	if cond {
+		t.Close()
+	}
+}
+
+func useAfterBranchClose(p int, cond bool) {
+	t := par.NewTeam(p)
+	if cond {
+		t.Close()
+	}
+	t.Run(func(w int) {}) // want "called after t.Close"
+	t.Close()
+}

@@ -1,17 +1,70 @@
-// Package brokenv2 deliberately violates the five v2 concurrency
-// invariants with miniatures of the real engine and daemon code — a
-// writemin-shaped race slot decoded raw, a serve-shaped queue that
-// blocks under its mutex and leaks its worker goroutine, a handler
-// that double-writes, and an error overwritten unchecked. The smoke
-// test asserts each analyzer fires here, proving the CI gate would
-// catch the same regression in internal/writemin or internal/serve.
+// Package brokenv2 deliberately violates one invariant per msf-lint
+// analyzer with miniatures of the real engine and daemon code — a
+// writemin-shaped race slot decoded raw, a plain read of an
+// atomically-accessed color array, an allocating round loop, a span
+// left open on a skipped iteration, a team used after a conditional
+// Close, a slab slice kept past Reset, a serve-shaped queue that blocks
+// under its mutex and leaks its worker goroutine, a handler that
+// double-writes, and an error overwritten unchecked. The smoke test
+// asserts each analyzer fires here, proving the CI gate would catch the
+// same regression in the engines or internal/serve.
 package brokenv2
 
 import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+
+	"pmsf/internal/arena"
+	"pmsf/internal/obs"
+	"pmsf/internal/par"
 )
+
+// --- atomicslice: a plain read of a slice marked atomic.
+
+func plainRead(n int) int64 {
+	color := make([]int64, n) // accessed atomically
+	atomic.StoreInt64(&color[0], 1)
+	return color[0] // atomicslice: races with the atomic stores
+}
+
+// --- noalloc: a round loop that allocates.
+
+//msf:noalloc
+func round(n int) []int {
+	return make([]int, n) // noalloc: allocation inside the round loop
+}
+
+// --- spanpairing: a per-item span left open on the continue path.
+
+func items(c *obs.Collector, xs []int) {
+	for _, x := range xs {
+		sp := c.Start("item", "algo") // spanpairing: skipped End on continue
+		if x < 0 {
+			continue
+		}
+		sp.End()
+	}
+}
+
+// --- teamlifecycle: a phase dispatched after a conditional Close.
+
+func phases(p int, early bool) {
+	t := par.NewTeam(p)
+	if early {
+		t.Close()
+	}
+	t.Run(func(int) {}) // teamlifecycle: the workers may be gone
+	t.Close()
+}
+
+// --- arenaescape: a slab slice cached past the slab's Reset.
+
+type cache struct{ kept []int32 }
+
+func keep(s *arena.Slab[int32], c *cache) {
+	c.kept = s.Alloc(16) // arenaescape: outlives Reset
+}
 
 // --- atomicpack: writemin-shaped race slots with a raw decode.
 

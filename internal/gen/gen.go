@@ -26,9 +26,29 @@ func Random(n, m int, seed uint64) *graph.EdgeList {
 		panic(fmt.Sprintf("gen: m=%d exceeds max %d for n=%d", m, maxM, n))
 	}
 	r := rng.New(seed)
-	// Generate candidate endpoint pairs, dedupe by sorting packed keys,
-	// and top up until exactly m unique edges exist. This is O(m log m)
-	// without a giant hash table.
+	var keys []uint64
+	if 2*int64(m) > maxM {
+		keys = densePairs(n, m, r)
+	} else {
+		keys = sparsePairs(n, m, r)
+	}
+	edges := make([]graph.Edge, m)
+	for i, k := range keys {
+		edges[i] = graph.Edge{
+			U: int32(k >> 32),
+			V: int32(k & 0xffffffff),
+			W: r.Float64(),
+		}
+	}
+	return &graph.EdgeList{N: n, Edges: edges}
+}
+
+// sparsePairs draws candidate endpoint pairs, dedupes by sorting packed
+// keys, and tops up until exactly m unique pairs exist. This is
+// O(m log m) without a giant hash table while m is at most half of all
+// pairs; nearer the complete graph the top-up rounds stall on
+// duplicates.
+func sparsePairs(n, m int, r *rng.Xoshiro256) []uint64 {
 	keys := make([]uint64, 0, m+m/8)
 	for len(keys) < m {
 		need := m - len(keys)
@@ -52,15 +72,22 @@ func Random(n, m int, seed uint64) *graph.EdgeList {
 			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		}
 	}
-	edges := make([]graph.Edge, m)
-	for i, k := range keys {
-		edges[i] = graph.Edge{
-			U: int32(k >> 32),
-			V: int32(k & 0xffffffff),
-			W: r.Float64(),
+	return keys
+}
+
+// densePairs picks m of all n(n-1)/2 pairs by shuffling the full list:
+// O(n^2) work, used when m is more than half of the pairs.
+func densePairs(n, m int, r *rng.Xoshiro256) []uint64 {
+	keys := make([]uint64, 0, n*(n-1)/2)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			keys = append(keys, uint64(u)<<32|uint64(v))
 		}
 	}
-	return &graph.EdgeList{N: n, Edges: edges}
+	r.ShuffleUint64(keys)
+	keys = keys[:m]
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
 }
 
 func dedupeUint64(a []uint64) []uint64 {

@@ -75,6 +75,35 @@ func TestRandomComplete(t *testing.T) {
 	}
 }
 
+// TestRandomAllPairs takes the dense path at the complete graph: every
+// pair exactly once, no self-loops, in sorted order, and the same graph
+// (weights included) for the same seed.
+func TestRandomAllPairs(t *testing.T) {
+	n := 600
+	max := n * (n - 1) / 2
+	a := Random(n, max, 9)
+	if len(a.Edges) != max {
+		t.Fatalf("m = %d, want %d", len(a.Edges), max)
+	}
+	for i, e := range a.Edges {
+		if e.U >= e.V {
+			t.Fatalf("edge %d = (%d, %d): want U < V", i, e.U, e.V)
+		}
+		if i > 0 {
+			p := a.Edges[i-1]
+			if p.U > e.U || (p.U == e.U && p.V >= e.V) {
+				t.Fatalf("edges %d, %d out of order or duplicated: %v %v", i-1, i, p, e)
+			}
+		}
+	}
+	b := Random(n, max, 9)
+	for i := range a.Edges {
+		if a.Edges[i] != b.Edges[i] {
+			t.Fatalf("same seed, edge %d differs: %v vs %v", i, a.Edges[i], b.Edges[i])
+		}
+	}
+}
+
 func TestRandomTooManyEdgesPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -12,8 +11,7 @@ import (
 )
 
 // Var is the expvar-compatible variable interface: String must return a
-// valid JSON value. Every registry variable satisfies expvar.Var and can
-// be published into the process expvar table with PublishExpvar.
+// valid JSON value, so every registry variable also satisfies expvar.Var.
 type Var interface {
 	String() string
 }
@@ -239,17 +237,3 @@ var (
 	// the replacement-edge search after tree-edge deletions.
 	DynReplacements = Default().Counter("dyn_replacements")
 )
-
-var publishOnce sync.Once
-
-// PublishExpvar publishes every Default-registry variable into the
-// process expvar table under "pmsf.<name>", so a running process that
-// serves the expvar HTTP handler exposes the MSF metrics. Safe to call
-// more than once; only the first call publishes.
-func PublishExpvar() {
-	publishOnce.Do(func() {
-		Default().Do(func(name string, v Var) {
-			expvar.Publish("pmsf."+name, v)
-		})
-	})
-}

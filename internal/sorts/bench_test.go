@@ -58,19 +58,6 @@ func BenchmarkParallelSorts(b *testing.B) {
 	}
 }
 
-func BenchmarkCountingGroup(b *testing.B) {
-	const n, k = 1 << 18, 1 << 12
-	r := rng.New(7)
-	keys := make([]int32, n)
-	for i := range keys {
-		keys[i] = int32(r.Intn(k))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CountingGroup(4, keys, k)
-	}
-}
-
 func BenchmarkInsertionCutover(b *testing.B) {
 	// Where insertion sort stops beating merge sort — the measurement
 	// behind InsertionCutoff.

@@ -4,8 +4,7 @@ import (
 	"pmsf/internal/par"
 )
 
-// Grouper is the reusable, team-based counterpart of CountingGroup: a
-// stable counting sort of int32 keys in [0, k) that writes the
+// Grouper is a reusable, team-based stable counting sort of int32 keys in [0, k) that writes the
 // grouped order and the k+1 segment starts into caller-owned buffers.
 // The per-worker count slab is grown on demand and reused, so once a
 // run has seen its largest k (the first Borůvka round), subsequent

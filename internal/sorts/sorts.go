@@ -117,27 +117,6 @@ func mergeInto[T any](out, x, y []T, less func(a, b T) bool) {
 	}
 }
 
-// Hybrid sorts a with insertion sort when len(a) < cutoff and bottom-up
-// merge sort otherwise; buf is scratch for the merge path and may be nil
-// when len(a) < cutoff. This is the per-adjacency-list sort of Bor-AL.
-func Hybrid[T any](a, buf []T, cutoff int, less func(x, y T) bool) {
-	if len(a) < cutoff {
-		Insertion(a, less)
-		return
-	}
-	MergeBottomUp(a, buf, less)
-}
-
-// IsSorted reports whether a is non-decreasing under less.
-func IsSorted[T any](a []T, less func(x, y T) bool) bool {
-	for i := 1; i < len(a); i++ {
-		if less(a[i], a[i-1]) {
-			return false
-		}
-	}
-	return true
-}
-
 // SampleSort sorts a with p workers using sample sort: oversample, select
 // p-1 splitters, scatter into buckets with a count/scan/scatter pass, and
 // sort buckets independently. Falls back to sequential merge sort for
@@ -241,55 +220,4 @@ func bucketOf[T any](v T, splitters []T, less func(x, y T) bool) int {
 		}
 	}
 	return lo
-}
-
-// CountingGroup groups the keys 0..k-1: given keys[i] in [0, k), it
-// returns order (a permutation of [0, len(keys)) such that keys are
-// non-decreasing along order, stable within a key) and starts (length
-// k+1) with group g occupying order[starts[g]:starts[g+1]]. The pass is
-// parallelized over p workers with per-worker count arrays.
-func CountingGroup(p int, keys []int32, k int) (order []int32, starts []int64) {
-	n := len(keys)
-	p = par.Clamp(p, n)
-	if p > 8 {
-		p = 8 // per-worker count arrays are O(k); cap the memory blowup
-	}
-	counts := make([][]int64, p)
-	ranges := par.Split(n, p)
-	par.Do(p, func(w int) {
-		c := make([]int64, k)
-		for i := ranges[w].Lo; i < ranges[w].Hi; i++ {
-			c[keys[i]]++
-		}
-		counts[w] = c
-	})
-	starts = make([]int64, k+1)
-	for g := 0; g < k; g++ {
-		var total int64
-		for w := 0; w < p; w++ {
-			total += counts[w][g]
-		}
-		starts[g+1] = starts[g] + total
-	}
-	offsets := make([][]int64, p)
-	for w := 0; w < p; w++ {
-		offsets[w] = make([]int64, k)
-	}
-	for g := 0; g < k; g++ {
-		pos := starts[g]
-		for w := 0; w < p; w++ {
-			offsets[w][g] = pos
-			pos += counts[w][g]
-		}
-	}
-	order = make([]int32, n)
-	par.Do(p, func(w int) {
-		off := offsets[w]
-		for i := ranges[w].Lo; i < ranges[w].Hi; i++ {
-			g := keys[i]
-			order[off[g]] = int32(i)
-			off[g]++
-		}
-	})
-	return order, starts
 }

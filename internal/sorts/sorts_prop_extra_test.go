@@ -2,32 +2,9 @@ package sorts
 
 import (
 	"testing"
-	"testing/quick"
 
 	"pmsf/internal/rng"
 )
-
-// Hybrid equals MergeBottomUp equals Quicksort on arbitrary inputs for
-// every cutoff — the behaviour-preservation property behind ablation A1.
-func TestHybridCutoffProperty(t *testing.T) {
-	f := func(raw []int16, cutoff uint8) bool {
-		a := make([]int, len(raw))
-		for i, v := range raw {
-			a[i] = int(v)
-		}
-		want := sortedCopy(a)
-		c := int(cutoff)%128 + 1
-		var buf []int
-		if len(a) >= c {
-			buf = make([]int, len(a))
-		}
-		Hybrid(a, buf, c, intLess)
-		return equal(a, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // SampleSort determinism: equal inputs and seeds produce equal outputs
 // at every worker count (the bucket boundaries are seed-driven but the

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pmsf/internal/par"
 	"pmsf/internal/rng"
 )
 
@@ -97,37 +98,6 @@ func TestMergeBottomUpPanicsOnSmallBuffer(t *testing.T) {
 	MergeBottomUp(a, make([]int, 10), intLess)
 }
 
-func TestHybrid(t *testing.T) {
-	r := rng.New(3)
-	for _, n := range []int{0, 5, 31, 32, 33, 500} {
-		a := make([]int, n)
-		for i := range a {
-			a[i] = r.Intn(1000)
-		}
-		want := sortedCopy(a)
-		var buf []int
-		if n >= InsertionCutoff {
-			buf = make([]int, n)
-		}
-		Hybrid(a, buf, InsertionCutoff, intLess)
-		if !equal(a, want) {
-			t.Fatalf("n=%d: hybrid failed", n)
-		}
-	}
-}
-
-func TestIsSorted(t *testing.T) {
-	if !IsSorted([]int{1, 2, 2, 3}, intLess) {
-		t.Fatal("sorted slice reported unsorted")
-	}
-	if IsSorted([]int{2, 1}, intLess) {
-		t.Fatal("unsorted slice reported sorted")
-	}
-	if !IsSorted([]int{}, intLess) || !IsSorted([]int{1}, intLess) {
-		t.Fatal("trivial slices must be sorted")
-	}
-}
-
 func TestSampleSortMatchesSequential(t *testing.T) {
 	r := rng.New(4)
 	for _, n := range []int{0, 1, 100, 1 << 14, 1<<15 + 13, 1 << 17} {
@@ -188,51 +158,57 @@ func TestSampleSortAlreadySorted(t *testing.T) {
 	}
 }
 
+// TestCountingGroup checks Grouper, the team-based counting sort the
+// Bor-AL/ALM/FAL rounds run: a stable grouping of keys by value at
+// every team size, with reuse of the grouper across calls.
 func TestCountingGroup(t *testing.T) {
 	r := rng.New(6)
-	for _, p := range []int{1, 4, 16} {
-		const n, k = 5000, 37
-		keys := make([]int32, n)
-		for i := range keys {
-			keys[i] = int32(r.Intn(k))
-		}
-		order, starts := CountingGroup(p, keys, k)
-		if len(order) != n || len(starts) != k+1 {
-			t.Fatalf("p=%d: bad output sizes %d/%d", p, len(order), len(starts))
-		}
-		if starts[0] != 0 || starts[k] != int64(n) {
-			t.Fatalf("p=%d: bad boundary starts", p)
-		}
-		seen := make([]bool, n)
-		for g := 0; g < k; g++ {
-			for i := starts[g]; i < starts[g+1]; i++ {
-				idx := order[i]
-				if seen[idx] {
-					t.Fatalf("p=%d: index %d appears twice", p, idx)
+	for _, p := range []int{1, 2, 4} {
+		team := par.NewTeam(p)
+		g := NewGrouper(p, team)
+		for _, k := range []int{37, 5} {
+			const n = 5000
+			keys := make([]int32, n)
+			for i := range keys {
+				keys[i] = int32(r.Intn(k))
+			}
+			order, starts := make([]int32, n), make([]int64, k+1)
+			g.Group(keys, k, order, starts)
+			if starts[0] != 0 || starts[k] != int64(n) {
+				t.Fatalf("p=%d k=%d: bad boundary starts", p, k)
+			}
+			seen := make([]bool, n)
+			for grp := 0; grp < k; grp++ {
+				for i := starts[grp]; i < starts[grp+1]; i++ {
+					idx := order[i]
+					if seen[idx] {
+						t.Fatalf("p=%d k=%d: index %d appears twice", p, k, idx)
+					}
+					seen[idx] = true
+					if keys[idx] != int32(grp) {
+						t.Fatalf("p=%d k=%d: index %d in group %d has key %d", p, k, idx, grp, keys[idx])
+					}
 				}
-				seen[idx] = true
-				if keys[idx] != int32(g) {
-					t.Fatalf("p=%d: index %d in group %d has key %d", p, idx, g, keys[idx])
+				// Stability: indices within a group are increasing.
+				for i := starts[grp] + 1; i < starts[grp+1]; i++ {
+					if order[i-1] >= order[i] {
+						t.Fatalf("p=%d k=%d: group %d not stable", p, k, grp)
+					}
 				}
 			}
-			// Stability: indices within a group are increasing.
-			for i := starts[g] + 1; i < starts[g+1]; i++ {
-				if order[i-1] >= order[i] {
-					t.Fatalf("p=%d: group %d not stable", p, g)
-				}
-			}
 		}
+		team.Close()
 	}
 }
 
 func TestCountingGroupEmpty(t *testing.T) {
-	order, starts := CountingGroup(4, nil, 5)
-	if len(order) != 0 || len(starts) != 6 {
-		t.Fatalf("empty group sizes: %d/%d", len(order), len(starts))
-	}
+	team := par.NewTeam(4)
+	defer team.Close()
+	starts := []int64{9, 9, 9, 9, 9, 9}
+	NewGrouper(4, team).Group(nil, 5, nil, starts)
 	for _, s := range starts {
 		if s != 0 {
-			t.Fatal("non-zero start in empty grouping")
+			t.Fatalf("non-zero start in empty grouping: %v", starts)
 		}
 	}
 }
