@@ -427,6 +427,21 @@ func (b *builder) findTarget(label *ast.Ident, needCont bool) *target {
 	return nil
 }
 
+// Inspect walks, as ast.Inspect does, the part of block node n that
+// executes at n. A SelectStmt node executes nothing of its own: each
+// comm statement heads its case's block. A RangeStmt node evaluates
+// only its range expression: the body is in successor blocks. Every
+// other node is walked whole.
+func Inspect(n ast.Node, f func(ast.Node) bool) {
+	switch s := n.(type) {
+	case *ast.SelectStmt:
+		return
+	case *ast.RangeStmt:
+		n = s.X
+	}
+	ast.Inspect(n, f)
+}
+
 // IsTerminalCall reports whether call never returns: the panic builtin
 // and the conventional process/goroutine terminators. Syntactic only —
 // an import renamed away from "os"/"log"/"runtime" defeats it, which is

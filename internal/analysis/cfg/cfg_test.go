@@ -308,3 +308,43 @@ func f(xs []int) {
 		t.Errorf("loop head should have an entry edge and a back edge, got %d preds", len(preds[outer.Head]))
 	}
 }
+
+// TestInspectOwnPart: a SelectStmt node evaluates none of its cases and
+// a RangeStmt node only its range expression; any other node is walked
+// whole.
+func TestInspectOwnPart(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "fixture.go", `package p
+func f(ch chan int, xs []int) {
+	select {
+	case v := <-ch:
+		use(v)
+	}
+	for _, x := range load(xs) {
+		use(x)
+	}
+	use(len(xs))
+}
+func load([]int) []int
+func use(int)
+`, 0)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	calls := func(n ast.Node) string {
+		var names []string
+		cfg.Inspect(n, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				names = append(names, call.Fun.(*ast.Ident).Name)
+			}
+			return true
+		})
+		return strings.Join(names, ",")
+	}
+	body := f.Decls[0].(*ast.FuncDecl).Body.List
+	for i, want := range []string{"", "load", "use,len"} {
+		if got := calls(body[i]); got != want {
+			t.Errorf("statement %d evaluates calls %q, want %q", i, got, want)
+		}
+	}
+}

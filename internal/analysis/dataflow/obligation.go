@@ -266,11 +266,6 @@ func (c *bodyCheck) step(n ast.Node, in Set[slot], emit func(Finding)) Set[slot]
 	}
 
 	switch n := n.(type) {
-	case *ast.SelectStmt:
-		return in // the cases are their own blocks
-	case *ast.RangeStmt:
-		apply(n.X) // the body is its own blocks
-		return out
 	case *ast.DeferStmt:
 		// The deferred call runs at exit: it discharges the obligation
 		// but releases nothing yet.
@@ -320,10 +315,11 @@ func (c *bodyCheck) step(n ast.Node, in Set[slot], emit func(Finding)) Set[slot]
 	return out
 }
 
-// calls visits the calls n makes, including those inside function
-// literals passed as call arguments; other literals are not run here.
+// calls visits the calls n makes at its CFG node (cfg.Inspect),
+// including those inside function literals passed as call arguments;
+// other literals are not run here.
 func (c *bodyCheck) calls(n ast.Node, fn func(*ast.CallExpr)) {
-	ast.Inspect(n, func(m ast.Node) bool {
+	cfg.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit:
 			return false

@@ -205,14 +205,7 @@ func (st *state) reads(n ast.Node) []types.Object {
 			}
 		}
 	}
-	root := n
-	if rs, ok := n.(*ast.RangeStmt); ok {
-		root = rs.X
-	}
-	if _, ok := n.(*ast.SelectStmt); ok {
-		return nil
-	}
-	ast.Inspect(root, func(m ast.Node) bool {
+	cfg.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit:
 			return false

@@ -175,16 +175,15 @@ func reportBlocking(pass *analysis.Pass, n ast.Node, blk *cfg.Block, held datafl
 				report(n.For, "range over a channel")
 			}
 		}
-		return
 	case *ast.GoStmt, *ast.DeferStmt:
 		// The started goroutine blocks on its own stack; the deferred
 		// call runs at exit. Neither blocks here.
 		return
 	}
 
-	ast.Inspect(n, func(m ast.Node) bool {
+	cfg.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
-		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt, *ast.SelectStmt:
+		case *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
 			report(m.Arrow, "channel send")

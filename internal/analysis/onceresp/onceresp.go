@@ -222,29 +222,15 @@ func (st *state) writesIn(n ast.Node) int {
 // definite status writes, soft reports delegation of the writer (or a
 // client-gone ctx.Done receive) that exempts the path.
 func (st *state) classify(n ast.Node) (hard int, soft bool) {
-	switch n := n.(type) {
-	case *ast.SelectStmt:
-		// Case bodies are separate CFG blocks; the dispatch node itself
-		// performs no write.
-		return 0, false
-	case *ast.RangeStmt:
-		// Only the range expression evaluates here; the body has its
-		// own blocks.
-		return st.classifyExpr(n.X)
-	}
 	if stmt, ok := n.(ast.Stmt); ok && st.ctxDoneReceive(stmt) {
 		return 0, true
 	}
-	return st.classifyExpr(n)
-}
-
-func (st *state) classifyExpr(root ast.Node) (hard int, soft bool) {
-	ast.Inspect(root, func(n ast.Node) bool {
+	cfg.Inspect(n, func(n ast.Node) bool {
 		if soft {
 			return false
 		}
 		switch n := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt, *ast.SelectStmt:
+		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
 			return false
 		case *ast.CallExpr:
 			h, s := st.classifyCall(n)

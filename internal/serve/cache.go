@@ -3,19 +3,31 @@ package serve
 import (
 	"container/list"
 	"sync"
+
+	"pmsf"
 )
 
-// CacheKey addresses one computed result: the registered graph name,
-// its content hash (pmsf.Fingerprint) and the query hash
-// (pmsf.HashOptions mixed with the query kind). The name keeps two
-// graphs with equal content apart, since a result carries its graph's
-// name and a patch must drop only its own graph's entries; the
-// fingerprint keeps a graph deleted and re-registered under the same
-// name from hitting the old content's entries.
+// CacheKey addresses one computed result: the graph snapshot it ran on
+// (the registered name and the Registry version of that snapshot) and
+// everything the query asked for. It is also the job's specification:
+// execute runs exactly what the key says, so the key and the run cannot
+// disagree. Trace and Metrics are not part of it, since they do not
+// change the result.
 type CacheKey struct {
-	Name  string
-	Graph uint64
-	Query uint64
+	Name    string
+	Version uint64
+	Kind    QueryKind
+	// Algo, BaseSize, Seed and SortEngine stay zero for components
+	// queries, which ignore them, so their keys are canonical.
+	Algo       pmsf.Algorithm
+	Workers    int
+	BaseSize   int
+	Seed       uint64
+	SortEngine pmsf.SortEngine
+	// The include flags change the response payload, so an entry with
+	// edge ids or labels is not one without them.
+	IncludeEdges  bool
+	IncludeLabels bool
 }
 
 // Cache is the LRU forest cache: identical re-queries are answered
@@ -86,9 +98,10 @@ func (c *Cache) Put(k CacheKey, res *Result) {
 	}
 }
 
-// DropGraph removes every entry computed against the named graph.
-// Edge patches call it so a mutated graph can never be answered from a
-// stale forest. Returns the number of entries dropped.
+// DropGraph removes every entry computed against any version of the
+// named graph. Edge patches and DELETE call it: no later key can reach
+// those entries, and they hold O(n) payloads. Returns the number of
+// entries dropped.
 func (c *Cache) DropGraph(name string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

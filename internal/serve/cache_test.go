@@ -1,8 +1,16 @@
 package serve
 
-import "testing"
+import (
+	"testing"
 
-func key(g, q uint64) CacheKey { return CacheKey{Name: "g", Graph: g, Query: q} }
+	"pmsf"
+)
+
+// key returns an MSF query key on version v of graph "g"; q picks the
+// seed, so distinct q are distinct queries.
+func key(v, q uint64) CacheKey {
+	return CacheKey{Name: "g", Version: v, Kind: KindMSF, Algo: pmsf.MSTBC, Seed: q}
+}
 
 func TestCacheLRUEviction(t *testing.T) {
 	m := NewMetrics()
@@ -34,17 +42,35 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheKeySeparation: changing any one field of the key, on the
+// graph side or the query side, must miss the stored entry.
 func TestCacheKeySeparation(t *testing.T) {
-	c := NewCache(8, NewMetrics())
-	c.Put(key(1, 1), &Result{Graph: "a"})
-	if _, ok := c.Get(key(1, 2)); ok {
-		t.Error("different query hash hit the same entry")
+	base := CacheKey{Name: "g", Version: 3, Kind: KindMSF, Algo: pmsf.BorEL, Workers: 2, BaseSize: 64, Seed: 7}
+	c := NewCache(16, NewMetrics())
+	c.Put(base, &Result{Graph: "g"})
+	if _, ok := c.Get(base); !ok {
+		t.Fatal("identical key missed")
 	}
-	if _, ok := c.Get(key(2, 1)); ok {
-		t.Error("different graph hash hit the same entry")
-	}
-	if _, ok := c.Get(CacheKey{Name: "other", Graph: 1, Query: 1}); ok {
-		t.Error("different graph name with equal content hit the same entry")
+	for _, tc := range []struct {
+		field string
+		edit  func(*CacheKey)
+	}{
+		{"name", func(k *CacheKey) { k.Name = "other" }},
+		{"version", func(k *CacheKey) { k.Version++ }},
+		{"kind", func(k *CacheKey) { k.Kind = KindComponents }},
+		{"algo", func(k *CacheKey) { k.Algo = pmsf.BorFAL }},
+		{"workers", func(k *CacheKey) { k.Workers++ }},
+		{"base_size", func(k *CacheKey) { k.BaseSize++ }},
+		{"seed", func(k *CacheKey) { k.Seed++ }},
+		{"sort_engine", func(k *CacheKey) { k.SortEngine = pmsf.SortSampleSort }},
+		{"include_edges", func(k *CacheKey) { k.IncludeEdges = true }},
+		{"include_labels", func(k *CacheKey) { k.IncludeLabels = true }},
+	} {
+		k := base
+		tc.edit(&k)
+		if _, ok := c.Get(k); ok {
+			t.Errorf("key differing only in %s hit the stored entry", tc.field)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -115,8 +114,8 @@ func TestServiceEndToEnd(t *testing.T) {
 	if info.N != 2000 || info.M != 8000 {
 		t.Fatalf("registered info = %+v", info)
 	}
-	if info.Fingerprint != fmt.Sprintf("%016x", pmsf.Fingerprint(g)) {
-		t.Error("service fingerprint disagrees with pmsf.Fingerprint")
+	if info.Version == 0 {
+		t.Error("registered graph has no version")
 	}
 
 	// First query: engine runs, cache misses.
@@ -251,9 +250,14 @@ func TestServiceAsyncJobAndSSE(t *testing.T) {
 }
 
 func TestServiceGraphLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	registerGraph(t, ts, "a", graphText(t, 100, 300, 1))
 	registerGraph(t, ts, "b", graphText(t, 100, 300, 2))
+	for _, name := range []string{"a", "b"} {
+		if code, _ := postQuery(t, ts, QueryRequest{Graph: name, IncludeEdges: true}); code != http.StatusOK {
+			t.Fatalf("query %s: %d", name, code)
+		}
+	}
 
 	var list struct {
 		Graphs []GraphInfo `json:"graphs"`
@@ -264,11 +268,71 @@ func TestServiceGraphLifecycle(t *testing.T) {
 	if code := do(t, "DELETE", ts.URL+"/v1/graphs/a", nil, nil); code != http.StatusOK {
 		t.Fatalf("delete: %d", code)
 	}
+	// DELETE frees the removed graph's cached results; b's stays.
+	if got := serverCounters(t, ts)["serve_cache_invalidations"]; got != 1 {
+		t.Errorf("cache invalidations after delete = %d, want 1", got)
+	}
+	if got := s.cache.Len(); got != 1 {
+		t.Errorf("cache holds %d entries after delete, want 1 (b's)", got)
+	}
 	if code, _ := postQuery(t, ts, QueryRequest{Graph: "a"}); code != http.StatusNotFound {
 		t.Errorf("query deleted graph: %d, want 404", code)
 	}
 	if code := do(t, "GET", ts.URL+"/v1/graphs/a", nil, nil); code != http.StatusNotFound {
 		t.Errorf("get deleted graph: %d, want 404", code)
+	}
+}
+
+// TestReRegisteredGraphMissesLateResult: a query still running on a
+// graph when it is deleted fills the cache after the name is registered
+// again with other content. The new graph's query must run an engine on
+// the new content, not hit the late entry.
+func TestReRegisteredGraphMissesLateResult(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	registerGraph(t, ts, "g", graphText(t, 300, 1200, 1))
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var gate sync.Once
+	orig := s.queue.exec
+	s.queue.exec = func(j *Job) (*Result, error) {
+		gate.Do(func() {
+			close(started)
+			<-release
+		})
+		return orig(j)
+	}
+
+	code, qr := postQuery(t, ts, QueryRequest{Graph: "g", Algo: "Kruskal", Async: true})
+	if code != http.StatusAccepted {
+		t.Fatalf("async query: %d %+v", code, qr)
+	}
+	<-started
+	if code := do(t, "DELETE", ts.URL+"/v1/graphs/g", nil, nil); code != http.StatusOK {
+		t.Fatalf("delete: %d", code)
+	}
+	registerGraph(t, ts, "g", graphText(t, 200, 900, 2))
+	close(release)
+	job, err := s.queue.Get(qr.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	if res, err := job.Outcome(); err != nil || res.N != 300 {
+		t.Fatalf("late query on the deleted graph: %+v, %v", res, err)
+	}
+
+	runs := serverCounters(t, ts)["serve_engine_runs"]
+	code, qr = postQuery(t, ts, QueryRequest{Graph: "g", Algo: "Kruskal"})
+	if code != http.StatusOK || qr.Result == nil {
+		t.Fatalf("query after re-register: %d %+v", code, qr)
+	}
+	if qr.Result.Cached || qr.Result.N != 200 || qr.Result.M != 900 {
+		t.Errorf("re-registered graph answered cached=%v n=%d m=%d, want an engine run on n=200 m=900",
+			qr.Result.Cached, qr.Result.N, qr.Result.M)
+	}
+	if got := serverCounters(t, ts)["serve_engine_runs"]; got != runs+1 {
+		t.Errorf("engine runs %d, want %d", got, runs+1)
 	}
 }
 

@@ -175,10 +175,12 @@ func (s *Server) handleRemoveGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	if err := s.registry.Remove(r.PathValue("name")); err != nil {
+	name := r.PathValue("name")
+	if err := s.registry.Remove(name); err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
+	s.cache.DropGraph(name)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "removed"})
 }
 
@@ -267,26 +269,22 @@ type PatchRequest struct {
 	Del []PatchEdge `json:"del,omitempty"`
 }
 
-// PatchDelta is the applied-batch report in a PATCH response. Rebuilds
-// and FallbackRecomputes are always 0; they stay so clients that read
-// them keep decoding.
+// PatchDelta is the applied-batch report in a PATCH response.
 type PatchDelta struct {
-	Added              int     `json:"added"`
-	Deleted            int     `json:"deleted"`
-	Links              int     `json:"links"`
-	Swaps              int     `json:"swaps"`
-	Replacements       int     `json:"replacements"`
-	Splits             int     `json:"splits"`
-	Rebuilds           int     `json:"rebuilds"`
-	FallbackRecomputes int     `json:"fallback_recomputes"`
-	Weight             float64 `json:"weight"`
-	ForestSize         int     `json:"forest_size"`
-	Components         int     `json:"components"`
+	Added        int     `json:"added"`
+	Deleted      int     `json:"deleted"`
+	Links        int     `json:"links"`
+	Swaps        int     `json:"swaps"`
+	Replacements int     `json:"replacements"`
+	Splits       int     `json:"splits"`
+	Weight       float64 `json:"weight"`
+	ForestSize   int     `json:"forest_size"`
+	Components   int     `json:"components"`
 }
 
 // PatchResponse is the PATCH /v1/graphs/{name}/edges response: the
-// graph's post-patch registration info (new fingerprint, new m) plus
-// what the batch did to the maintained forest.
+// graph's post-patch registration info (new version, new m) plus what
+// the batch did to the maintained forest.
 type PatchResponse struct {
 	Graph GraphInfo  `json:"graph"`
 	Delta PatchDelta `json:"delta"`
@@ -306,10 +304,12 @@ func toEdges(in []PatchEdge) []pmsf.Edge {
 // handlePatchEdges mutates a registered graph in place: the batch is
 // applied through the graph's dynamic-MSF handle (created on first
 // patch), and the registry entry is swapped to the new snapshot —
-// graph, fingerprint, and maintained forest — so subsequent MSF queries
+// graph, version, and maintained forest — so subsequent MSF queries
 // are answered from the maintained forest without an engine run.
-// In-flight queries keep the pre-patch snapshot via their leases; stale
-// cache entries are invalidated by fingerprint.
+// In-flight queries keep the pre-patch snapshot via their leases. The
+// graph's cached results are dropped, and a query still running on the
+// old snapshot fills an entry under the old version, which no later
+// query's key reaches.
 func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -381,17 +381,15 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PatchResponse{
 		Graph: info,
 		Delta: PatchDelta{
-			Added:              delta.Added,
-			Deleted:            delta.Deleted,
-			Links:              delta.Links,
-			Swaps:              delta.Swaps,
-			Replacements:       delta.Replacements,
-			Splits:             delta.Splits,
-			Rebuilds:           delta.Rebuilds,
-			FallbackRecomputes: delta.FallbackRecomputes,
-			Weight:             delta.Weight,
-			ForestSize:         delta.ForestSize,
-			Components:         delta.Components,
+			Added:        delta.Added,
+			Deleted:      delta.Deleted,
+			Links:        delta.Links,
+			Swaps:        delta.Swaps,
+			Replacements: delta.Replacements,
+			Splits:       delta.Splits,
+			Weight:       delta.Weight,
+			ForestSize:   delta.ForestSize,
+			Components:   delta.Components,
 		},
 		Invalidated: dropped,
 	})
@@ -460,32 +458,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		workers = s.cfg.MaxJobWorkers
 	}
 
-	var algo pmsf.Algorithm
-	var opt pmsf.Options
-	switch kind {
-	case KindMSF:
-		algo = pmsf.MSTBC
+	key := CacheKey{Kind: kind, Workers: workers, IncludeEdges: req.IncludeEdges, IncludeLabels: req.IncludeLabels}
+	if kind == KindMSF {
+		key.Algo = pmsf.MSTBC
 		if req.Algo != "" {
-			var err error
-			algo, err = pmsf.ParseAlgorithm(req.Algo)
+			algo, err := pmsf.ParseAlgorithm(req.Algo)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, "%v (want one of %s)", err, algorithmNames())
 				return
 			}
+			key.Algo = algo
 		}
-		opt = pmsf.Options{Workers: workers, BaseSize: req.BaseSize, Seed: req.Seed}
+		key.BaseSize, key.Seed = req.BaseSize, req.Seed
 		if req.SortEngine != "" {
 			engine, err := pmsf.ParseSortEngine(req.SortEngine)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
-			opt.SortEngine = engine
+			key.SortEngine = engine
 		}
-	case KindComponents:
-		// Components ignore the engine options; normalizing them keeps
-		// the cache key canonical.
-		opt = pmsf.Options{Workers: workers}
 	}
 
 	lease, err := s.registry.Acquire(req.Graph)
@@ -493,16 +485,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-
-	key := CacheKey{Name: lease.Name, Graph: lease.Fingerprint, Query: queryHash(kind, algo, opt)}
-	// The include flags change the response payload, so they are part
-	// of the key: a labels-included result is a different cache entry.
-	if req.IncludeEdges {
-		key.Query ^= 0x9e3779b97f4a7c15
-	}
-	if req.IncludeLabels {
-		key.Query ^= 0xc2b2ae3d27d4eb4f
-	}
+	key.Name, key.Version = lease.Name, lease.Version
 	if res, ok := s.cache.Get(key); ok {
 		lease.Release()
 		hit := *res
@@ -511,12 +494,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	job := s.queue.NewJob(kind, lease)
-	job.Algo = algo
-	job.Opt = opt
-	job.IncludeEdges = req.IncludeEdges
-	job.IncludeLabels = req.IncludeLabels
-	job.CacheKey = key
+	job := s.queue.NewJob(key, lease)
 	if err := s.queue.Submit(job); err != nil {
 		lease.Release()
 		switch {

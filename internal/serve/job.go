@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"pmsf"
 	"pmsf/internal/obs"
 )
 
@@ -75,20 +74,16 @@ type Event struct {
 // the mutex are guarded by it; the immutable request fields are set
 // before the job is visible to any other goroutine.
 type Job struct {
-	ID            string
-	Kind          QueryKind
-	Algo          pmsf.Algorithm
-	Opt           pmsf.Options
-	IncludeEdges  bool
-	IncludeLabels bool
-	CacheKey      CacheKey
+	ID string
+	// Key is what the job computes, on which graph snapshot, and the
+	// cache entry its result fills.
+	Key CacheKey
 
 	// lease is held from admission to finish and dropped there, so a
 	// finished job kept in the history does not pin its graph snapshot.
 	// Only the goroutine that owns the job's terminal transition (the
 	// worker that runs it, or the drain that cancels it) touches it.
 	lease    *Lease
-	graph    string // lease.Name, kept for status after finish
 	trace    *obs.Collector
 	enqueued time.Time
 
@@ -101,12 +96,11 @@ type Job struct {
 	done   chan struct{}
 }
 
-func newJob(id string, kind QueryKind, lease *Lease) *Job {
+func newJob(id string, key CacheKey, lease *Lease) *Job {
 	return &Job{
 		ID:       id,
-		Kind:     kind,
+		Key:      key,
 		lease:    lease,
-		graph:    lease.Name,
 		trace:    obs.NewCollector(),
 		enqueued: time.Now(),
 		state:    StateQueued,
@@ -151,9 +145,9 @@ func (j *Job) Snapshot() Status {
 	defer j.mu.Unlock()
 	s := Status{
 		ID:     j.ID,
-		Kind:   j.Kind,
+		Kind:   j.Key.Kind,
 		State:  j.state,
-		Graph:  j.graph,
+		Graph:  j.Key.Name,
 		Result: j.result,
 		Spans:  len(j.trace.Spans()),
 	}

@@ -1,7 +1,7 @@
 // Package serve is the long-running MSF service behind cmd/msf-serve:
 // an HTTP+JSON API over a named graph registry, a bounded-concurrency
 // job queue on a persistent par.Team worker pool, an LRU forest cache
-// keyed by graph fingerprint + options hash, per-client token-bucket
+// keyed by graph name + version and the query, per-client token-bucket
 // admission control, and live metrics/SSE surfaces built on
 // internal/obs. It turns the batch MSF library into a system: graphs
 // are ingested once and queried many times, engine runs are bounded to

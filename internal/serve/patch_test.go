@@ -79,8 +79,8 @@ func TestPatchEndToEnd(t *testing.T) {
 	if pr.Graph.M != len(g.Edges)+1 {
 		t.Errorf("post-patch m = %d, want %d", pr.Graph.M, len(g.Edges)+1)
 	}
-	if pr.Graph.Fingerprint == info.Fingerprint {
-		t.Error("fingerprint unchanged by patch")
+	if pr.Graph.Version <= info.Version {
+		t.Errorf("version %d after patch, want > %d", pr.Graph.Version, info.Version)
 	}
 	if pr.Invalidated < 1 {
 		t.Errorf("invalidated %d cache entries, want >= 1", pr.Invalidated)
@@ -329,11 +329,62 @@ func TestPatchGuardRegistryFlow(t *testing.T) {
 	}
 }
 
+// TestLatePutMissesAfterCommit: a job that leased the graph before a
+// patch commits fills the cache under its pre-commit key after the
+// patch dropped the graph's entries. A query made after the commit
+// must not be answered from that entry.
+func TestLatePutMissesAfterCommit(t *testing.T) {
+	r := NewRegistry(0, nil)
+	c := NewCache(8, nil)
+	if _, err := r.Register("g", pmsf.RandomGraph(30, 60, 2)); err != nil {
+		t.Fatal(err)
+	}
+	query := CacheKey{Kind: KindMSF, Algo: pmsf.MSTBC}
+	keyOf := func(l *Lease) CacheKey {
+		k := query
+		k.Name, k.Version = l.Name, l.Version
+		return k
+	}
+
+	pre, err := r.Acquire("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard, err := r.BeginPatch("g", 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := pmsf.NewDynamic(guard.Graph, pmsf.SeqKruskal, pmsf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dyn.ApplyEdges([]pmsf.Edge{{U: 0, V: 1, W: -1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	newG, f := dyn.SnapshotWithForest()
+	info := guard.Commit(newG, f, dyn)
+	c.DropGraph("g")
+	c.Put(keyOf(pre), &Result{Graph: "g", M: len(pre.Graph.Edges)})
+	pre.Release()
+
+	post, err := r.Acquire("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer post.Release()
+	if res, ok := c.Get(keyOf(post)); ok {
+		t.Errorf("post-commit query hit the pre-commit result (m=%d)", res.M)
+	}
+	if post.Version != info.Version {
+		t.Errorf("post-commit lease version %d, commit reported %d", post.Version, info.Version)
+	}
+}
+
 func TestCacheDropGraph(t *testing.T) {
 	m := NewMetrics()
 	c := NewCache(8, m)
 	put := func(name string, q uint64) {
-		c.Put(CacheKey{Name: name, Graph: 1, Query: q}, &Result{Kind: KindMSF})
+		c.Put(CacheKey{Name: name, Version: 1, Seed: q}, &Result{Kind: KindMSF})
 	}
 	put("a", 10)
 	put("a", 11)
@@ -341,10 +392,10 @@ func TestCacheDropGraph(t *testing.T) {
 	if n := c.DropGraph("a"); n != 2 {
 		t.Fatalf("DropGraph(a) = %d, want 2", n)
 	}
-	if _, ok := c.Get(CacheKey{Name: "b", Graph: 1, Query: 10}); !ok {
+	if _, ok := c.Get(CacheKey{Name: "b", Version: 1, Seed: 10}); !ok {
 		t.Error("DropGraph removed an entry of a different graph with equal content")
 	}
-	if _, ok := c.Get(CacheKey{Name: "a", Graph: 1, Query: 10}); ok {
+	if _, ok := c.Get(CacheKey{Name: "a", Version: 1, Seed: 10}); ok {
 		t.Error("dropped entry still served")
 	}
 	if got := m.CacheInvalidations.Value(); got != 2 {

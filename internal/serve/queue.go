@@ -98,11 +98,12 @@ func (q *Queue) worker(w int) {
 	}
 }
 
-// NewJob allocates a registered job in the queued state, holding lease.
-// The job is not admitted until Submit.
-func (q *Queue) NewJob(kind QueryKind, lease *Lease) *Job {
+// NewJob allocates a registered job in the queued state that computes
+// key, holding lease (the snapshot key names). The job is not admitted
+// until Submit.
+func (q *Queue) NewJob(key CacheKey, lease *Lease) *Job {
 	id := fmt.Sprintf("job-%d", q.nextID.Add(1))
-	return newJob(id, kind, lease)
+	return newJob(id, key, lease)
 }
 
 // Submit admits j into the backlog. On refusal (draining or full) the

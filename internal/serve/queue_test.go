@@ -39,7 +39,7 @@ func newQueueFixture(t *testing.T, k, depth int) *queueFixture {
 		f.mu.Lock()
 		f.ran = append(f.ran, j.ID)
 		f.mu.Unlock()
-		return &Result{Kind: j.Kind, Graph: j.lease.Name}, nil
+		return &Result{Kind: j.Key.Kind, Graph: j.lease.Name}, nil
 	})
 	f.q.progressEvery = 0 // deterministic event streams in unit tests
 	f.q.Start()
@@ -52,7 +52,7 @@ func (f *queueFixture) job(t *testing.T) *Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f.q.NewJob(KindMSF, lease)
+	return f.q.NewJob(CacheKey{Name: lease.Name, Version: lease.Version, Kind: KindMSF}, lease)
 }
 
 func TestQueueRunsAndCompletes(t *testing.T) {

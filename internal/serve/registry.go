@@ -19,13 +19,13 @@ var (
 
 // GraphInfo is the public description of one registered graph.
 type GraphInfo struct {
-	Name        string `json:"name"`
-	N           int    `json:"n"`
-	M           int    `json:"m"`
-	Fingerprint string `json:"fingerprint"` // hex, from pmsf.Fingerprint
-	Bytes       int64  `json:"bytes"`       // estimated resident size
-	Refs        int    `json:"refs"`        // queries holding the graph right now
-	Removing    bool   `json:"removing,omitempty"`
+	Name     string `json:"name"`
+	N        int    `json:"n"`
+	M        int    `json:"m"`
+	Version  uint64 `json:"version"` // changes on every register and patch commit
+	Bytes    int64  `json:"bytes"`   // estimated resident size
+	Refs     int    `json:"refs"`    // queries holding the graph right now
+	Removing bool   `json:"removing,omitempty"`
 }
 
 // graphEntry is one registered graph plus its refcount. The refcount
@@ -34,7 +34,7 @@ type GraphInfo struct {
 type graphEntry struct {
 	name    string
 	g       *pmsf.Graph
-	fp      uint64
+	version uint64 // Registry.version when g was published
 	bytes   int64
 	refs    int
 	removed bool // unregistered; free when refs hits zero
@@ -54,10 +54,17 @@ type graphEntry struct {
 // exceeded the upload is refused and the client must DELETE something
 // first — a service holding graphs for millions of queries must never
 // silently drop one mid-traffic.
+//
+// Each published graph carries a version from one registry-wide
+// counter, so no two snapshots ever share one, not even a graph deleted
+// and registered again under its name. A cached result is keyed by the
+// version it was computed on (CacheKey), which is what keeps a job
+// finishing late on an older snapshot from answering for a newer one.
 type Registry struct {
 	mu       sync.Mutex
 	capBytes int64
 	bytes    int64
+	version  uint64 // last version handed out
 	graphs   map[string]*graphEntry
 	metrics  *Metrics
 }
@@ -76,11 +83,8 @@ func GraphBytes(g *pmsf.Graph) int64 {
 }
 
 // Register stores g under name. The graph must already be validated.
-// Its fingerprint, a pass over every edge, is taken before the lock so
-// leases on other graphs never wait behind it.
 func (r *Registry) Register(name string, g *pmsf.Graph) (GraphInfo, error) {
 	bytes := GraphBytes(g)
-	fp := pmsf.Fingerprint(g)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.graphs[name]; ok {
@@ -90,7 +94,8 @@ func (r *Registry) Register(name string, g *pmsf.Graph) (GraphInfo, error) {
 		return GraphInfo{}, fmt.Errorf("%w: %d + %d > %d (delete a graph first)",
 			ErrRegistryFull, r.bytes, bytes, r.capBytes)
 	}
-	e := &graphEntry{name: name, g: g, fp: fp, bytes: bytes}
+	r.version++
+	e := &graphEntry{name: name, g: g, version: r.version, bytes: bytes}
 	r.graphs[name] = e
 	r.bytes += bytes
 	r.publish()
@@ -101,9 +106,9 @@ func (r *Registry) Register(name string, g *pmsf.Graph) (GraphInfo, error) {
 // called exactly once when the query is done with it; Release is
 // idempotent per Lease.
 type Lease struct {
-	Graph       *pmsf.Graph
-	Name        string
-	Fingerprint uint64
+	Graph   *pmsf.Graph
+	Name    string
+	Version uint64
 	// Forest is the dynamically maintained MSF of Graph, or nil if the
 	// graph has never been patched. When set, MSF queries are answered
 	// from it directly (no engine run); it is immutable and always
@@ -125,7 +130,7 @@ func (r *Registry) Acquire(name string) (*Lease, error) {
 		return nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
 	e.refs++
-	return &Lease{Graph: e.g, Name: name, Fingerprint: e.fp, Forest: e.forest, r: r, entry: e}, nil
+	return &Lease{Graph: e.g, Name: name, Version: e.version, Forest: e.forest, r: r, entry: e}, nil
 }
 
 // Release returns the lease. If the graph was removed while leased, the
@@ -206,13 +211,13 @@ func (r *Registry) Bytes() int64 {
 
 func (r *Registry) infoLocked(e *graphEntry) GraphInfo {
 	return GraphInfo{
-		Name:        e.name,
-		N:           e.g.N,
-		M:           len(e.g.Edges),
-		Fingerprint: fmt.Sprintf("%016x", e.fp),
-		Bytes:       e.bytes,
-		Refs:        e.refs,
-		Removing:    e.removed,
+		Name:     e.name,
+		N:        e.g.N,
+		M:        len(e.g.Edges),
+		Version:  e.version,
+		Bytes:    e.bytes,
+		Refs:     e.refs,
+		Removing: e.removed,
 	}
 }
 
@@ -258,10 +263,9 @@ func (r *Registry) BeginPatch(name string, addedBytes int64) (*PatchGuard, error
 // Commit publishes the patched snapshot: the new graph, its maintained
 // forest, and the dynamic handle that produced them. Leases taken
 // before the commit keep the previous graph; new leases see the new
-// snapshot and its forest. Returns the updated info. As in Register,
-// the fingerprint is taken before the lock.
+// snapshot and its forest under a new version. Returns the updated
+// info.
 func (g *PatchGuard) Commit(newG *pmsf.Graph, f *pmsf.Forest, dyn *pmsf.Dynamic) GraphInfo {
-	fp := pmsf.Fingerprint(newG)
 	g.r.mu.Lock()
 	defer g.r.mu.Unlock()
 	if g.done {
@@ -273,7 +277,8 @@ func (g *PatchGuard) Commit(newG *pmsf.Graph, f *pmsf.Forest, dyn *pmsf.Dynamic)
 	g.r.bytes += newBytes - e.bytes
 	e.bytes = newBytes
 	e.g = newG
-	e.fp = fp
+	g.r.version++
+	e.version = g.r.version
 	e.forest = f
 	e.dyn = dyn
 	info := g.r.infoLocked(e)

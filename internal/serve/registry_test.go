@@ -29,7 +29,7 @@ func TestRegistryRegisterAcquireRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lease.Graph != g || lease.Fingerprint != pmsf.Fingerprint(g) {
+	if lease.Graph != g || lease.Version != info.Version {
 		t.Error("lease does not expose the registered graph")
 	}
 	if got, _ := r.Get("g1"); got.Refs != 1 {

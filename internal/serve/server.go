@@ -132,31 +132,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.queue.Shutdown(dctx)
 }
 
-// queryHash mixes the query kind into the options hash so MSF and
-// components results never collide in the cache.
-func queryHash(kind QueryKind, algo pmsf.Algorithm, opt pmsf.Options) uint64 {
-	h := pmsf.HashOptions(algo, opt)
-	for _, b := range []byte(kind) {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// execute runs one job on a queue worker and fills the cache. MSF
-// queries against a patched graph are answered from its dynamically
-// maintained forest (no engine run); everything else is the only place
-// the service invokes an engine.
+// execute runs one job on a queue worker and fills the cache under
+// the job's key. MSF queries against a patched graph are answered from
+// its dynamically maintained forest (no engine run); everything else is
+// the only place the service invokes an engine.
 func (s *Server) execute(j *Job) (*Result, error) {
 	g := j.lease.Graph
+	k := j.Key
 	res := &Result{
-		Kind:  j.Kind,
-		Graph: j.lease.Name,
+		Kind:  k.Kind,
+		Graph: k.Name,
 		N:     g.N,
 		M:     len(g.Edges),
 	}
 	start := time.Now()
-	switch j.Kind {
+	switch k.Kind {
 	case KindMSF:
 		if f := j.lease.Forest; f != nil {
 			// The lease carries the maintained MSF of exactly this
@@ -166,42 +156,41 @@ func (s *Server) execute(j *Job) (*Result, error) {
 			res.Weight = f.Weight
 			res.ForestSize = f.Size()
 			res.Components = f.Components
-			if j.IncludeEdges {
+			if k.IncludeEdges {
 				res.EdgeIDs = f.EdgeIDs
 			}
 			break
 		}
 		s.metrics.EngineRuns.Add(1)
-		opt := j.Opt
-		opt.Trace = j.trace
-		f, stats, err := pmsf.MinimumSpanningForest(g, j.Algo, opt)
+		opt := pmsf.Options{Workers: k.Workers, BaseSize: k.BaseSize, Seed: k.Seed, SortEngine: k.SortEngine, Trace: j.trace}
+		f, stats, err := pmsf.MinimumSpanningForest(g, k.Algo, opt)
 		if err != nil {
 			return nil, err
 		}
 		if len(stats.PhaseTotalNS) > 0 {
 			res.PhaseTotalNS = stats.PhaseTotalNS
 		}
-		res.Algorithm = j.Algo.String()
+		res.Algorithm = k.Algo.String()
 		res.Weight = f.Weight
 		res.ForestSize = f.Size()
 		res.Components = f.Components
-		if j.IncludeEdges {
+		if k.IncludeEdges {
 			res.EdgeIDs = f.EdgeIDs
 		}
 	case KindComponents:
 		s.metrics.EngineRuns.Add(1)
-		labels, n, err := pmsf.ConnectedComponents(g, j.Opt.Workers)
+		labels, n, err := pmsf.ConnectedComponents(g, k.Workers)
 		if err != nil {
 			return nil, err
 		}
 		res.Components = n
-		if j.IncludeLabels {
+		if k.IncludeLabels {
 			res.Labels = labels
 		}
 	default:
 		return nil, ErrBadQuery
 	}
 	res.WallNS = time.Since(start).Nanoseconds()
-	s.cache.Put(j.CacheKey, res)
+	s.cache.Put(k, res)
 	return res, nil
 }
