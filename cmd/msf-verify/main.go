@@ -1,8 +1,7 @@
 // Command msf-verify checks a saved forest against its graph: structural
-// spanning-forest validity, weight equality with an independently
-// computed reference MSF, and the cycle property (every non-forest edge
-// is T-heavy). Exit status 0 means the forest is a minimum spanning
-// forest of the graph.
+// spanning-forest validity, then its sorted edge weights compared
+// exactly with those of an independently computed Kruskal MSF. Exit
+// status 0 means the forest is a minimum spanning forest of the graph.
 //
 // Usage:
 //

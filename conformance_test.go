@@ -2,7 +2,7 @@ package pmsf_test
 
 // The conformance matrix: every algorithm × every input family ×
 // several worker counts, each result checked by the full oracle
-// (structure + independent reference weight + cycle property). This is
+// (structure, then sorted weights against an independent Kruskal). This is
 // the repository's release gate; run with -short to skip the slow cells.
 
 import (

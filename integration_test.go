@@ -73,7 +73,7 @@ func TestAllAlgorithmsAgreeProperty(t *testing.T) {
 	}
 }
 
-// The full oracle (structure + reference weight + cycle property) on a
+// The full oracle (structure, then sorted weights against Kruskal) on a
 // sample of instances per algorithm.
 func TestFullOracleSample(t *testing.T) {
 	for s := uint64(0); s < 8; s++ {

@@ -69,7 +69,7 @@ func TestVariantsProduceMSF(t *testing.T) {
 			for _, p := range []int{1, 2, 4, 7} {
 				t.Run(fmt.Sprintf("%s/%s/p=%d", v.name, name, p), func(t *testing.T) {
 					f := v.run(g, Options{Workers: p, Seed: 42})
-					if err := verify.Full(g, f); err != nil {
+					if err := verify.Minimum(g, f); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -27,7 +27,7 @@ func TestDenseProducesMSF(t *testing.T) {
 		for _, p := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/p=%d", name, p), func(t *testing.T) {
 				f := Run(g, Options{Workers: p})
-				if err := verify.Full(g, f); err != nil {
+				if err := verify.Minimum(g, f); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -57,10 +57,10 @@ func (h *DaryHeap) Push(item int32, key float64, payload int32) {
 	h.up(len(h.items) - 1)
 }
 
-// DecreaseKey lowers item's key if key is smaller; reports whether an
-// update occurred.
+// DecreaseKey lowers item's key if (key, payload) orders before the
+// current pair; reports whether an update occurred.
 func (h *DaryHeap) DecreaseKey(item int32, key float64, payload int32) bool {
-	if key >= h.keys[item] {
+	if !before(key, payload, h.keys[item], h.pay[item]) {
 		return false
 	}
 	h.keys[item] = key
@@ -106,6 +106,9 @@ func (h *DaryHeap) less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
 	if h.keys[a] != h.keys[b] {
 		return h.keys[a] < h.keys[b]
+	}
+	if h.pay[a] != h.pay[b] {
+		return h.pay[a] < h.pay[b]
 	}
 	return a < b
 }

@@ -5,6 +5,9 @@
 //
 // Items are dense int32 identifiers in [0, capacity); each item carries a
 // float64 key and an int32 payload (the edge that achieves the key).
+// All three heaps order items by (key, payload), then by item id. With
+// edge ids as payloads that is Kruskal's (weight, id) order, so Prim
+// returns the same forest as Kruskal even under tied weights.
 package heap
 
 // IndexedHeap is a binary min-heap over items 0..cap-1 keyed by float64.
@@ -58,11 +61,11 @@ func (h *IndexedHeap) Push(item int32, key float64, payload int32) {
 	h.up(len(h.items) - 1)
 }
 
-// DecreaseKey lowers item's key to key (recording the new payload) if key
-// is smaller than the current key; it reports whether an update occurred.
-// The item must be present.
+// DecreaseKey lowers item's key to key (recording the new payload) if
+// (key, payload) orders before the current pair; it reports whether an
+// update occurred. The item must be present.
 func (h *IndexedHeap) DecreaseKey(item int32, key float64, payload int32) bool {
-	if key >= h.keys[item] {
+	if !before(key, payload, h.keys[item], h.pay[item]) {
 		return false
 	}
 	h.keys[item] = key
@@ -113,7 +116,16 @@ func (h *IndexedHeap) less(i, j int) bool {
 	if h.keys[a] != h.keys[b] {
 		return h.keys[a] < h.keys[b]
 	}
-	return a < b // deterministic tie-break
+	if h.pay[a] != h.pay[b] {
+		return h.pay[a] < h.pay[b]
+	}
+	return a < b
+}
+
+// before reports whether (k1, p1) orders before (k2, p2): by key, then
+// by payload.
+func before(k1 float64, p1 int32, k2 float64, p2 int32) bool {
+	return k1 < k2 || (k1 == k2 && p1 < p2)
 }
 
 func (h *IndexedHeap) swap(i, j int) {

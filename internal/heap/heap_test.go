@@ -71,9 +71,19 @@ func TestDecreaseKey(t *testing.T) {
 	if h.DecreaseKey(2, 50, 0) {
 		t.Fatal("increase accepted")
 	}
+	// An equal key decreases only with a smaller payload.
+	if h.DecreaseKey(2, 5, 100) || !h.DecreaseKey(2, 5, 42) {
+		t.Fatal("equal key not ordered by payload")
+	}
+	// Equal keys pop in payload order, not item order.
+	h.DecreaseKey(1, 5, 7)
 	item, key, pay := h.PopMin()
-	if item != 2 || key != 5 || pay != 99 {
-		t.Fatalf("pop = (%d,%g,%d), want (2,5,99)", item, key, pay)
+	if item != 1 || key != 5 || pay != 7 {
+		t.Fatalf("pop = (%d,%g,%d), want (1,5,7)", item, key, pay)
+	}
+	item, key, pay = h.PopMin()
+	if item != 2 || key != 5 || pay != 42 {
+		t.Fatalf("pop = (%d,%g,%d), want (2,5,42)", item, key, pay)
 	}
 }
 

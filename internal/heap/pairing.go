@@ -51,10 +51,13 @@ func (h *PairingHeap) Key(item int32) float64 { return h.keys[item] }
 // Payload returns item's payload.
 func (h *PairingHeap) Payload(item int32) int32 { return h.pay[item] }
 
-// less orders items by (key, id) for deterministic ties.
+// less orders items by (key, payload, id).
 func (h *PairingHeap) less(a, b int32) bool {
 	if h.keys[a] != h.keys[b] {
 		return h.keys[a] < h.keys[b]
+	}
+	if h.pay[a] != h.pay[b] {
+		return h.pay[a] < h.pay[b]
 	}
 	return a < b
 }
@@ -95,10 +98,11 @@ func (h *PairingHeap) Push(item int32, key float64, payload int32) {
 	h.size++
 }
 
-// DecreaseKey lowers item's key if key is smaller; reports whether an
-// update occurred. item must be present.
+// DecreaseKey lowers item's key if (key, payload) orders before the
+// current pair; reports whether an update occurred. item must be
+// present.
 func (h *PairingHeap) DecreaseKey(item int32, key float64, payload int32) bool {
-	if key >= h.keys[item] {
+	if !before(key, payload, h.keys[item], h.pay[item]) {
 		return false
 	}
 	h.keys[item] = key

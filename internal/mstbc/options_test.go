@@ -22,7 +22,7 @@ func TestNoPermuteCorrect(t *testing.T) {
 	g := gen.Random(2000, 8000, 1)
 	for _, p := range []int{1, 4} {
 		f := Run(g, Options{Workers: p, NoPermute: true, BaseSize: 32, Seed: 3})
-		if err := verify.Full(g, f); err != nil {
+		if err := verify.Minimum(g, f); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 	}
@@ -34,7 +34,7 @@ func TestNoPermuteCorrect(t *testing.T) {
 func TestStatsCoherent(t *testing.T) {
 	g := gen.Random(4000, 16000, 2)
 	f, s := traced(g, Options{Workers: 4, BaseSize: 64, Seed: 5})
-	if err := verify.Full(g, f); err != nil {
+	if err := verify.Minimum(g, f); err != nil {
 		t.Fatal(err)
 	}
 	if s.Algorithm != "MST-BC" || s.Workers != 4 {
@@ -100,7 +100,7 @@ func TestBaseSizeExtremes(t *testing.T) {
 func TestSingleWorkerBehavesAsPrim(t *testing.T) {
 	g := gen.Random(2000, 8000, 4)
 	f, s := traced(g, Options{Workers: 1, BaseSize: 16, Seed: 7})
-	if err := verify.Full(g, f); err != nil {
+	if err := verify.Minimum(g, f); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Rounds) != 1 {
@@ -122,7 +122,7 @@ func TestSingleWorkerBehavesAsPrim(t *testing.T) {
 func TestMoreWorkersThanVertices(t *testing.T) {
 	g := gen.Random(16, 40, 5)
 	f := Run(g, Options{Workers: 64, BaseSize: 1, Seed: 2})
-	if err := verify.Full(g, f); err != nil {
+	if err := verify.Minimum(g, f); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,7 +141,7 @@ func TestCycleGraphProgress(t *testing.T) {
 	}
 	for rep := 0; rep < 20; rep++ {
 		f := Run(g, Options{Workers: 8, BaseSize: 1, Seed: uint64(rep), NoPermute: true})
-		if err := verify.Full(g, f); err != nil {
+		if err := verify.Minimum(g, f); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
 	}

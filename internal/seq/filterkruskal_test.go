@@ -25,7 +25,7 @@ func TestFilterKruskalOnFamilies(t *testing.T) {
 	}
 	for i, g := range inputs {
 		f := seq.FilterKruskal(g)
-		if err := verify.Full(g, f); err != nil {
+		if err := verify.Minimum(g, f); err != nil {
 			t.Fatalf("input %d: %v", i, err)
 		}
 	}

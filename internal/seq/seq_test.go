@@ -1,6 +1,7 @@
 package seq_test
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,12 +11,26 @@ import (
 	"pmsf/internal/verify"
 )
 
+// baselines lists every sequential algorithm, Prim once per heap.
 func baselines() map[string]func(*graph.EdgeList) *graph.Forest {
-	return map[string]func(*graph.EdgeList) *graph.Forest{
-		"Prim":    seq.Prim,
-		"Kruskal": seq.Kruskal,
-		"Boruvka": seq.Boruvka,
+	b := map[string]func(*graph.EdgeList) *graph.Forest{
+		"Prim":          seq.Prim,
+		"Kruskal":       seq.Kruskal,
+		"Boruvka":       seq.Boruvka,
+		"FilterKruskal": seq.FilterKruskal,
 	}
+	for _, pq := range seq.PrimPQs() {
+		b["Prim/"+pq.String()] = func(g *graph.EdgeList) *graph.Forest { return seq.PrimWithHeap(g, pq) }
+	}
+	return b
+}
+
+// sameEdges reports whether two forests hold the same edge ids.
+func sameEdges(a, b *graph.Forest) bool {
+	x, y := slices.Clone(a.EdgeIDs), slices.Clone(b.EdgeIDs)
+	slices.Sort(x)
+	slices.Sort(y)
+	return slices.Equal(x, y)
 }
 
 func TestBaselinesOnKnownGraph(t *testing.T) {
@@ -85,6 +100,10 @@ func eqWeight(a, b float64) bool {
 	return d <= 1e-9*(1+a+b)
 }
 
+// Every baseline breaks weight ties by edge id, so each returns
+// Kruskal's forest edge for edge, also when the families are re-weighted
+// by small integers. That keeps Kruskal, the reference of
+// verify.Minimum, checked by independent algorithms.
 func TestBaselinesVerifyOnFamilies(t *testing.T) {
 	inputs := []*graph.EdgeList{
 		gen.Random(1500, 6000, 1),
@@ -99,34 +118,38 @@ func TestBaselinesVerifyOnFamilies(t *testing.T) {
 		gen.Str3(500, 10),
 	}
 	for i, g := range inputs {
-		ref := seq.Kruskal(g)
-		for name, run := range baselines() {
-			f := run(g)
-			if err := verify.Forest(g, f); err != nil {
-				t.Fatalf("input %d %s: %v", i, name, err)
-			}
-			if !eqWeight(f.Weight, ref.Weight) {
-				t.Fatalf("input %d %s: weight %g != reference %g", i, name, f.Weight, ref.Weight)
+		for j, g := range []*graph.EdgeList{g, gen.Reweight(g, gen.WeightsSmallInts, uint64(i))} {
+			ref := seq.Kruskal(g)
+			for name, run := range baselines() {
+				f := run(g)
+				if err := verify.Forest(g, f); err != nil {
+					t.Fatalf("input %d/%d %s: %v", i, j, name, err)
+				}
+				if !sameEdges(f, ref) {
+					t.Fatalf("input %d/%d %s: forest differs from Kruskal's", i, j, name)
+				}
 			}
 		}
 	}
 }
 
-// With duplicate weights all baselines must still produce valid minimum
-// forests of equal weight (ties broken internally by edge id).
+// With duplicate weights all baselines must still produce Kruskal's
+// forest (ties broken by edge id).
 func TestDuplicateWeights(t *testing.T) {
-	g := gen.Random(400, 2000, 11)
-	for i := range g.Edges {
-		g.Edges[i].W = float64(i % 5) // heavy ties
-	}
-	ref := seq.Kruskal(g)
-	for name, run := range baselines() {
-		f := run(g)
-		if err := verify.Forest(g, f); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, k := range []int{2, 3, 5} {
+		g := gen.Random(400, 2000, 11)
+		for i := range g.Edges {
+			g.Edges[i].W = float64(i % k) // heavy ties
 		}
-		if !eqWeight(f.Weight, ref.Weight) {
-			t.Fatalf("%s: weight %g != %g under ties", name, f.Weight, ref.Weight)
+		ref := seq.Kruskal(g)
+		for name, run := range baselines() {
+			f := run(g)
+			if err := verify.Forest(g, f); err != nil {
+				t.Fatalf("mod %d %s: %v", k, name, err)
+			}
+			if !sameEdges(f, ref) {
+				t.Fatalf("mod %d %s: forest differs from Kruskal's under ties", k, name)
+			}
 		}
 	}
 }

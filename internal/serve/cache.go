@@ -98,6 +98,19 @@ func (c *Cache) Put(k CacheKey, res *Result) {
 	}
 }
 
+// Drop removes the entry under k, if there is one.
+func (c *Cache) Drop(k CacheKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		c.ll.Remove(el)
+		delete(c.items, k)
+		if c.metrics != nil {
+			c.metrics.CacheEntries.Set(int64(c.ll.Len()))
+		}
+	}
+}
+
 // DropGraph removes every entry computed against any version of the
 // named graph. Edge patches and DELETE call it: no later key can reach
 // those entries, and they hold O(n) payloads. Returns the number of

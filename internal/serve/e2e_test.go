@@ -284,9 +284,9 @@ func TestServiceGraphLifecycle(t *testing.T) {
 }
 
 // TestReRegisteredGraphMissesLateResult: a query still running on a
-// graph when it is deleted fills the cache after the name is registered
-// again with other content. The new graph's query must run an engine on
-// the new content, not hit the late entry.
+// graph when it is deleted finishes after the name is registered again
+// with other content. Its result must not stay in the cache, and the new
+// graph's query must run an engine on the new content.
 func TestReRegisteredGraphMissesLateResult(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	registerGraph(t, ts, "g", graphText(t, 300, 1200, 1))
@@ -320,6 +320,9 @@ func TestReRegisteredGraphMissesLateResult(t *testing.T) {
 	<-job.Done()
 	if res, err := job.Outcome(); err != nil || res.N != 300 {
 		t.Fatalf("late query on the deleted graph: %+v, %v", res, err)
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Errorf("late result on the deleted graph was cached: %d entries, want 0", n)
 	}
 
 	runs := serverCounters(t, ts)["serve_engine_runs"]

@@ -152,6 +152,14 @@ func (l *Lease) Release() {
 	}
 }
 
+// Current reports whether the lease's snapshot is still the published
+// version of its graph: not patched since, and not removed.
+func (l *Lease) Current() bool {
+	l.r.mu.Lock()
+	defer l.r.mu.Unlock()
+	return !l.entry.removed && l.entry.version == l.Version
+}
+
 // Remove unregisters the named graph. If queries hold leases the entry
 // stays resident (and keeps counting against the cap) until the last
 // lease is released; new Acquires fail immediately.

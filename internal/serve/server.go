@@ -192,5 +192,11 @@ func (s *Server) execute(j *Job) (*Result, error) {
 	}
 	res.WallNS = time.Since(start).Nanoseconds()
 	s.cache.Put(k, res)
+	// No later key reaches a superseded version. A commit or DELETE
+	// after this check drops the entry itself; one before it may have
+	// dropped the graph's entries before the Put, so drop this one here.
+	if !j.lease.Current() {
+		s.cache.Drop(k)
+	}
 	return res, nil
 }

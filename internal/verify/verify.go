@@ -1,11 +1,13 @@
-// Package verify is the correctness oracle for MSF results. It checks
-// that a claimed forest (a) uses only valid edge identifiers without
-// duplicates, (b) is acyclic, (c) spans every connected component of the
-// input, (d) reports a consistent weight, and (e) matches the weight of
-// an independently computed reference MSF (Kruskal). With distinct edge
-// weights the MSF is unique, so weight equality implies edge-set
-// equality; the checks still hold under ties because both sides break
-// ties identically by edge id.
+// Package verify is the correctness oracle for MSF results. It has two
+// tiers. Forest checks structure: edge ids in range without duplicates,
+// no self-loops, acyclic, spanning every connected component of the
+// input, and a reported weight that matches the edges. Minimum adds
+// minimality: the forest's sorted edge weights must equal those of an
+// independently computed Kruskal reference exactly. Every MSF of a
+// graph has the same sorted weight sequence, so this decides
+// minimality without a tolerance, also under ties, where two minimum
+// forests may hold different edges. Kruskal itself is checked edge for
+// edge against Prim, Borůvka and Filter-Kruskal (internal/seq tests).
 package verify
 
 import (
@@ -60,42 +62,34 @@ func Forest(g *graph.EdgeList, f *graph.Forest) error {
 	return nil
 }
 
-// Minimum checks that f is a minimum spanning forest by comparing its
-// weight against an independently computed Kruskal reference. It implies
-// Forest's checks.
+// Minimum checks that f is a minimum spanning forest: its sorted edge
+// weights must equal those of an independently computed Kruskal
+// reference, and the error names the first position where they differ.
+// Totals cannot decide this: a tolerance lets a heavier forest through,
+// and a total of ±MaxFloat64 or infinite weights depends on summation
+// order. It implies Forest's checks.
 func Minimum(g *graph.EdgeList, f *graph.Forest) error {
 	if err := Forest(g, f); err != nil {
 		return err
 	}
-	ref := seq.Kruskal(g)
-	if !closeEnough(ref.Weight, f.Weight) && !sameWeights(g, ref, f) {
-		return fmt.Errorf("verify: weight %.9g differs from reference MSF weight %.9g (delta %g)",
-			f.Weight, ref.Weight, f.Weight-ref.Weight)
+	want, got := sortedWeights(g, seq.Kruskal(g)), sortedWeights(g, f)
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("verify: sorted weight %d of %d is %.17g, reference MSF has %.17g",
+				i, len(want), got[i], want[i])
+		}
 	}
 	return nil
 }
 
-// sameWeights reports whether forests a and b of g have equal sorted
-// edge-weight sequences. Every MSF of g has the same sequence, so this
-// decides minimality exactly where weight totals cannot: a total of
-// ±MaxFloat64 or infinite weights depends on summation order (it can
-// overflow to ±Inf, or reach NaN, in one order and not another).
-func sameWeights(g *graph.EdgeList, a, b *graph.Forest) bool {
-	if len(a.EdgeIDs) != len(b.EdgeIDs) {
-		return false
+// sortedWeights returns the weights of f's edges in ascending order.
+func sortedWeights(g *graph.EdgeList, f *graph.Forest) []float64 {
+	w := make([]float64, len(f.EdgeIDs))
+	for i, id := range f.EdgeIDs {
+		w[i] = g.Edges[id].W
 	}
-	wa, wb := make([]float64, len(a.EdgeIDs)), make([]float64, len(b.EdgeIDs))
-	for i := range a.EdgeIDs {
-		wa[i], wb[i] = g.Edges[a.EdgeIDs[i]].W, g.Edges[b.EdgeIDs[i]].W
-	}
-	sort.Float64s(wa)
-	sort.Float64s(wb)
-	for i := range wa {
-		if wa[i] != wb[i] {
-			return false
-		}
-	}
-	return true
+	sort.Float64s(w)
+	return w
 }
 
 // closeEnough compares weights with a relative tolerance absorbing

@@ -21,7 +21,7 @@ func TestOracleProperty(t *testing.T) {
 		m := 2 + r.Intn(maxM-1)
 		g := gen.Random(n, m, r.Uint64())
 		forest := seq.Kruskal(g)
-		if Full(g, forest) != nil {
+		if Minimum(g, forest) != nil {
 			return false // a correct forest must pass everything
 		}
 		if len(forest.EdgeIDs) == 0 {
@@ -49,7 +49,7 @@ func TestOracleProperty(t *testing.T) {
 		// spanning) or yields a spanning tree that is not minimum — or,
 		// rarely, swaps in an equal-weight alternative MSF edge, which is
 		// legitimately accepted. Accept "caught" or "equal weight".
-		err := Full(g, &bad)
+		err := Minimum(g, &bad)
 		if err != nil {
 			return true
 		}
@@ -74,7 +74,7 @@ func TestOracleWeightTamperProperty(t *testing.T) {
 		forest := seq.Prim(g)
 		bad := *forest
 		bad.Weight += 1 + r.Float64()
-		return Full(g, &bad) != nil
+		return Minimum(g, &bad) != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
