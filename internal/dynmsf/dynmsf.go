@@ -143,7 +143,10 @@ type Handle struct {
 	// fadj is the forest adjacency (tree edges only); nadj the non-tree
 	// incidence pools, with lazy deletion: entries are validated on scan
 	// (still a live non-tree edge) and compacted when a repair scans
-	// their vertex.
+	// their vertex. Each structure's per-vertex slices share one backing
+	// array, cut by init at each vertex's degree; a vertex that outgrows
+	// its region moves out alone, by append, and its neighbours' regions
+	// are never touched.
 	fadj [][]arc
 	nadj [][]arc
 	lt   *lct
@@ -177,11 +180,13 @@ func New(g *graph.EdgeList, initial *graph.Forest, opt Options) (*Handle, error)
 
 // init (re)builds every derived structure from a live-only edge store.
 // Used by New and by compaction. The link-cut tree is built in O(n)
-// from BFS parent pointers rather than by n-1 links.
+// from BFS parent pointers rather than by n-1 links. Each adjacency
+// structure counts its degrees first and is then cut from one backing
+// array (carve), so building it makes no per-arc allocation.
 func (h *Handle) init(n int, edges []graph.Edge, forestIDs []int32) error {
 	m := len(edges)
 	enode := make([]int32, m)
-	fadj := make([][]arc, n)
+	deg := make([]int32, n)
 	for _, id := range forestIDs {
 		if id < 0 || int(id) >= m {
 			return fmt.Errorf("dynmsf: forest edge id %d out of range [0,%d)", id, m)
@@ -190,6 +195,12 @@ func (h *Handle) init(n int, edges []graph.Edge, forestIDs []int32) error {
 		if e.U == e.V {
 			return fmt.Errorf("dynmsf: forest edge %d is a self-loop at vertex %d", id, e.U)
 		}
+		deg[e.U]++
+		deg[e.V]++
+	}
+	fadj := carve(deg)
+	for _, id := range forestIDs {
+		e := edges[id]
 		fadj[e.U] = append(fadj[e.U], arc{e.V, id})
 		fadj[e.V] = append(fadj[e.V], arc{e.U, id})
 	}
@@ -224,11 +235,20 @@ func (h *Handle) init(n int, edges []graph.Edge, forestIDs []int32) error {
 			len(forestIDs), n, trees)
 	}
 
+	clear(deg)
+	for id, e := range edges {
+		if enode[id] == 0 {
+			deg[e.U]++
+			if e.U != e.V {
+				deg[e.V]++
+			}
+		}
+	}
 	h.live = &graph.EdgeList{N: n, Edges: edges}
 	h.enode = enode
 	h.dead = 0
 	h.fadj = fadj
-	h.nadj = make([][]arc, n)
+	h.nadj = carve(deg)
 	h.lt = lt
 	h.weight = forestWeight{}
 	h.forestSize = len(forestIDs)
@@ -245,6 +265,26 @@ func (h *Handle) init(n int, edges []graph.Edge, forestIDs []int32) error {
 	h.tag = 1
 	h.qa, h.qb = queue, nil
 	return nil
+}
+
+// carve cuts one backing array into per-vertex arc slices of length 0
+// and capacity deg[v]. Appends up to a vertex's count fill its own
+// region in place; one past it reallocates that vertex alone, because
+// the capacity bound keeps append from writing into the next region.
+func carve(deg []int32) [][]arc {
+	total := 0
+	for _, d := range deg {
+		total += int(d)
+	}
+	buf := make([]arc, total)
+	adj := make([][]arc, len(deg))
+	lo := 0
+	for v, d := range deg {
+		hi := lo + int(d)
+		adj[v] = buf[lo:lo:hi]
+		lo = hi
+	}
+	return adj
 }
 
 // N returns the (fixed) vertex count.

@@ -312,6 +312,73 @@ func TestCompactionShrinksStore(t *testing.T) {
 	checkMinimum(t, h)
 }
 
+// TestNewAllocsFlat pins New's adjacency build: each structure is cut
+// from one backing array, so the allocation count does not grow with m.
+func TestNewAllocsFlat(t *testing.T) {
+	g := gen.Random(20000, 120000, 1)
+	f := seq.Kruskal(g)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := New(g, f, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("New on G(20000, 120000) makes %.0f allocations, want at most 64", allocs)
+	}
+}
+
+// TestOverflowLeavesNeighbourPoolsIntact inserts more non-tree edges at
+// one vertex than init counted for it, in one batch and then across
+// batches. Its neighbours in the backing array, vertices 1 and 3, are
+// leaves whose only replacement edge sits in their own pool, so a write
+// past vertex 2's region would lose it.
+func TestOverflowLeavesNeighbourPoolsIntact(t *testing.T) {
+	// Tree: path 0-2-4-5-6-7 with leaves 1 (off 6) and 3 (off 7).
+	// Non-tree: (1,5) and (3,0) replace the leaves' tree edges; (2,5)
+	// gives vertex 2 a counted pool of one.
+	g := &graph.EdgeList{N: 8, Edges: []graph.Edge{
+		{U: 0, V: 2, W: 1}, {U: 2, V: 4, W: 1}, {U: 4, V: 5, W: 1}, {U: 5, V: 6, W: 1},
+		{U: 6, V: 7, W: 1}, {U: 1, V: 6, W: 1}, {U: 3, V: 7, W: 1},
+		{U: 1, V: 5, W: 5}, {U: 3, V: 0, W: 5}, {U: 2, V: 5, W: 9},
+	}}
+	h := newHandle(t, g, Options{})
+	if c := cap(h.nadj[2]); c != 1 {
+		t.Fatalf("vertex 2 pool capacity %d, want its count 1", c)
+	}
+	pool1, pool3 := slices.Clone(h.nadj[1]), slices.Clone(h.nadj[3])
+
+	heavy := func(w0 float64, k int) []graph.Edge {
+		var add []graph.Edge
+		for i := 0; i < k; i++ {
+			add = append(add, graph.Edge{U: 2, V: []int32{0, 4, 5, 6, 7}[i%5], W: w0 + float64(i)})
+		}
+		return add
+	}
+	for _, add := range [][]graph.Edge{heavy(100, 6), heavy(200, 3), heavy(300, 9)} {
+		if _, err := h.ApplyEdges(add, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(h.nadj[1], pool1) || !slices.Equal(h.nadj[3], pool3) {
+		t.Fatalf("neighbour pools changed: vertex 1 %v -> %v, vertex 3 %v -> %v", pool1, h.nadj[1], pool3, h.nadj[3])
+	}
+
+	d, err := h.ApplyEdges(nil, []graph.Edge{{U: 1, V: 6, W: 1}, {U: 3, V: 7, W: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Replacements != 2 {
+		t.Fatalf("delta %+v, want both leaves reconnected", d)
+	}
+	live, f := h.SnapshotWithForest()
+	got, want := slices.Clone(f.EdgeIDs), seq.Kruskal(live).EdgeIDs
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("forest %v, Kruskal %v", got, want)
+	}
+}
+
 func TestForestMatchesSnapshot(t *testing.T) {
 	h := newHandle(t, pathGraph(6), Options{})
 	if _, err := h.ApplyEdges([]graph.Edge{{U: 0, V: 4, W: 0.5}}, []graph.Edge{{U: 1, V: 2, W: 2}}); err != nil {

@@ -18,7 +18,8 @@ type CacheKey struct {
 	Version uint64
 	Kind    QueryKind
 	// Algo, BaseSize, Seed and SortEngine stay zero for components
-	// queries, which ignore them, so their keys are canonical.
+	// queries, which ignore them, and BaseSize and SortEngine stay zero
+	// for the engines that do not read them, so keys are canonical.
 	Algo       pmsf.Algorithm
 	Workers    int
 	BaseSize   int

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -336,6 +337,88 @@ func TestReRegisteredGraphMissesLateResult(t *testing.T) {
 	}
 	if got := serverCounters(t, ts)["serve_engine_runs"]; got != runs+1 {
 		t.Errorf("engine runs %d, want %d", got, runs+1)
+	}
+}
+
+// TestDefaultEngineIsBorCAS: a query that names no engine runs Bor-CAS,
+// and a graph's first PATCH, which seeds the dynamic handle with the
+// same engine, returns the minimum spanning forest of the patched graph.
+func TestDefaultEngineIsBorCAS(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	g := pmsf.RandomGraph(600, 2400, 5)
+	var buf bytes.Buffer
+	if err := pmsf.WriteGraph(&buf, g, pmsf.FormatText); err != nil {
+		t.Fatal(err)
+	}
+	registerGraph(t, ts, "g", buf.Bytes())
+
+	code, qr := postQuery(t, ts, QueryRequest{Graph: "g", Workers: 2})
+	if code != http.StatusOK || qr.Result == nil {
+		t.Fatalf("default query: %d %+v", code, qr)
+	}
+	if qr.Result.Algorithm != "Bor-CAS" {
+		t.Errorf("default query ran %q, want \"Bor-CAS\"", qr.Result.Algorithm)
+	}
+
+	// Delete two tree edges of the current forest, so the seeded handle
+	// must repair, and add two edges.
+	ref, _, err := pmsf.MinimumSpanningForest(g, pmsf.SeqKruskal, pmsf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := map[int32]bool{ref.EdgeIDs[0]: true, ref.EdgeIDs[len(ref.EdgeIDs)/2]: true}
+	patch := PatchRequest{Add: []PatchEdge{{U: 10, V: 20, W: 0.5}, {U: 30, V: 40, W: -1}}}
+	patched := &pmsf.Graph{N: g.N}
+	for i, e := range g.Edges {
+		if gone[int32(i)] {
+			patch.Del = append(patch.Del, PatchEdge{U: e.U, V: e.V, W: e.W})
+			continue
+		}
+		patched.Edges = append(patched.Edges, e)
+	}
+	for _, e := range patch.Add {
+		patched.Edges = append(patched.Edges, pmsf.Edge{U: e.U, V: e.V, W: e.W})
+	}
+	code, pr := doPatch(t, ts, "g", patch)
+	if code != http.StatusOK {
+		t.Fatalf("first patch: status %d", code)
+	}
+	want, _, err := pmsf.MinimumSpanningForest(patched, pmsf.SeqKruskal, pmsf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.Delta.ForestSize != want.Size() || pr.Delta.Components != want.Components ||
+		math.Abs(pr.Delta.Weight-want.Weight) > 1e-9*math.Max(1, math.Abs(want.Weight)) {
+		t.Errorf("first patch delta size %d, components %d, weight %v; SeqKruskal %d, %d, %v",
+			pr.Delta.ForestSize, pr.Delta.Components, pr.Delta.Weight, want.Size(), want.Components, want.Weight)
+	}
+}
+
+// TestCacheKeyIgnoresUnreadOptions: an option the chosen engine does not
+// read does not split the cache, and one it does read still does.
+func TestCacheKeyIgnoresUnreadOptions(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	registerGraph(t, ts, "g", graphText(t, 300, 1200, 4))
+
+	for _, c := range []struct {
+		first, second QueryRequest
+		cached        bool
+	}{
+		{QueryRequest{Graph: "g", BaseSize: 64}, QueryRequest{Graph: "g"}, true},
+		{QueryRequest{Graph: "g", Algo: "Bor-CAS", SortEngine: "sample-sort", Seed: 7}, QueryRequest{Graph: "g", Seed: 7}, true},
+		{QueryRequest{Graph: "g", Algo: "MST-BC", BaseSize: 64}, QueryRequest{Graph: "g", Algo: "MST-BC"}, false},
+		{QueryRequest{Graph: "g", Algo: "Bor-EL", SortEngine: "sample-sort"}, QueryRequest{Graph: "g", Algo: "Bor-EL"}, false},
+	} {
+		if code, qr := postQuery(t, ts, c.first); code != http.StatusOK || qr.Result == nil {
+			t.Fatalf("%+v: %d %+v", c.first, code, qr)
+		}
+		code, qr := postQuery(t, ts, c.second)
+		if code != http.StatusOK || qr.Result == nil {
+			t.Fatalf("%+v: %d %+v", c.second, code, qr)
+		}
+		if qr.Result.Cached != c.cached {
+			t.Errorf("%+v after %+v: cached %v, want %v", c.second, c.first, qr.Result.Cached, c.cached)
+		}
 	}
 }
 

@@ -23,6 +23,11 @@ var ErrBadQuery = errors.New("serve: bad query")
 // maxGraphNameLen bounds registered graph names.
 const maxGraphNameLen = 128
 
+// defaultAlgo answers MSF queries that name no engine and seeds the
+// dynamic handle on a graph's first PATCH: Bor-CAS, the fastest or tied
+// engine at p = 2 on random, mesh and str3 inputs.
+const defaultAlgo = pmsf.BorCAS
+
 // routes builds the HTTP surface. Admission-controlled endpoints (graph
 // mutation, queries) go through the per-client rate limiter; cheap
 // read-only surfaces (status, metrics, job polling) do not, so a
@@ -349,7 +354,7 @@ func (s *Server) handlePatchEdges(w http.ResponseWriter, r *http.Request) {
 	// serializes patches per graph, and reads keep the old snapshot.
 	dyn := guard.Dyn
 	if dyn == nil {
-		seeded, seedErr := pmsf.NewDynamic(guard.Graph, pmsf.MSTBC, pmsf.Options{Workers: s.cfg.MaxJobWorkers})
+		seeded, seedErr := pmsf.NewDynamic(guard.Graph, defaultAlgo, pmsf.Options{Workers: s.cfg.MaxJobWorkers})
 		if seedErr != nil {
 			guard.Abort()
 			writeError(w, http.StatusInternalServerError, "seeding dynamic forest: %v", seedErr)
@@ -401,13 +406,14 @@ type QueryRequest struct {
 	Graph string `json:"graph"`
 	// Kind is "msf" (default) or "components".
 	Kind string `json:"kind,omitempty"`
-	// Algo is any pmsf.ParseAlgorithm name; default MST-BC. Ignored by
+	// Algo is any pmsf.ParseAlgorithm name; default Bor-CAS. Ignored by
 	// components queries.
 	Algo string `json:"algo,omitempty"`
 	// Workers is the engine worker count, clamped to the server's
 	// MaxJobWorkers; 0 means server default.
 	Workers int `json:"workers,omitempty"`
-	// BaseSize, Seed, SortEngine pass through to pmsf.Options.
+	// BaseSize, Seed, SortEngine pass through to pmsf.Options. Only
+	// MST-BC reads BaseSize and only Bor-EL reads SortEngine.
 	BaseSize   int    `json:"base_size,omitempty"`
 	Seed       uint64 `json:"seed,omitempty"`
 	SortEngine string `json:"sort_engine,omitempty"`
@@ -460,7 +466,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	key := CacheKey{Kind: kind, Workers: workers, IncludeEdges: req.IncludeEdges, IncludeLabels: req.IncludeLabels}
 	if kind == KindMSF {
-		key.Algo = pmsf.MSTBC
+		key.Algo = defaultAlgo
 		if req.Algo != "" {
 			algo, err := pmsf.ParseAlgorithm(req.Algo)
 			if err != nil {
@@ -469,14 +475,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			key.Algo = algo
 		}
-		key.BaseSize, key.Seed = req.BaseSize, req.Seed
+		// The key is the job's spec: an option the engine does not read
+		// stays zero, so queries that differ only in it share one entry.
+		key.Seed = req.Seed
+		if key.Algo == pmsf.MSTBC {
+			key.BaseSize = req.BaseSize
+		}
 		if req.SortEngine != "" {
 			engine, err := pmsf.ParseSortEngine(req.SortEngine)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
-			key.SortEngine = engine
+			if key.Algo == pmsf.BorEL {
+				key.SortEngine = engine
+			}
 		}
 	}
 

@@ -318,7 +318,7 @@ var ErrDynamicBroken = dynmsf.ErrBroken
 // NewDynamic computes the MSF of g with the chosen algorithm and
 // returns a handle that keeps it minimal under batched edge updates:
 //
-//	dyn, err := pmsf.NewDynamic(g, pmsf.BorEL, pmsf.Options{})
+//	dyn, err := pmsf.NewDynamic(g, pmsf.BorCAS, pmsf.Options{})
 //	delta, err := dyn.ApplyEdges(adds, dels)
 //	live, forest := dyn.SnapshotWithForest()
 //
