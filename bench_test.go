@@ -19,7 +19,6 @@ import (
 	"pmsf/internal/graph"
 	"pmsf/internal/mstbc"
 	"pmsf/internal/obs"
-	"pmsf/internal/par"
 	"pmsf/internal/seq"
 )
 
@@ -294,35 +293,6 @@ func BenchmarkAblationPrimHeap(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationTeam compares the fork-join Do primitive against a
-// persistent SPMD worker team (the paper's SIMPLE runtime model) on a
-// phase-heavy microworkload resembling a Borůvka iteration structure.
-func BenchmarkAblationTeam(b *testing.B) {
-	const phases, work = 64, 1 << 14
-	data := make([]int64, work)
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			data[i]++
-		}
-	}
-	b.Run("fork-join", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for ph := 0; ph < phases; ph++ {
-				par.For(4, work, func(_, lo, hi int) { body(lo, hi) })
-			}
-		}
-	})
-	b.Run("team", func(b *testing.B) {
-		team := par.NewTeam(4)
-		defer team.Close()
-		for i := 0; i < b.N; i++ {
-			for ph := 0; ph < phases; ph++ {
-				team.For(work, func(_, lo, hi int) { body(lo, hi) })
-			}
-		}
-	})
 }
 
 // BenchmarkConnectedComponents times the follow-on connected-components

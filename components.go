@@ -13,6 +13,8 @@ import (
 // [0, components)) and the component count. workers <= 0 means
 // GOMAXPROCS.
 //
+// It runs the edge-parallel lock-free union-find (cc.UnionFind), which
+// beats the Shiloach-Vishkin hook-and-jump cc.SV on sparse inputs.
 // Labels are deterministic: components are numbered by their minimum
 // vertex id's position.
 func ConnectedComponents(g *Graph, workers int) (labels []int32, components int, err error) {
@@ -22,6 +24,6 @@ func ConnectedComponents(g *Graph, workers int) (labels []int32, components int,
 	if err := g.Validate(); err != nil {
 		return nil, 0, err
 	}
-	labels, components = cc.SV(g, workers)
+	labels, components = cc.UnionFind(g, workers)
 	return labels, components, nil
 }

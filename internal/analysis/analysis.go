@@ -234,3 +234,26 @@ func IsNamed(t types.Type, pkgpath, name string) bool {
 	return obj != nil && obj.Pkg() != nil &&
 		obj.Pkg().Path() == pkgpath && obj.Name() == name
 }
+
+// ParPath is the import path of the worker-team runtime.
+const ParPath = "pmsf/internal/par"
+
+// teamPhases are the par.Team methods that hand a phase to the team's
+// workers and wait for all of them.
+var teamPhases = map[string]bool{"Run": true, "For": true, "ForDynamic": true, "PackIndices": true}
+
+// TeamPhase reports whether call dispatches a phase on a par.Team, and
+// returns the method name. Such a call parks its caller until every
+// worker is done: from inside a phase body it deadlocks, and under a
+// lock it holds the lock for the whole phase.
+func TeamPhase(info *types.Info, call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !teamPhases[sel.Sel.Name] {
+		return "", false
+	}
+	tv, ok := info.Types[sel.X]
+	if !ok || tv.Type == nil || !IsNamed(tv.Type, ParPath, "Team") {
+		return "", false
+	}
+	return sel.Sel.Name, true
+}

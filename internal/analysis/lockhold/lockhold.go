@@ -33,10 +33,7 @@ import (
 	"pmsf/internal/analysis/dataflow"
 )
 
-const (
-	parPath  = "pmsf/internal/par"
-	pmsfPath = "pmsf"
-)
+const pmsfPath = "pmsf"
 
 // Analyzer is the lockhold analyzer.
 var Analyzer = &analysis.Analyzer{
@@ -202,13 +199,13 @@ func reportBlocking(pass *analysis.Pass, n ast.Node, blk *cfg.Block, held datafl
 
 // blockingCall classifies calls from the known blocking-op list.
 func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
+	if name, ok := analysis.TeamPhase(info, call); ok {
+		return "Team." + name + " phase dispatch", true
+	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		name := sel.Sel.Name
 		if tv, ok := info.Types[sel.X]; ok && tv.Type != nil {
 			switch {
-			case analysis.IsNamed(tv.Type, parPath, "Team") &&
-				(name == "Run" || name == "For" || name == "ForDynamic"):
-				return "Team." + name + " phase dispatch", true
 			case analysis.IsNamed(tv.Type, "sync", "WaitGroup") && name == "Wait":
 				return "WaitGroup.Wait", true
 			case analysis.IsNamed(tv.Type, "net/http", "ResponseWriter") &&

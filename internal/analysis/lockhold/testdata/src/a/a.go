@@ -94,6 +94,9 @@ func (b *box) phaseUnderLock(t *par.Team, body func(int)) {
 	b.mu.Lock()
 	t.Run(body) // want "Team.Run phase dispatch while b.mu is held"
 	b.mu.Unlock()
+	b.mu.Lock()
+	_ = t.PackIndices(8, func(int) bool { return true }) // want "Team.PackIndices phase dispatch while b.mu is held"
+	b.mu.Unlock()
 }
 
 // goroutineBody: the launched goroutine has its own empty lock set; its

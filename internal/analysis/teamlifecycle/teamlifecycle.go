@@ -2,11 +2,11 @@
 // par.NewTeam result must reach a Close on every path (directly,
 // deferred, or by being returned or stored for an owner that closes
 // it), no Team method may be called on a path after a non-deferred
-// Close, and a phase body passed to Run/For/ForDynamic must not call
-// back into a Team — nested phases deadlock by construction (the
-// workers that would serve the inner phase are all parked inside the
-// outer one). The two path rules are the shared dataflow.Obligation
-// problem.
+// Close, and a phase body passed to a phase method (analysis.TeamPhase)
+// must not call back into a Team — nested phases deadlock by
+// construction (the workers that would serve the inner phase are all
+// parked inside the outer one). The two path rules are the shared
+// dataflow.Obligation problem.
 package teamlifecycle
 
 import (
@@ -17,12 +17,6 @@ import (
 	"pmsf/internal/analysis/dataflow"
 )
 
-const parPath = "pmsf/internal/par"
-
-// phaseMethods are the Team methods that dispatch work to the team's
-// goroutines; calling one from inside a phase body deadlocks.
-var phaseMethods = map[string]bool{"Run": true, "For": true, "ForDynamic": true}
-
 // Analyzer is the teamlifecycle analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "teamlifecycle",
@@ -32,9 +26,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 var teams = &dataflow.Obligation{
-	Tracks: func(t types.Type) bool { return analysis.IsNamed(t, parPath, "Team") },
+	Tracks: func(t types.Type) bool { return analysis.IsNamed(t, analysis.ParPath, "Team") },
 	Opens: func(info *types.Info, call *ast.CallExpr) bool {
-		return analysis.IsPkgCall(info, call, parPath, "NewTeam")
+		return analysis.IsPkgCall(info, call, analysis.ParPath, "NewTeam")
 	},
 	Release:         "Close",
 	UseAfterRelease: true,
@@ -64,12 +58,6 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isTeam reports whether e has type *par.Team (or par.Team).
-func isTeam(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	return ok && tv.Type != nil && analysis.IsNamed(tv.Type, parPath, "Team")
-}
-
 // checkNestedPhases flags phase closures that call back into a Team.
 func checkNestedPhases(pass *analysis.Pass, fn *ast.FuncDecl) {
 	info := pass.TypesInfo
@@ -78,8 +66,8 @@ func checkNestedPhases(pass *analysis.Pass, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !phaseMethods[sel.Sel.Name] || !isTeam(info, sel.X) {
+		outer, ok := analysis.TeamPhase(info, call)
+		if !ok {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -92,12 +80,11 @@ func checkNestedPhases(pass *analysis.Pass, fn *ast.FuncDecl) {
 				if !ok {
 					return true
 				}
-				isel, ok := inner.Fun.(*ast.SelectorExpr)
-				if ok && phaseMethods[isel.Sel.Name] && isTeam(info, isel.X) {
+				if name, ok := analysis.TeamPhase(info, inner); ok {
 					pass.Reportf(inner.Pos(),
 						"Team.%s inside a phase body passed to Team.%s deadlocks: "+
 							"the workers serving the outer phase cannot run the inner one",
-						isel.Sel.Name, sel.Sel.Name)
+						name, outer)
 				}
 				return true
 			})

@@ -39,6 +39,14 @@ func nested(p, n int) {
 	})
 }
 
+func nestedPack(p, n int) {
+	t := par.NewTeam(p)
+	defer t.Close()
+	t.For(n, func(_, lo, hi int) {
+		_ = t.PackIndices(hi-lo, func(i int) bool { return i%2 == 0 }) // want "Team.PackIndices inside a phase body passed to Team.For deadlocks"
+	})
+}
+
 func suppressed(p int) {
 	t := par.NewTeam(p) //msf:ignore teamlifecycle closed by the caller through a finalizer in this fixture
 	t.Run(func(w int) {})

@@ -217,7 +217,7 @@ func newCompactKernel(engine SortEngine, p int, team *par.Team, seed uint64, par
 		comp := sorts.NewCompactor(p, team)
 		return comp, comp.Compact
 	}
-	s := &sampleCompactor{p: p, seed: seed, parent: parent}
+	s := &sampleCompactor{team: team, seed: seed, parent: parent}
 	return nil, s.Compact
 }
 
@@ -225,7 +225,7 @@ func newCompactKernel(engine SortEngine, p int, team *par.Team, seed uint64, par
 // full-key sort of the working list by (U, V, W, ID), after which the
 // head of each (U, V) run is its minimum.
 type sampleCompactor struct {
-	p      int
+	team   *par.Team
 	seed   uint64    // splitter seed of the next call; each call takes the next
 	parent *obs.Span // span the next call's "sort" child belongs to
 }
@@ -234,13 +234,13 @@ type sampleCompactor struct {
 func (s *sampleCompactor) Compact(edges, spare []graph.WEdge, n int, _ []int32, starts []int64) (out, newSpare []graph.WEdge) {
 	sp := s.parent.Child("sort")
 	sp.SetInt("elements", int64(len(edges)))
-	sorts.SampleSort(s.p, edges, wedgeLess, s.seed)
+	sorts.SampleSort(s.team, edges, wedgeLess, s.seed)
 	s.seed++
 	sp.End()
 
 	// Keep an edge iff it is not a self-loop and is the head of its
 	// (U, V) run: with the sort order above, the head is the minimum.
-	heads := par.PackIndices(s.p, len(edges), func(i int) bool {
+	heads := s.team.PackIndices(len(edges), func(i int) bool {
 		e := edges[i]
 		if e.U == e.V {
 			return false
@@ -248,7 +248,7 @@ func (s *sampleCompactor) Compact(edges, spare []graph.WEdge, n int, _ []int32, 
 		return i == 0 || edges[i-1].U != e.U || edges[i-1].V != e.V
 	})
 	out = spare[:len(heads)]
-	par.For(s.p, len(heads), func(_, lo, hi int) {
+	s.team.For(len(heads), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = edges[heads[i]]
 		}
@@ -260,7 +260,7 @@ func (s *sampleCompactor) Compact(edges, spare []graph.WEdge, n int, _ []int32, 
 		starts[i] = -1
 	}
 	starts[n] = int64(len(out))
-	par.For(s.p, len(out), func(_, lo, hi int) {
+	s.team.For(len(out), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if i == 0 || out[i-1].U != out[i].U {
 				starts[out[i].U] = int64(i)

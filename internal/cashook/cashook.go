@@ -570,7 +570,7 @@ func solve(g *graph.EdgeList, opt Options, cutoff int) *graph.Forest {
 	cp := root.Child("collect")
 	var f *graph.Forest
 	opt.Trace.Labeled("Bor-CAS", "collect", func() {
-		f = collect(p, g, r.hooks)
+		f = collect(r.team, g, r.hooks)
 	})
 	cp.SetInt("forest_edges", int64(len(f.EdgeIDs)))
 	cp.End()
@@ -582,8 +582,8 @@ func solve(g *graph.EdgeList, opt Options, cutoff int) *graph.Forest {
 // are the forest edges and every unhooked vertex is the root of one
 // component. The hook phase has quiesced behind the team barrier, so
 // plain reads are safe here.
-func collect(p int, g *graph.EdgeList, hooks []int32) *graph.Forest {
-	picked := par.PackIndices(p, len(hooks), func(v int) bool {
+func collect(team *par.Team, g *graph.EdgeList, hooks []int32) *graph.Forest {
+	picked := team.PackIndices(len(hooks), func(v int) bool {
 		return hooks[v] != uf.NoEdge
 	})
 	f := &graph.Forest{

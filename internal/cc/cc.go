@@ -15,20 +15,20 @@ import (
 	"pmsf/internal/par"
 )
 
-// relabel converts a root-per-vertex array (root[root[v]] == root[v])
-// into dense labels in [0, k) ordered by root id, so the labels are
-// deterministic. rootLabel is n-long scratch and is overwritten.
-func relabel(p int, root, rootLabel []int32) ([]int32, int) {
+// relabel converts, on team, a root-per-vertex array (root[root[v]] ==
+// root[v]) into dense labels in [0, k) ordered by root id, so the labels
+// are deterministic. rootLabel is n-long scratch and is overwritten.
+func relabel(team *par.Team, root, rootLabel []int32) ([]int32, int) {
 	n := len(root)
-	roots := par.PackIndices(p, n, func(i int) bool { return int(root[i]) == i })
+	roots := team.PackIndices(n, func(i int) bool { return int(root[i]) == i })
 	k := len(roots)
-	par.For(p, k, func(_, lo, hi int) {
+	team.For(k, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rootLabel[roots[i]] = int32(i)
 		}
 	})
 	labels := make([]int32, n)
-	par.For(p, n, func(_, lo, hi int) {
+	team.For(n, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			labels[v] = rootLabel[root[v]]
 		}

@@ -30,8 +30,10 @@ func UnionFind(g *graph.EdgeList, p int) (labels []int32, k int) {
 	if p <= 0 {
 		p = par.DefaultWorkers()
 	}
+	team := par.NewTeam(p)
+	defer team.Close()
 	u := uf.NewConcurrent(g.N)
-	par.For(p, len(g.Edges), func(_, lo, hi int) {
+	team.For(len(g.Edges), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := g.Edges[i]
 			if e.U != e.V {
@@ -40,12 +42,12 @@ func UnionFind(g *graph.EdgeList, p int) (labels []int32, k int) {
 		}
 	})
 	root := make([]int32, g.N)
-	par.For(p, g.N, func(_, lo, hi int) {
+	team.For(g.N, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			root[v] = u.Find(int32(v))
 		}
 	})
-	return relabel(p, root, make([]int32, g.N))
+	return relabel(team, root, make([]int32, g.N))
 }
 
 // SV computes components with hooking + pointer jumping. parent[v]
@@ -63,11 +65,14 @@ func SV(g *graph.EdgeList, p int) (labels []int32, k int) {
 	if n == 0 {
 		return nil, 0
 	}
+	team := par.NewTeam(p)
+	defer team.Close()
 	for {
 		// Hooking: for every edge (u,v), try to hang the larger root
 		// under the smaller. CAS keeps each write consistent; losing a
 		// race just defers the hook to the next round.
-		hooked := par.ReduceInt64(p, len(g.Edges), func(_, lo, hi int) int64 {
+		var hooked atomic.Int64
+		team.For(len(g.Edges), func(_, lo, hi int) {
 			var c int64
 			for i := lo; i < hi; i++ {
 				e := g.Edges[i]
@@ -89,11 +94,12 @@ func SV(g *graph.EdgeList, p int) (labels []int32, k int) {
 					c++
 				}
 			}
-			return c
+			hooked.Add(c)
 		})
 		// Shortcutting: full pointer jumping to the roots.
 		for {
-			changed := par.ReduceInt64(p, n, func(_, lo, hi int) int64 {
+			var changed atomic.Int64
+			team.For(n, func(_, lo, hi int) {
 				var c int64
 				for v := lo; v < hi; v++ {
 					pv := atomic.LoadInt32(&parent[v])
@@ -103,15 +109,15 @@ func SV(g *graph.EdgeList, p int) (labels []int32, k int) {
 						c++
 					}
 				}
-				return c
+				changed.Add(c)
 			})
-			if changed == 0 {
+			if changed.Load() == 0 {
 				break
 			}
 		}
-		if hooked == 0 {
+		if hooked.Load() == 0 {
 			break
 		}
 	}
-	return relabel(p, parent, make([]int32, n))
+	return relabel(team, parent, make([]int32, n))
 }

@@ -123,3 +123,35 @@ func TestSVDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionFindLabelsEqualSV pins what lets pmsf.ConnectedComponents
+// run UnionFind: both link a larger root under a smaller one, so every
+// component's root is its minimum vertex id and the dense labels match
+// SV's exactly, at every worker count and on every generator family.
+func TestUnionFindLabelsEqualSV(t *testing.T) {
+	inputs := testInputs()
+	inputs["random-parallel"] = gen.RandomParallel(3000, 9000, 6, 2)
+	inputs["mesh3d40"] = gen.Mesh3D40(12, 7)
+	inputs["geometric"] = gen.Geometric(2000, 3, 8)
+	inputs["str1"] = gen.Str1(512, 9)
+	inputs["str2"] = gen.Str2(512, 10)
+	inputs["str3"] = gen.Str3(512, 11)
+	inputs["star"] = gen.Star(1000, 12)
+	inputs["path"] = gen.Path(1000, 13)
+	inputs["caterpillar"] = gen.Caterpillar(100, 5, 14)
+	inputs["permuted-mesh"] = gen.Permute(gen.Mesh2D(30, 30, 15), 16)
+	for name, g := range inputs {
+		for _, p := range []int{1, 2, 8} {
+			want, wantK := SV(g, p)
+			got, k := UnionFind(g, p)
+			if k != wantK {
+				t.Fatalf("%s p=%d: UnionFind found %d components, SV %d", name, p, k, wantK)
+			}
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%s p=%d: label[%d] = %d, SV says %d", name, p, v, got[v], want[v])
+				}
+			}
+		}
+	}
+}

@@ -93,7 +93,7 @@ func Run(g *graph.EdgeList, opt Options) *graph.Forest {
 		// find-min: scan each row of the size×size matrix.
 		parent := make([]int32, size)
 		sel := make([]int32, size)
-		par.For(p, size, func(_, lo, hi int) {
+		team.For(size, func(_, lo, hi int) {
 			for v := lo; v < hi; v++ {
 				best := cell{w: math.Inf(1), id: -1}
 				bestTo := int32(v)
@@ -138,7 +138,7 @@ func Run(g *graph.EdgeList, opt Options) *graph.Forest {
 		for i := range tmp {
 			tmp[i].id = -1
 		}
-		par.For(p, size, func(_, lo, hi int) {
+		team.For(size, func(_, lo, hi int) {
 			for v := lo; v < hi; v++ {
 				row := mat[v*n : v*n+size]
 				out := tmp[v*k : (v+1)*k]
@@ -164,7 +164,7 @@ func Run(g *graph.EdgeList, opt Options) *graph.Forest {
 		for v := 0; v < size; v++ {
 			order[labels[v]] = append(order[labels[v]], int32(v))
 		}
-		par.For(p, k, func(_, lo, hi int) {
+		team.For(k, func(_, lo, hi int) {
 			for lv := lo; lv < hi; lv++ {
 				out := next[lv*n : lv*n+k]
 				for _, v := range order[lv] {

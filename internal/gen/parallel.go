@@ -29,6 +29,8 @@ func RandomParallel(n, m int, seed uint64, p int) *graph.EdgeList {
 	if p <= 0 {
 		p = par.DefaultWorkers()
 	}
+	team := par.NewTeam(p)
+	defer team.Close()
 	const shards = 64 // fixed shard count keeps the output p-independent
 	base := rng.New(seed)
 	streams := make([]*rng.Xoshiro256, shards)
@@ -38,7 +40,7 @@ func RandomParallel(n, m int, seed uint64, p int) *graph.EdgeList {
 
 	perShard := m/shards + 1
 	shardKeys := make([][]uint64, shards)
-	par.ForDynamic(p, shards, 1, func(_, lo, hi int) {
+	team.ForDynamic(shards, 1, func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
 			r := streams[s]
 			keys := make([]uint64, 0, perShard+perShard/8)
@@ -91,11 +93,10 @@ func RandomParallel(n, m int, seed uint64, p int) *graph.EdgeList {
 	// Weights are derived from each edge's key so they are independent of
 	// both p and the merge order.
 	edges := make([]graph.Edge, m)
-	ranges := par.Split(m, par.Clamp(p, m))
-	par.Do(par.Clamp(p, m), func(w int) {
+	team.For(m, func(_, lo, hi int) {
 		// Each worker owns a contiguous range; weights must not depend on
 		// the range split, so derive them from the edge key itself.
-		for i := ranges[w].Lo; i < ranges[w].Hi; i++ {
+		for i := lo; i < hi; i++ {
 			k := merged[i]
 			edges[i] = graph.Edge{
 				U: int32(k >> 32),

@@ -68,7 +68,9 @@ func TestPartitionConcurrentClaims(t *testing.T) {
 	var pt partition
 	pt.init(0, n)
 	claimed := make([]int32, n)
-	par.Do(8, func(w int) {
+	team := par.NewTeam(8)
+	defer team.Close()
+	team.Run(func(w int) {
 		for {
 			var idx int
 			var ok bool

@@ -215,7 +215,7 @@ var (
 	SortComparisons = Default().Counter("sort_comparisons")
 	// SortElements counts elements passed to the parallel sort kernels.
 	SortElements = Default().Counter("sort_elements")
-	// ParPhases counts fork-join phases launched by the par primitives.
+	// ParPhases counts phases run on a par.Team.
 	ParPhases = Default().Counter("par_phases")
 	// ParChunks counts dynamically scheduled chunks claimed by ForDynamic.
 	ParChunks = Default().Counter("par_chunks")

@@ -217,25 +217,23 @@ func (s *Scanner) fillWork(w int) {
 }
 
 // PackIndices returns the indices i in [0, n) for which keep(i) is true,
-// preserving order, computed with p workers via count + scan + scatter.
-func PackIndices(p, n int, keep func(i int) bool) []int32 {
-	p = Clamp(p, n)
-	counts := make([]int64, p)
-	ranges := Split(n, p)
-	Do(p, func(w int) {
+// preserving order, in two phases on the team: per-block counts, a
+// coordinator scan of the p counts, then per-block scatter.
+func (t *Team) PackIndices(n int, keep func(i int) bool) []int32 {
+	counts := make([]int64, t.p)
+	t.For(n, func(w, lo, hi int) {
 		var c int64
-		for i := ranges[w].Lo; i < ranges[w].Hi; i++ {
+		for i := lo; i < hi; i++ {
 			if keep(i) {
 				c++
 			}
 		}
 		counts[w] = c
 	})
-	total := ExclusiveSumInt64(counts)
-	out := make([]int32, total)
-	Do(p, func(w int) {
+	out := make([]int32, ExclusiveSumInt64(counts))
+	t.For(n, func(w, lo, hi int) {
 		pos := counts[w]
-		for i := ranges[w].Lo; i < ranges[w].Hi; i++ {
+		for i := lo; i < hi; i++ {
 			if keep(i) {
 				out[pos] = int32(i)
 				pos++

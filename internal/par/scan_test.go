@@ -19,7 +19,9 @@ func TestExclusiveSumInt64(t *testing.T) {
 func TestPackIndices(t *testing.T) {
 	for _, p := range []int{1, 3, 8} {
 		const n = 997
-		got := PackIndices(p, n, func(i int) bool { return i%3 == 0 })
+		team := NewTeam(p)
+		got := team.PackIndices(n, func(i int) bool { return i%3 == 0 })
+		team.Close()
 		want := 0
 		for i := 0; i < n; i += 3 {
 			if int(got[want]) != i {
@@ -31,10 +33,12 @@ func TestPackIndices(t *testing.T) {
 			t.Fatalf("p=%d: packed %d indices, want %d", p, len(got), want)
 		}
 	}
-	if got := PackIndices(4, 0, func(int) bool { return true }); len(got) != 0 {
+	team := NewTeam(4)
+	defer team.Close()
+	if got := team.PackIndices(0, func(int) bool { return true }); len(got) != 0 {
 		t.Fatalf("empty pack returned %d entries", len(got))
 	}
-	if got := PackIndices(4, 100, func(int) bool { return false }); len(got) != 0 {
+	if got := team.PackIndices(100, func(int) bool { return false }); len(got) != 0 {
 		t.Fatalf("all-false pack returned %d entries", len(got))
 	}
 }

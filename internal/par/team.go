@@ -9,10 +9,8 @@ import (
 
 // Team is a persistent SPMD worker group: p goroutines created once and
 // reused across many phases, mirroring the paper's SIMPLE runtime (POSIX
-// threads living for the whole algorithm, synchronized by barriers)
-// rather than the fork-join Do/For primitives. For iteration-heavy
-// algorithms the team amortizes goroutine creation across the O(log n)
-// Borůvka rounds; BenchmarkAblationTeam quantifies the difference.
+// threads living for the whole algorithm, synchronized by barriers). It
+// is the only way this module runs a parallel pass.
 //
 // Usage:
 //
@@ -22,8 +20,14 @@ import (
 //	team.Run(func(w int) { ... })   // phase 2 ...
 //
 // Run blocks until every worker has finished the phase (an implicit
-// barrier). Nested Run calls from inside a phase deadlock by
-// construction; use the plain Do/For primitives for nested parallelism.
+// barrier). A phase body must not start another phase on any team it
+// runs on: the workers that would serve the inner phase are all parked
+// inside the outer one, so nested phases deadlock by construction.
+//
+// A panic in any worker is captured and re-raised on the caller of Run
+// once every worker has finished the phase, so callers see library
+// panics as ordinary panics instead of a crashed runtime; the lowest
+// worker id wins when several panic. The team stays usable afterwards.
 //
 // A phase body that is created once and reused (a method value stored at
 // setup) makes Run and ForDynamic allocation-free, which is what the
@@ -35,6 +39,10 @@ type Team struct {
 	done    chan struct{}
 	closing bool
 	mu      sync.Mutex
+
+	// panics holds each worker's recovered panic of the current phase;
+	// Run re-raises the lowest-id one and clears them all.
+	panics []any
 
 	// ForDynamic state: the prebound dynWork wrapper reads these, so a
 	// ForDynamic call allocates nothing beyond what its body does.
@@ -52,16 +60,17 @@ func NewTeam(p int) *Team {
 		panic("par: team size must be >= 1")
 	}
 	t := &Team{
-		p:    p,
-		work: make([]chan func(int), p),
-		done: make(chan struct{}, p),
+		p:      p,
+		work:   make([]chan func(int), p),
+		done:   make(chan struct{}, p),
+		panics: make([]any, p),
 	}
 	t.dynRun = t.dynWork
 	for w := 1; w < p; w++ {
 		t.work[w] = make(chan func(int))
 		go func(w int) {
 			for fn := range t.work[w] {
-				fn(w)
+				t.call(fn, w)
 				t.done <- struct{}{}
 			}
 		}(w)
@@ -73,8 +82,9 @@ func NewTeam(p int) *Team {
 func (t *Team) P() int { return t.p }
 
 // Run executes body(w) for w in [0, p) — worker 0 on the calling
-// goroutine — and waits for all of them. Run panics if the team has been
-// closed; the workers are gone, so no body could ever execute.
+// goroutine — and waits for all of them, then re-raises the panic of the
+// lowest worker id that panicked, if any. Run panics if the team has
+// been closed; the workers are gone, so no body could ever execute.
 //
 //msf:noalloc
 func (t *Team) Run(body func(worker int)) {
@@ -90,25 +100,52 @@ func (t *Team) Run(body func(worker int)) {
 	for w := 1; w < t.p; w++ {
 		t.work[w] <- body
 	}
-	body(0)
+	t.call(body, 0)
 	for w := 1; w < t.p; w++ {
 		<-t.done
 	}
+	for _, r := range t.panics {
+		if r != nil {
+			clear(t.panics)
+			panic(r)
+		}
+	}
 }
 
-// For runs body over [0, n) split into p contiguous blocks on the team.
+// call runs worker w's share of a phase, recording a panic instead of
+// letting it unwind the worker.
+//
+//msf:noalloc
+func (t *Team) call(body func(int), w int) {
+	defer t.recoverInto(w)
+	body(w)
+}
+
+// recoverInto is call's deferred handler; recover works only when called
+// directly by the deferred function, so this is a method, not a closure.
+//
+//msf:noalloc
+func (t *Team) recoverInto(w int) {
+	if r := recover(); r != nil {
+		t.panics[w] = r
+	}
+}
+
+// For runs body over [0, n) split into p contiguous blocks on the team,
+// one per worker: body(worker, lo, hi). Workers with an empty block are
+// still invoked (with lo == hi).
 func (t *Team) For(n int, body func(worker, lo, hi int)) {
-	ranges := Split(n, t.p)
 	t.Run(func(w int) {
-		body(w, ranges[w].Lo, ranges[w].Hi)
+		lo, hi := Block(n, t.p, w)
+		body(w, lo, hi)
 	})
 }
 
 // ForDynamic runs body over [0, n) with the team's workers pulling
-// grain-sized chunks from a shared atomic counter — the Team counterpart
-// of the package-level ForDynamic, with the same chunk metrics. Use it
-// when per-index cost is irregular (per-vertex adjacency lists, skewed
-// duplicate runs). body must not call back into the team.
+// grain-sized chunks from a shared atomic counter, counting the chunks
+// in obs.ParChunks. Use it when per-index cost is irregular (per-vertex
+// adjacency lists, skewed duplicate runs). body must not call back into
+// the team.
 //
 //msf:noalloc
 func (t *Team) ForDynamic(n, grain int, body func(worker, lo, hi int)) {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestTeamRunAllWorkers(t *testing.T) {
-	for _, p := range []int{1, 2, 8} {
+	for _, p := range []int{1, 2, 8, 16} {
 		team := NewTeam(p)
 		seen := make([]int32, p)
 		for round := 0; round < 10; round++ {
@@ -167,9 +167,10 @@ func TestTeamForDynamicIrregular(t *testing.T) {
 // goroutine — the workers are gone, so no body could ever run.
 func TestTeamAfterClosePanicsEveryPath(t *testing.T) {
 	paths := map[string]func(*Team){
-		"Run":        func(tm *Team) { tm.Run(func(int) {}) },
-		"For":        func(tm *Team) { tm.For(10, func(_, _, _ int) {}) },
-		"ForDynamic": func(tm *Team) { tm.ForDynamic(10, 2, func(_, _, _ int) {}) },
+		"Run":         func(tm *Team) { tm.Run(func(int) {}) },
+		"For":         func(tm *Team) { tm.For(10, func(_, _, _ int) {}) },
+		"ForDynamic":  func(tm *Team) { tm.ForDynamic(10, 2, func(_, _, _ int) {}) },
+		"PackIndices": func(tm *Team) { tm.PackIndices(10, func(int) bool { return true }) },
 	}
 	for name, call := range paths {
 		for _, p := range []int{1, 3} {
@@ -184,6 +185,89 @@ func TestTeamAfterClosePanicsEveryPath(t *testing.T) {
 				call(team)
 			}()
 		}
+	}
+}
+
+func TestTeamRunPropagatesWorkerPanic(t *testing.T) {
+	team := NewTeam(8)
+	defer team.Close()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("worker panic not propagated")
+		}
+		if r != "boom-3" {
+			t.Fatalf("unexpected panic value %v", r)
+		}
+	}()
+	team.Run(func(w int) {
+		if w == 3 {
+			panic("boom-3")
+		}
+	})
+}
+
+func TestTeamRunPropagatesCallerPanicLast(t *testing.T) {
+	// Worker 0 runs on the caller; its panic must still wait for all
+	// other workers to finish before re-raising.
+	team := NewTeam(8)
+	defer team.Close()
+	var finished atomic.Int32
+	defer func() {
+		if recover() == nil {
+			t.Fatal("panic lost")
+		}
+		if finished.Load() != 7 {
+			t.Fatalf("only %d workers finished before the re-raise", finished.Load())
+		}
+	}()
+	team.Run(func(w int) {
+		if w == 0 {
+			panic("main-worker")
+		}
+		finished.Add(1)
+	})
+}
+
+// A phase in which several workers panic re-raises the lowest worker
+// id's value, and the team serves ordinary phases afterwards: every
+// worker survives the captured panic and none is re-raised twice.
+func TestTeamRunAfterPanic(t *testing.T) {
+	for _, p := range []int{1, 2, 8} {
+		team := NewTeam(p)
+		for round := 0; round < 3; round++ {
+			func() {
+				defer func() {
+					if r := recover(); r != p/2 {
+						t.Fatalf("p=%d round %d: re-raised %v, want %d", p, round, r, p/2)
+					}
+				}()
+				team.Run(func(w int) {
+					if w >= p/2 {
+						panic(w)
+					}
+				})
+			}()
+			seen := make([]int32, p)
+			team.Run(func(w int) { atomic.AddInt32(&seen[w], 1) })
+			for w, c := range seen {
+				if c != 1 {
+					t.Fatalf("p=%d round %d: worker %d ran %d times after a panic", p, round, w, c)
+				}
+			}
+			hits := make([]int32, 100)
+			team.ForDynamic(len(hits), 3, func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("p=%d round %d: index %d hit %d times after a panic", p, round, i, h)
+				}
+			}
+		}
+		team.Close()
 	}
 }
 

@@ -499,6 +499,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key.Name, key.Version = lease.Name, lease.Version
+	if f := lease.Forest; kind == KindMSF && f != nil {
+		// A patched graph's lease carries the maintained MSF of exactly
+		// this snapshot: answer it here, as a cache hit is answered, with
+		// no job, no queue slot and no cache entry.
+		s.metrics.DynAnswers.Add(1)
+		res := &Result{Kind: KindMSF, Algorithm: "dynamic", Graph: key.Name, N: lease.Graph.N, M: len(lease.Graph.Edges)}
+		res.setForest(f, key.IncludeEdges)
+		lease.Release()
+		writeJSON(w, http.StatusOK, QueryResponse{State: StateDone, Result: res})
+		return
+	}
 	if res, ok := s.cache.Get(key); ok {
 		lease.Release()
 		hit := *res

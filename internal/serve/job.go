@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"pmsf"
 	"pmsf/internal/obs"
 )
 
@@ -53,6 +54,15 @@ type Result struct {
 	WallNS int64 `json:"wall_ns"`
 	// PhaseTotalNS is the per-phase breakdown from the run's span trace.
 	PhaseTotalNS map[string]int64 `json:"phase_total_ns,omitempty"`
+}
+
+// setForest fills r's forest fields from f, and its edge ids when the
+// query asked for them.
+func (r *Result) setForest(f *pmsf.Forest, includeEdges bool) {
+	r.Weight, r.ForestSize, r.Components = f.Weight, f.Size(), f.Components
+	if includeEdges {
+		r.EdgeIDs = f.EdgeIDs
+	}
 }
 
 // Event is one job lifecycle or progress notification, streamed over

@@ -475,3 +475,70 @@ func TestFinishedJobReleasesSnapshot(t *testing.T) {
 	}
 	t.Fatal("pre-patch graph is still reachable after its query finished")
 }
+
+// TestPatchedQueryBypassesQueue: with the single queue worker held
+// inside a job and the backlog full, an MSF query on a patched graph is
+// still answered from the maintained forest, synchronously and without
+// a job id even when async, and without touching the cache.
+func TestPatchedQueryBypassesQueue(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	registerGraph(t, ts, "busy", graphText(t, 100, 300, 1))
+	registerGraph(t, ts, "dyn", graphText(t, 200, 800, 2))
+	add := PatchEdge{U: 1, V: 2, W: -1}
+	if code, _ := doPatch(t, ts, "dyn", PatchRequest{Add: []PatchEdge{add}}); code != http.StatusOK {
+		t.Fatalf("patch: status %d", code)
+	}
+	want := pmsf.RandomGraph(200, 800, 2)
+	want.Edges = append(want.Edges, pmsf.Edge{U: add.U, V: add.V, W: add.W})
+	wantWeight := scratchWeight(t, want)
+
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	orig := s.queue.exec
+	s.queue.exec = func(j *Job) (*Result, error) {
+		started <- struct{}{}
+		<-release
+		return orig(j)
+	}
+	defer close(release)
+	// Job 1 holds the worker, job 2 fills the backlog.
+	if code, qr := postQuery(t, ts, QueryRequest{Graph: "busy", Async: true}); code != http.StatusAccepted {
+		t.Fatalf("first async: %d %+v", code, qr)
+	}
+	<-started
+	if code, _ := postQuery(t, ts, QueryRequest{Graph: "busy", Seed: 1, Async: true}); code != http.StatusAccepted {
+		t.Fatalf("second async: %d", code)
+	}
+
+	before := serverCounters(t, ts)
+	for _, async := range []bool{false, true} {
+		code, qr := postQuery(t, ts, QueryRequest{Graph: "dyn", Async: async, IncludeEdges: true})
+		if code != http.StatusOK || qr.Result == nil {
+			t.Fatalf("async=%v: status %d, %+v", async, code, qr)
+		}
+		if qr.JobID != "" || qr.State != StateDone {
+			t.Errorf("async=%v: job %q state %q, want no job and done", async, qr.JobID, qr.State)
+		}
+		r := qr.Result
+		if r.Algorithm != "dynamic" || r.Cached || r.N != 200 || r.M != 801 {
+			t.Errorf("async=%v: algorithm %q cached %v n %d m %d, want dynamic, uncached, 200, 801",
+				async, r.Algorithm, r.Cached, r.N, r.M)
+		}
+		if math.Abs(r.Weight-wantWeight) > 1e-9*math.Max(1, math.Abs(wantWeight)) || len(r.EdgeIDs) != r.ForestSize {
+			t.Errorf("async=%v: weight %v with %d edge ids for forest size %d, want %v",
+				async, r.Weight, len(r.EdgeIDs), r.ForestSize, wantWeight)
+		}
+	}
+	after := serverCounters(t, ts)
+	for _, name := range []string{"serve_jobs_submitted", "serve_jobs_rejected", "serve_cache_hits", "serve_cache_misses", "serve_engine_runs"} {
+		if after[name] != before[name] {
+			t.Errorf("%s went %d -> %d; a dynamic answer takes no job and no cache lookup", name, before[name], after[name])
+		}
+	}
+	if got := after["serve_dyn_answers"] - before["serve_dyn_answers"]; got != 2 {
+		t.Errorf("serve_dyn_answers grew by %d, want 2", got)
+	}
+	if info, err := s.registry.Get("dyn"); err != nil || info.Refs != 0 {
+		t.Errorf("dyn refs = %+v, %v; want 0 after the answers", info, err)
+	}
+}

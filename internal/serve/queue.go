@@ -183,7 +183,7 @@ func (q *Queue) runJob(j *Job, _ int) {
 		}()
 	}
 
-	res, err := q.exec(j)
+	res, err := q.run(j)
 	close(stop)
 	tick.Wait()
 
@@ -194,6 +194,18 @@ func (q *Queue) runJob(j *Job, _ int) {
 		q.metrics.JobsCompleted.Add(1)
 	}
 	j.finish(res, err, false)
+}
+
+// run calls exec, turning a panic into the job's error: the job fails
+// (500, serve_jobs_failed) and releases its lease, and the queue worker
+// lives on to serve the next job instead of taking the daemon down.
+func (q *Queue) run(j *Job) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("serve: job %s panicked: %v", j.ID, r)
+		}
+	}()
+	return q.exec(j)
 }
 
 // RunningPeak returns the high-water mark of concurrently executing

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,5 +266,35 @@ func TestJobEventsReplayAndLive(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no terminal event delivered")
+	}
+}
+
+// TestPanickingJobFails: a panic inside a job's run fails that job with
+// a 500 and serve_jobs_failed and releases its lease, and the single
+// queue worker goes on to serve the next query.
+func TestPanickingJobFails(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	registerGraph(t, ts, "g", graphText(t, 100, 300, 1))
+	orig := s.queue.exec
+	var once sync.Once
+	s.queue.exec = func(j *Job) (*Result, error) {
+		once.Do(func() { panic("engine bug") })
+		return orig(j)
+	}
+
+	code, qr := postQuery(t, ts, QueryRequest{Graph: "g"})
+	if code != http.StatusInternalServerError || qr.State != StateFailed || !strings.Contains(qr.Error, "engine bug") {
+		t.Fatalf("panicking job: status %d, %+v; want 500, failed, the panic value", code, qr)
+	}
+	if c := serverCounters(t, ts); c["serve_jobs_failed"] != 1 {
+		t.Errorf("serve_jobs_failed = %d, want 1", c["serve_jobs_failed"])
+	}
+	if info, err := s.registry.Get("g"); err != nil || info.Refs != 0 {
+		t.Errorf("refs = %+v, %v; want 0 after the failed job", info, err)
+	}
+
+	code, qr = postQuery(t, ts, QueryRequest{Graph: "g"})
+	if code != http.StatusOK || qr.Result == nil || qr.Result.Cached || qr.Result.M != 300 {
+		t.Fatalf("query after the panic: status %d, %+v", code, qr)
 	}
 }

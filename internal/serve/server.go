@@ -133,9 +133,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // execute runs one job on a queue worker and fills the cache under
-// the job's key. MSF queries against a patched graph are answered from
-// its dynamically maintained forest (no engine run); everything else is
-// the only place the service invokes an engine.
+// the job's key: it is the only place the service invokes an engine.
+// MSF queries against a patched graph never reach it; handleQuery
+// answers them from the maintained forest.
 func (s *Server) execute(j *Job) (*Result, error) {
 	g := j.lease.Graph
 	k := j.Key
@@ -148,19 +148,6 @@ func (s *Server) execute(j *Job) (*Result, error) {
 	start := time.Now()
 	switch k.Kind {
 	case KindMSF:
-		if f := j.lease.Forest; f != nil {
-			// The lease carries the maintained MSF of exactly this
-			// snapshot: the engine result is already known.
-			s.metrics.DynAnswers.Add(1)
-			res.Algorithm = "dynamic"
-			res.Weight = f.Weight
-			res.ForestSize = f.Size()
-			res.Components = f.Components
-			if k.IncludeEdges {
-				res.EdgeIDs = f.EdgeIDs
-			}
-			break
-		}
 		s.metrics.EngineRuns.Add(1)
 		opt := pmsf.Options{Workers: k.Workers, BaseSize: k.BaseSize, Seed: k.Seed, SortEngine: k.SortEngine, Trace: j.trace}
 		f, stats, err := pmsf.MinimumSpanningForest(g, k.Algo, opt)
@@ -171,12 +158,7 @@ func (s *Server) execute(j *Job) (*Result, error) {
 			res.PhaseTotalNS = stats.PhaseTotalNS
 		}
 		res.Algorithm = k.Algo.String()
-		res.Weight = f.Weight
-		res.ForestSize = f.Size()
-		res.Components = f.Components
-		if k.IncludeEdges {
-			res.EdgeIDs = f.EdgeIDs
-		}
+		res.setForest(f, k.IncludeEdges)
 	case KindComponents:
 		s.metrics.EngineRuns.Add(1)
 		labels, n, err := pmsf.ConnectedComponents(g, k.Workers)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"pmsf/internal/par"
 	"pmsf/internal/rng"
 )
 
@@ -48,11 +49,13 @@ func BenchmarkParallelSorts(b *testing.B) {
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("sample/p=%d", p), func(b *testing.B) {
 			a := make([]int, n)
+			team := par.NewTeam(p)
+			defer team.Close()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				copy(a, base)
 				b.StartTimer()
-				SampleSort(p, a, intLess, 1)
+				SampleSort(team, a, intLess, 1)
 			}
 		})
 	}

@@ -96,7 +96,7 @@ func TestAllSortsAgree(t *testing.T) {
 			{"bottom-up", func(a []int) { MergeBottomUp(a, make([]int, len(a)), intLess) }},
 			{"recursive", func(a []int) { MergeRecursive(a, make([]int, len(a)), intLess) }},
 			{"quick", func(a []int) { Quicksort(a, intLess) }},
-			{"sample", func(a []int) { SampleSort(4, a, intLess, 1) }},
+			{"sample", func(a []int) { sampleSort(4, a, 1) }},
 		}
 		for _, s := range sorts {
 			a := append([]int(nil), base...)

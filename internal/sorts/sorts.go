@@ -117,12 +117,12 @@ func mergeInto[T any](out, x, y []T, less func(a, b T) bool) {
 	}
 }
 
-// SampleSort sorts a with p workers using sample sort: oversample, select
-// p-1 splitters, scatter into buckets with a count/scan/scatter pass, and
-// sort buckets independently. Falls back to sequential merge sort for
-// small inputs or p == 1. seed determines splitter sampling only; the
-// result is always exactly sorted.
-func SampleSort[T any](p int, a []T, less func(x, y T) bool, seed uint64) {
+// SampleSort sorts a on team's p workers using sample sort: oversample,
+// select p-1 splitters, scatter into buckets with a count/scan/scatter
+// pass, and sort buckets independently. Falls back to sequential merge
+// sort for small inputs or p == 1. seed determines splitter sampling
+// only; the result is always exactly sorted.
+func SampleSort[T any](team *par.Team, a []T, less func(x, y T) bool, seed uint64) {
 	n := len(a)
 	if obs.MetricsOn() {
 		obs.SortElements.Add(int64(n))
@@ -130,12 +130,12 @@ func SampleSort[T any](p int, a []T, less func(x, y T) bool, seed uint64) {
 	less, flush := counted(less)
 	defer flush()
 	const seqCutoff = 1 << 14
+	p := team.P()
 	if p <= 1 || n < seqCutoff {
 		buf := make([]T, n)
 		MergeBottomUp(a, buf, less)
 		return
 	}
-	p = par.Clamp(p, n)
 
 	// Oversample: c*p candidates, sort them, take every c-th as splitter.
 	const oversample = 32
@@ -155,10 +155,9 @@ func SampleSort[T any](p int, a []T, less func(x, y T) bool, seed uint64) {
 	// Classify: per-worker bucket counts.
 	nb := p
 	counts := make([][]int64, p)
-	ranges := par.Split(n, p)
-	par.Do(p, func(w int) {
+	team.For(n, func(w, lo, hi int) {
 		c := make([]int64, nb)
-		for i := ranges[w].Lo; i < ranges[w].Hi; i++ {
+		for i := lo; i < hi; i++ {
 			c[bucketOf(a[i], splitters, less)]++
 		}
 		counts[w] = c
@@ -187,9 +186,9 @@ func SampleSort[T any](p int, a []T, less func(x, y T) bool, seed uint64) {
 
 	// Scatter into the shared output buffer.
 	out := make([]T, n)
-	par.Do(p, func(w int) {
+	team.For(n, func(w, lo, hi int) {
 		off := offsets[w]
-		for i := ranges[w].Lo; i < ranges[w].Hi; i++ {
+		for i := lo; i < hi; i++ {
 			b := bucketOf(a[i], splitters, less)
 			out[off[b]] = a[i]
 			off[b]++
@@ -197,7 +196,7 @@ func SampleSort[T any](p int, a []T, less func(x, y T) bool, seed uint64) {
 	})
 
 	// Sort buckets independently; dynamic scheduling absorbs skew.
-	par.ForDynamic(p, nb, 1, func(_, lo, hi int) {
+	team.ForDynamic(nb, 1, func(_, lo, hi int) {
 		for b := lo; b < hi; b++ {
 			seg := out[bucketStart[b]:bucketStart[b+1]]
 			buf := make([]T, len(seg))

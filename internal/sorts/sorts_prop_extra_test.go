@@ -17,11 +17,11 @@ func TestSampleSortDeterministicProperty(t *testing.T) {
 		base[i] = r.Intn(1 << 30) // effectively distinct
 	}
 	first := append([]int(nil), base...)
-	SampleSort(4, first, intLess, 11)
+	sampleSort(4, first, 11)
 	for _, p := range []int{1, 2, 8} {
 		for _, seed := range []uint64{11, 99} {
 			a := append([]int(nil), base...)
-			SampleSort(p, a, intLess, seed)
+			sampleSort(p, a, seed)
 			if !equal(a, first) {
 				t.Fatalf("p=%d seed=%d: output differs", p, seed)
 			}

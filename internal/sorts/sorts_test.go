@@ -11,6 +11,13 @@ import (
 
 func intLess(a, b int) bool { return a < b }
 
+// sampleSort runs SampleSort on a fresh team of p workers.
+func sampleSort(p int, a []int, seed uint64) {
+	team := par.NewTeam(p)
+	defer team.Close()
+	SampleSort(team, a, intLess, seed)
+}
+
 func sortedCopy(a []int) []int {
 	out := append([]int(nil), a...)
 	sort.Ints(out)
@@ -107,7 +114,7 @@ func TestSampleSortMatchesSequential(t *testing.T) {
 				a[i] = r.Intn(1 << 20)
 			}
 			want := sortedCopy(a)
-			SampleSort(p, a, intLess, 42)
+			sampleSort(p, a, 42)
 			if !equal(a, want) {
 				t.Fatalf("n=%d p=%d: sample sort incorrect", n, p)
 			}
@@ -124,7 +131,7 @@ func TestSampleSortSkewedKeys(t *testing.T) {
 		a[i] = r.Intn(3)
 	}
 	want := sortedCopy(a)
-	SampleSort(8, a, intLess, 7)
+	sampleSort(8, a, 7)
 	if !equal(a, want) {
 		t.Fatal("sample sort incorrect on skewed keys")
 	}
@@ -136,7 +143,7 @@ func TestSampleSortAllEqual(t *testing.T) {
 	for i := range a {
 		a[i] = 7
 	}
-	SampleSort(8, a, intLess, 1)
+	sampleSort(8, a, 1)
 	for _, v := range a {
 		if v != 7 {
 			t.Fatal("values corrupted")
@@ -150,7 +157,7 @@ func TestSampleSortAlreadySorted(t *testing.T) {
 	for i := range a {
 		a[i] = i
 	}
-	SampleSort(4, a, intLess, 9)
+	sampleSort(4, a, 9)
 	for i := range a {
 		if a[i] != i {
 			t.Fatalf("a[%d] = %d", i, a[i])

@@ -69,11 +69,13 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		con := NewConcurrent(n)
-		par.For(workers, len(pairs), func(_, lo, hi int) {
+		team := par.NewTeam(workers)
+		team.For(len(pairs), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				con.Union(pairs[i].a, pairs[i].b)
 			}
 		})
+		team.Close()
 		sigSeq := partitionSignature(seq.Find, n)
 		sigCon := partitionSignature(con.Find, n)
 		for i := range sigSeq {
@@ -90,7 +92,9 @@ func TestConcurrentUnionCount(t *testing.T) {
 	const n = 1000
 	con := NewConcurrent(n)
 	var successes [8]int64
-	par.Do(8, func(w int) {
+	team := par.NewTeam(8)
+	defer team.Close()
+	team.Run(func(w int) {
 		r := rng.New(uint64(w) + 10)
 		for i := 0; i < 5000; i++ {
 			if con.Union(int32(r.Intn(n)), int32(r.Intn(n))) {
@@ -183,7 +187,8 @@ func TestUnionEdgeConcurrentForest(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		con := NewConcurrent(n)
 		hooks := newHooks(n)
-		par.For(workers, len(edges), func(_, lo, hi int) {
+		team := par.NewTeam(workers)
+		team.For(len(edges), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := edges[i]
 				if e.a == e.b {
@@ -192,6 +197,7 @@ func TestUnionEdgeConcurrentForest(t *testing.T) {
 				con.UnionEdge(e.a, e.b, e.id, hooks)
 			}
 		})
+		team.Close()
 		seq := New(n)
 		claimed := 0
 		for _, id := range hooks {
@@ -221,7 +227,9 @@ func TestConcurrentStress(t *testing.T) {
 	// Heavy contention on a small element set; run with -race.
 	const n = 64
 	c := NewConcurrent(n)
-	par.Do(8, func(w int) {
+	team := par.NewTeam(8)
+	defer team.Close()
+	team.Run(func(w int) {
 		r := rng.New(uint64(w) * 7)
 		for i := 0; i < 20_000; i++ {
 			c.Union(int32(r.Intn(n)), int32(r.Intn(n)))
