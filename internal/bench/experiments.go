@@ -347,8 +347,8 @@ func FilterExp(cfg Config) []*Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"filtered + sorted = m for distinct weights; sorted stays roughly flat across densities, near n or the base cutoff, whichever is larger",
-		"an input no larger than Bor-CAS's base cutoff is sorted whole and filters nothing")
+		"filtered + sorted = m for distinct weights; sorted stays roughly flat across densities, near n",
+		"Bor-CAS's leaf cutoff is min(n, 2^17) edges, so only an input of at most n edges is sorted whole")
 	return []*Table{t}
 }
 

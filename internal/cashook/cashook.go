@@ -10,11 +10,14 @@
 // the team barrier — and recurses on the heavy edges that are left.
 // On a graph with m/n ≥ 2 most heavy edges die in that filter and are
 // never sorted. The working sets are lists of edge ids into the input,
-// so a pass moves 4 bytes per edge. At or below a cutoff the base case
-// gathers its edges, sorts them with the stable parallel radix sort
-// sorts.WeightSorter, and hooks them. A degenerate split (every live
-// key equal to the pivot, as with all-equal weights) is one weight
-// bucket and is hooked without a sort.
+// so a pass moves 4 bytes per edge, and the pass picks each edge's
+// class and output slot by arithmetic and conditional selects, not by
+// branches that random weights make unpredictable. At or below a
+// cutoff of min(n, 2^17) edges, about what the filters leave, the base
+// case gathers its edges, sorts them with the stable parallel radix
+// sort sorts.WeightSorter, and hooks them. A degenerate split (every
+// live key equal to the pivot, as with all-equal weights) is one
+// weight bucket and is hooked without a sort.
 //
 // The hook is Kruskal on weight buckets (maximal runs of equal weight):
 // buckets are processed in increasing weight order, and inside a bucket
@@ -55,7 +58,8 @@ type Options struct {
 	// identical for every seed.
 	Seed uint64
 	// Trace, when non-nil, receives the setup/filter/sort/hook/collect
-	// spans; hook carries the run's bucket counts (buckets, max_bucket,
+	// spans under a root span that carries the leaf cutoff (cutoff);
+	// hook carries the run's bucket counts (buckets, max_bucket,
 	// parallel_buckets) and filter the heavy edges dropped so far
 	// (filtered).
 	Trace *obs.Collector
@@ -69,9 +73,11 @@ const parCutoff = 512
 // hookGrain is the ForDynamic chunk size of the parallel hook phase.
 const hookGrain = 256
 
-// baseCutoff is the task size at or below which Filter-Kruskal stops
-// splitting and sorts.
-const baseCutoff = 1 << 17
+// maxCutoff caps the base-case cutoff: Run stops splitting and sorts a
+// task of at most min(n, maxCutoff) edges. A leaf of about n edges is
+// what the filter leaves anyway (Sanders and Schimek size the base case
+// by n), so a smaller graph is filtered rather than sorted whole.
+const maxCutoff = 1 << 17
 
 // blocksPerWorker is the number of blocks a team pass is cut into per
 // worker; the workers claim blocks, so a worker that starts late or runs
@@ -91,6 +97,7 @@ const (
 	loops          // self-loops (also class dead)
 	lightAt        // scatter offset of the light part
 	heavyAt        // scatter offset of the heavy part
+	deadAt         // scatter offset of the dead edges, after the survivors
 )
 
 // allClasses is the light mask that keeps every live edge together.
@@ -267,10 +274,11 @@ func (r *run) split(t task) {
 	default:
 		light, r.lightMask = nl+ne, 1<<less|1<<equal
 	}
-	lpos, hpos := int64(0), light
+	lpos, hpos, dpos := int64(0), light, surv
 	for b := 0; b < r.nb; b++ {
 		c := r.counts[b*par.PadWords:]
-		c[lightAt], c[heavyAt] = lpos, hpos
+		c[lightAt], c[heavyAt], c[deadAt] = lpos, hpos, dpos
+		dpos += c[dead]
 		for k := less; k <= greater; k++ {
 			if r.lightMask>>k&1 != 0 {
 				lpos += c[k]
@@ -386,13 +394,7 @@ func (r *run) classWork(b int) {
 		case filter && r.u.Find(e.U) == r.u.Find(e.V):
 		default:
 			k := sorts.WeightKey(e.W)
-			c = less
-			if k >= pivot {
-				c++
-			}
-			if k > pivot {
-				c++
-			}
+			c = less + bit(k >= pivot) + bit(k > pivot)
 		}
 		cnt[c]++
 		cls[i] = c
@@ -400,27 +402,43 @@ func (r *run) classWork(b int) {
 	copy(r.counts[b*par.PadWords:], cnt[:])
 }
 
-// scatterWork writes the live edges of block b to their light or heavy
-// slots, in order.
+// scatterWork writes the edges of block b to their light, heavy or dead
+// slots, in order. The slot is a conditional select over the three
+// cursors, not a branch on the class: on random weights the class is a
+// coin flip. Dead edges land past the survivors, in slots no task reads.
 //
 //msf:noalloc
 func (r *run) scatterWork(b int) {
 	lo, hi := par.Block(r.n, r.nb, b)
 	src, dst, cls, mask := r.src, r.dst, r.cls, r.lightMask
 	c := r.counts[b*par.PadWords:]
-	lpos, hpos := c[lightAt], c[heavyAt]
+	lpos, hpos, dpos := c[lightAt], c[heavyAt], c[deadAt]
 	for i := lo; i < hi; i++ {
 		k := cls[i]
-		switch {
-		case k == dead:
-		case mask>>k&1 != 0:
-			dst[lpos] = src[i]
-			lpos++
-		default:
-			dst[hpos] = src[i]
-			hpos++
+		light := int64(mask >> k & 1)
+		live := int64(bit(k != dead))
+		pos := dpos
+		if live != 0 {
+			pos = hpos
 		}
+		if light != 0 {
+			pos = lpos
+		}
+		dst[pos] = src[i]
+		lpos += light
+		hpos += live - light
+		dpos += 1 - live
 	}
+}
+
+// bit is 1 for true and 0 for false; the compiler emits it as a SETcc,
+// with no branch.
+func bit(b bool) uint8 {
+	var x uint8
+	if b {
+		x = 1
+	}
+	return x
 }
 
 // base gathers the edges of ids, sorts them and hooks them bucket by
@@ -552,7 +570,9 @@ func abs(x int64) int64 {
 }
 
 // Run computes the minimum spanning forest of g.
-func Run(g *graph.EdgeList, opt Options) *graph.Forest { return solve(g, opt, baseCutoff) }
+func Run(g *graph.EdgeList, opt Options) *graph.Forest {
+	return solve(g, opt, min(g.N, maxCutoff))
+}
 
 // solve is Run with the given base-case cutoff.
 func solve(g *graph.EdgeList, opt Options, cutoff int) *graph.Forest {
@@ -562,6 +582,7 @@ func solve(g *graph.EdgeList, opt Options, cutoff int) *graph.Forest {
 
 	r := newRun(g, opt, root, cutoff)
 	defer r.close()
+	root.SetInt("cutoff", int64(r.cutoff))
 	opt.Trace.Labeled("Bor-CAS", "filter-kruskal", func() {
 		for r.step() {
 		}

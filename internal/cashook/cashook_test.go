@@ -9,6 +9,7 @@ import (
 	"pmsf/internal/gen"
 	"pmsf/internal/graph"
 	"pmsf/internal/obs"
+	"pmsf/internal/par"
 	"pmsf/internal/rng"
 	"pmsf/internal/seq"
 	"pmsf/internal/verify"
@@ -101,8 +102,13 @@ func TestTiedBucketsGoParallel(t *testing.T) {
 func TestDistinctWeightsBucketPerEdge(t *testing.T) {
 	g := gen.Random(300, 900, 13) // uniform [0,1) weights: ties ~impossible
 	_, s := traced(g, Options{Workers: 2})
-	if b := s.Args["hook.buckets"]; b != int64(len(g.Edges)) {
-		t.Fatalf("%d buckets for %d distinct-weight edges", b, len(g.Edges))
+	// Every edge is filtered or sorted, and each sorted edge is a bucket.
+	sorted := s.Args["sort.elements"]
+	if b := s.Args["hook.buckets"]; b != sorted {
+		t.Fatalf("%d buckets for %d sorted distinct-weight edges", b, sorted)
+	}
+	if f := s.Args["filter.filtered"]; f+sorted != int64(len(g.Edges)) {
+		t.Fatalf("filtered %d + sorted %d edges, want m = %d", f, sorted, len(g.Edges))
 	}
 	if mb := s.Args["hook.max_bucket"]; mb != 1 {
 		t.Fatalf("max bucket %d, want 1", mb)
@@ -246,4 +252,112 @@ func sameWeights(g *graph.EdgeList, a, b *graph.Forest) bool {
 		return ws
 	}
 	return slices.Equal(weights(a), weights(b))
+}
+
+// withLoops returns a copy of g with k self-loops appended, at weights
+// drawn from [0, 1) like gen.Random's.
+func withLoops(g *graph.EdgeList, k int, seed uint64) *graph.EdgeList {
+	out := g.Clone()
+	r := rng.New(seed)
+	for i := 0; i < k; i++ {
+		v := int32(r.Intn(g.N))
+		out.Edges = append(out.Edges, graph.Edge{U: v, V: v, W: r.Float64()})
+	}
+	return out
+}
+
+// TestMultiBlockSplitParity runs the split pass on tasks of at least
+// par.SeqCutoff edges at p > 1, so every classify and scatter pass is
+// cut into claimed blocks, and the scatter's per-block light, heavy and
+// dead cursors must meet exactly. With distinct weights the forest is
+// Kruskal's edge set.
+func TestMultiBlockSplitParity(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.EdgeList
+	}{
+		{"random", gen.Random(4000, 24000, 41)},
+		{"random-loops", withLoops(gen.Random(3000, 18000, 42), 3000, 43)},
+		{"mesh", gen.Mesh2D(100, 100, 44)},
+	}
+	for _, tc := range graphs {
+		if len(tc.g.Edges) < 2*par.SeqCutoff {
+			t.Fatalf("%s: %d edges, want at least %d", tc.name, len(tc.g.Edges), 2*par.SeqCutoff)
+		}
+		if !distinctWeights(tc.g) {
+			t.Fatalf("%s: weights are not distinct", tc.name)
+		}
+		ref := seq.Kruskal(tc.g)
+		for _, p := range []int{2, 4} {
+			for _, cutoff := range []int{1 << 10, 1 << 12} {
+				name := fmt.Sprintf("%s/p=%d/cutoff=%d", tc.name, p, cutoff)
+				opt := Options{Workers: p, Seed: uint64(p + cutoff), Trace: obs.NewCollector()}
+				f := solve(tc.g, opt, cutoff)
+				checkForest(t, name, tc.g, f, ref, true)
+				if opt.Trace.Summarize(nil).Args["filter.filtered"] == 0 {
+					t.Errorf("%s: no heavy edge was filtered", name)
+				}
+			}
+		}
+	}
+}
+
+// TestOneWorkerIsCanonical pins that Bor-CAS at p = 1 picks exactly
+// Kruskal's edges under heavy weight ties: the splits and the leaf sort
+// are stable, so each weight's edges are hooked in ascending id order,
+// which is Kruskal's tie-break.
+func TestOneWorkerIsCanonical(t *testing.T) {
+	families := []struct {
+		name string
+		g    *graph.EdgeList
+	}{
+		{"random", gen.Random(3000, 18000, 51)},
+		{"mesh", gen.Mesh2D(60, 60, 52)},
+		{"geometric", gen.Geometric(2000, 6, 53)},
+		{"str0", gen.Str0(1024, 54)},
+		{"str3", gen.Str3(1024, 55)},
+		{"star", gen.Star(2000, 56)},
+		{"loops", withLoops(gen.Random(2000, 8000, 57), 500, 58)},
+	}
+	for _, fam := range families {
+		g := gen.Reweight(fam.g, gen.WeightsSmallInts, 59)
+		want := slices.Clone(seq.Kruskal(g).EdgeIDs)
+		slices.Sort(want)
+		for _, cutoff := range []int{0, 1, 16, 1 << 10} {
+			var f *graph.Forest
+			if cutoff == 0 {
+				f = Run(g, Options{Workers: 1, Seed: 60})
+			} else {
+				f = solve(g, Options{Workers: 1, Seed: 60}, cutoff)
+			}
+			got := slices.Clone(f.EdgeIDs)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s/cutoff=%d: p=1 forest edge ids differ from Kruskal's", fam.name, cutoff)
+			}
+		}
+	}
+}
+
+// TestDerivedCutoff checks that Run sizes its leaf by the vertex count:
+// on G(20k, m) the cutoff is n, so the filter drops most edges and at
+// most 2n reach a sort, where a fixed 2^17 leaf sorted up to 6n. The
+// cap holds the cutoff at 2^17 once n exceeds it.
+func TestDerivedCutoff(t *testing.T) {
+	const n = 20000
+	for _, m := range []int{120000, 400000} {
+		g := gen.Random(n, m, 61)
+		f, s := traced(g, Options{Workers: 2, Seed: 62})
+		checkForest(t, fmt.Sprintf("G(%d, %d)", n, m), g, f, seq.Kruskal(g), true)
+		if c := s.Args["Bor-CAS.cutoff"]; c != n {
+			t.Errorf("G(%d, %d): cutoff %d, want n = %d", n, m, c, n)
+		}
+		if sorted := s.Args["sort.elements"]; sorted > 2*n {
+			t.Errorf("G(%d, %d): %d edges sorted, want at most 2n = %d", n, m, sorted, 2*n)
+		}
+	}
+	_, s := traced(gen.Random(maxCutoff+1, 1000, 63), Options{Workers: 2})
+	if c := s.Args["Bor-CAS.cutoff"]; c != maxCutoff {
+		t.Errorf("n = %d: cutoff %d, want the cap %d", maxCutoff+1, c, maxCutoff)
+	}
 }
