@@ -1,6 +1,6 @@
 // Package noalloc enforces the zero-allocation contract of functions
 // annotated //msf:noalloc — the Borůvka EL/ALM/FAL steady-state round
-// loops, the packed-radix Compactor passes and the par.Team phase
+// loops, the two-level Compactor phases and the par.Team phase
 // machinery. The annotation is intraprocedural: it promises the
 // function body itself introduces no allocation sites, which is exactly
 // what the Test*RoundZeroAllocs pins verify dynamically. Flagged

@@ -1,5 +1,5 @@
 // Package clean is the noalloc negative fixture: the prebind-at-setup
-// idiom the Borůvka round loops and the packed-radix Compactor use —
+// idiom the Borůvka round loops and the two-level Compactor use —
 // allocation happens in the constructor, the annotated steady-state
 // body only reuses it.
 package clean

@@ -10,14 +10,16 @@ import (
 )
 
 // The compact-graph engine study: CompactWorkList throughput of the
-// sample sort and the packed-key parallel radix compactor, across worker
-// counts and duplicate-run skew levels. msf-bench -exp compact renders
-// it; README's compaction table comes from it.
+// sample sort and the two-level radix compactor, across worker counts
+// and duplicate-run skew levels. msf-bench -exp compact renders it;
+// README's compaction table comes from it.
 
 // compactWorkload is one input to the engine study: a directed working
 // list and the supervertex count it is compacted against. contraction
 // simulates a late Borůvka round by folding the vertex space, which
-// piles up duplicate (U, V) runs exactly like real contraction does.
+// piles up duplicate (U, V) runs exactly like real contraction does and
+// lengthens the average U segment past the insertion cutoff, so the LSD
+// path sorts them.
 type compactWorkload struct {
 	name        string
 	contraction int // 1 = first round; c > 1 folds ids into n/c supervertices
@@ -69,9 +71,8 @@ func timeCompact(engine boruvka.SortEngine, p int, edges []graph.WEdge, n int, s
 }
 
 // CompactExp runs the engine study and renders it as experiment tables
-// (one per workload), with a note giving the speedup of the packed-key
-// parallel radix compactor over the sample-sort baseline at the largest
-// p.
+// (one per workload), with a note giving the speedup of the two-level
+// radix compactor over the sample-sort baseline at the largest p.
 func CompactExp(cfg Config) []*Table {
 	const baseline, candidate = boruvka.SortSampleSort, boruvka.SortParallelRadix
 	reps := 3

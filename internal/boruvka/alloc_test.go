@@ -16,7 +16,7 @@ import (
 // Zero-allocation contract of the workspace-threaded round loops: after
 // the first round has warmed the lazily grown buffers (resolver spare,
 // grouper count slab), every further round must run without touching
-// the heap. Bor-EL (packed-key engine), Bor-ALM and Bor-FAL are pinned
+// the heap. Bor-EL (two-level radix engine), Bor-ALM and Bor-FAL are pinned
 // at exactly zero; plain Bor-AL intentionally allocates per round (it
 // is the paper's shared-heap ablation baseline against Bor-ALM), and
 // Bor-ALM's per-worker sort scratch may grow geometrically as merged

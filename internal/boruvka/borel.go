@@ -29,10 +29,10 @@ func wedgeLess(a, b graph.WEdge) bool {
 // step is a global sort of the working list. The whole iteration runs
 // on a persistent worker team out of a reusable round workspace; the
 // sort engine only picks the compaction kernel. With the default
-// SortParallelRadix engine that is the packed-key parallel radix
-// compactor, and a steady-state round performs zero heap allocations.
-// SortSampleSort keeps the paper's original formulation: one global
-// parallel sample sort per compaction (the Fig. 2 row and the ablation).
+// SortParallelRadix engine that is the two-level compactor, and a
+// steady-state round performs zero heap allocations. SortSampleSort
+// keeps the paper's original formulation: one global parallel sample
+// sort per compaction (the Fig. 2 row and the ablation).
 func EL(g *graph.EdgeList, opt Options) *graph.Forest {
 	r := newELRun(g, opt)
 	for r.round() {
@@ -57,13 +57,12 @@ type elRun struct {
 	step obs.Span // the running compaction's span: setup or compact-graph
 	ws   *Workspace
 
-	// compact is the engine's compaction kernel; comp is the radix
-	// kernel behind it, nil under SortSampleSort.
+	// compact is the engine's compaction kernel; comp is the two-level
+	// compactor behind it, nil under SortSampleSort.
 	compact compactKernel
 	comp    *sorts.Compactor
 
 	edges, spare []graph.WEdge
-	keepIdx      []int32
 	starts       []int64
 	labels       []int32
 	n, k         int
@@ -80,30 +79,27 @@ func newELRun(g *graph.EdgeList, opt Options) *elRun {
 	c, root := obsStart(opt, "Bor-EL", p)
 	r := &elRun{name: "Bor-EL", p: p, c: c, root: root, n: g.N}
 	r.ws = NewWorkspace(p, g.N)
-	r.comp, r.compact = newCompactKernel(opt.SortEngine, p, r.ws.team, opt.Seed, &r.step)
+	r.comp, r.compact = newCompactKernel(opt.SortEngine, p, r.ws.team, g.N, opt.Seed, &r.step)
 	r.findMinBody = r.findMinWork
 	r.relabelBody = r.relabelWork
 	r.findMinFn = r.findMinPhase
 	r.connectFn = r.connectPhase
 	r.compactFn = r.compactPhase
 
-	r.edges = graph.DirectedWorkList(g)
-	m := len(r.edges)
+	m := 2 * len(g.Edges)
+	r.edges = make([]graph.WEdge, m)
 	r.spare = make([]graph.WEdge, m)
-	r.keepIdx = make([]int32, m)
 	r.starts = make([]int64, g.N+1)
 
-	// Initial compaction: merge input parallel edges and compute the
-	// vertex segment starts. (Counted as setup, not as an iteration.)
+	// Initial compaction: build the directed working list, merge input
+	// parallel edges and compute the vertex segment starts. (Counted as
+	// setup, not as an iteration.)
 	r.step = root.Child("setup")
 	labeled(c, r.name, "setup", func() {
-		before := int64(len(r.edges))
-		r.edges, r.spare = r.compact(r.edges, r.spare, r.n, r.keepIdx, r.starts[:r.n+1])
-		retire(before - int64(len(r.edges)))
+		r.edges, r.spare = r.compact.CompactEdges(g.Edges, r.edges, r.spare, r.n, r.starts[:r.n+1])
+		retire(int64(m - len(r.edges)))
 	})
-	if r.comp != nil {
-		r.step.SetInt("radix_passes", int64(r.comp.Passes))
-	}
+	r.setKernelArgs()
 	r.step.End()
 	return r
 }
@@ -132,16 +128,23 @@ func (r *elRun) round() bool {
 	before := int64(len(r.edges))
 	labeled(r.c, r.name, "compact-graph", r.compactFn)
 	retire(before - int64(len(r.edges)))
-	if r.comp != nil {
-		r.step.SetInt("radix_passes", int64(r.comp.Passes))
-		r.step.SetInt("digit_bits", int64(r.comp.LastDigitBits))
-		r.step.SetInt("scan_parallel", boolArg(r.comp.LastScanParallel))
-	}
+	r.setKernelArgs()
 	r.step.End()
 	contracted(r.n)
 
 	it.End()
 	return true
+}
+
+// setKernelArgs records the two-level compactor's view of the last
+// compaction on the running compaction span.
+//
+//msf:noalloc
+func (r *elRun) setKernelArgs() {
+	if r.comp != nil {
+		r.step.SetInt("radix_passes", int64(r.comp.Passes))
+		r.step.SetInt("max_segment", int64(r.comp.MaxSegment))
+	}
 }
 
 // findMinPhase: each vertex scans its contiguous segment of the sorted
@@ -188,7 +191,7 @@ func (r *elRun) connectPhase() {
 func (r *elRun) compactPhase() {
 	r.ws.team.Run(r.relabelBody)
 	r.n = r.k
-	r.edges, r.spare = r.compact(r.edges, r.spare, r.n, r.keepIdx, r.starts[:r.n+1])
+	r.edges, r.spare = r.compact.Compact(r.edges, r.spare, r.n, r.starts[:r.n+1])
 }
 
 //msf:noalloc
@@ -202,23 +205,28 @@ func (r *elRun) relabelWork(w int) {
 }
 
 // compactKernel is the contract of a Bor-EL compaction kernel, that of
-// sorts.Compactor.Compact: sort edges by (U, V), drop self-loops, keep
-// the minimum-(W, ID) edge of every (U, V) run, fill starts (length
-// n+1) with the per-vertex segment boundaries, and return the compacted
-// list with the buffer to pass as spare next time.
-type compactKernel func(edges, spare []graph.WEdge, n int, keepIdx []int32, starts []int64) (out, newSpare []graph.WEdge)
+// sorts.Compactor: Compact sorts edges by (U, V), drops self-loops,
+// keeps the minimum-(W, ID) edge of every (U, V) run, fills starts
+// (length n+1) with the per-vertex segment boundaries, and returns the
+// compacted list with the buffer to pass as spare next time;
+// CompactEdges does the same for the directed working list of an
+// undirected input, built into buf.
+type compactKernel interface {
+	Compact(edges, spare []graph.WEdge, n int, starts []int64) (out, newSpare []graph.WEdge)
+	CompactEdges(edges []graph.Edge, buf, spare []graph.WEdge, n int, starts []int64) (out, newSpare []graph.WEdge)
+}
 
-// newCompactKernel returns engine's compaction kernel, plus the radix
-// compactor behind it (nil for the sample sort). The radix kernel runs
-// on team; the sample-sort kernel draws its splitter seeds from seed on
-// and records each sort as a "sort" child of *parent.
-func newCompactKernel(engine SortEngine, p int, team *par.Team, seed uint64, parent *obs.Span) (*sorts.Compactor, compactKernel) {
+// newCompactKernel returns engine's compaction kernel for supervertex
+// counts up to maxN, plus the two-level compactor behind it (nil for
+// the sample sort). The radix kernel runs on team; the sample-sort
+// kernel draws its splitter seeds from seed on and records each sort as
+// a "sort" child of *parent.
+func newCompactKernel(engine SortEngine, p int, team *par.Team, maxN int, seed uint64, parent *obs.Span) (*sorts.Compactor, compactKernel) {
 	if engine == SortParallelRadix {
-		comp := sorts.NewCompactor(p, team)
-		return comp, comp.Compact
+		comp := sorts.NewCompactor(p, team, maxN)
+		return comp, comp
 	}
-	s := &sampleCompactor{team: team, seed: seed, parent: parent}
-	return nil, s.Compact
+	return nil, &sampleCompactor{team: team, seed: seed, parent: parent}
 }
 
 // sampleCompactor is the sample-sort compaction kernel: the paper's
@@ -230,8 +238,14 @@ type sampleCompactor struct {
 	parent *obs.Span // span the next call's "sort" child belongs to
 }
 
-// Compact implements compactKernel; keepIdx is unused.
-func (s *sampleCompactor) Compact(edges, spare []graph.WEdge, n int, _ []int32, starts []int64) (out, newSpare []graph.WEdge) {
+// CompactEdges implements compactKernel: it writes the directed working
+// list into buf and compacts it.
+func (s *sampleCompactor) CompactEdges(edges []graph.Edge, buf, spare []graph.WEdge, n int, starts []int64) (out, newSpare []graph.WEdge) {
+	return s.Compact(graph.FillDirected(buf, edges), spare, n, starts)
+}
+
+// Compact implements compactKernel.
+func (s *sampleCompactor) Compact(edges, spare []graph.WEdge, n int, starts []int64) (out, newSpare []graph.WEdge) {
 	sp := s.parent.Child("sort")
 	sp.SetInt("elements", int64(len(edges)))
 	sorts.SampleSort(s.team, edges, wedgeLess, s.seed)
@@ -284,8 +298,8 @@ func (s *sampleCompactor) Compact(edges, spare []graph.WEdge, n int, _ []int32, 
 func CompactWorkList(engine SortEngine, p int, edges []graph.WEdge, n int, seed uint64) ([]graph.WEdge, []int64) {
 	team := par.NewTeam(p)
 	defer team.Close()
-	_, compact := newCompactKernel(engine, p, team, seed, new(obs.Span))
+	_, kernel := newCompactKernel(engine, p, team, n, seed, new(obs.Span))
 	starts := make([]int64, n+1)
-	out, _ := compact(edges, make([]graph.WEdge, len(edges)), n, make([]int32, len(edges)), starts)
+	out, _ := kernel.Compact(edges, make([]graph.WEdge, len(edges)), n, starts)
 	return out, starts
 }

@@ -2,9 +2,10 @@
 // for shared memory (Section 2):
 //
 //   - EL  (Bor-EL):  edge-list representation, compact-graph by a global
-//     sort of the edge list: the packed-key parallel radix
-//     compactor by default, or the paper's parallel sample
-//     sort (SortSampleSort).
+//     sort of the edge list: the two-level compactor (a
+//     counting sort by supervertex, then a sort of each
+//     vertex's segment) by default, or the paper's parallel
+//     sample sort (SortSampleSort).
 //   - AL  (Bor-AL):  adjacency-array representation, compact-graph by a
 //     two-level sort (parallel group sort of the vertices
 //     plus concurrent sequential sorts of each adjacency
@@ -41,7 +42,7 @@ type Options struct {
 	// are identical for any seed.
 	Seed uint64
 	// SortEngine selects the compact-graph engine of Bor-EL; the default
-	// is the packed-key parallel radix compactor (SortParallelRadix).
+	// is the two-level radix compactor (SortParallelRadix).
 	// SortSampleSort keeps the paper's original formulation for the
 	// Fig. 2 row and the sort-engine ablation.
 	SortEngine SortEngine
@@ -57,11 +58,11 @@ type Options struct {
 type SortEngine int
 
 const (
-	// SortParallelRadix is the packed-key parallel radix compactor: the
-	// (U, V) pair packed into one uint64, parallel per-worker histogram
-	// counting-sort passes with the digit width chosen from the current
-	// supervertex count, and a per-run (W, ID) min-reduction instead of
-	// sorting the full key. The zero value, i.e. the default engine.
+	// SortParallelRadix is the two-level radix compactor: a parallel
+	// counting sort by U, then a sort of each U segment by V (insertion
+	// sort when short, LSD radix on 8-bit digits when long), and a
+	// per-run (W, ID) min-reduction instead of sorting the full key.
+	// The zero value, i.e. the default engine.
 	SortParallelRadix SortEngine = iota
 	// SortSampleSort is the Helman-JáJá parallel sample sort (the
 	// paper's choice).
@@ -132,16 +133,6 @@ func contracted(k int) {
 	if obs.MetricsOn() {
 		obs.Supervertices.Set(int64(k))
 	}
-}
-
-// boolArg renders a bool as a 0/1 span attribute.
-//
-//msf:noalloc
-func boolArg(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // finish builds the Forest result from the selected edge ids, recomputing

@@ -160,15 +160,23 @@ type WEdge struct {
 // on the first endpoint groups every vertex's incident edges together.
 // Self-loops are dropped.
 func DirectedWorkList(g *EdgeList) []WEdge {
-	out := make([]WEdge, 0, 2*len(g.Edges))
-	for id, e := range g.Edges {
+	return FillDirected(make([]WEdge, 2*len(g.Edges)), g.Edges)
+}
+
+// FillDirected writes the directed working list of edges (see
+// DirectedWorkList) into dst, which needs room for 2·len(edges) arcs,
+// and returns the filled prefix. Arc ids are indices into edges.
+func FillDirected(dst []WEdge, edges []Edge) []WEdge {
+	k := 0
+	for id, e := range edges {
 		if e.U == e.V {
 			continue
 		}
-		out = append(out, WEdge{U: e.U, V: e.V, ID: int32(id), W: e.W})
-		out = append(out, WEdge{U: e.V, V: e.U, ID: int32(id), W: e.W})
+		dst[k] = WEdge{U: e.U, V: e.V, ID: int32(id), W: e.W}
+		dst[k+1] = WEdge{U: e.V, V: e.U, ID: int32(id), W: e.W}
+		k += 2
 	}
-	return out
+	return dst[:k]
 }
 
 // ComponentCount returns the number of connected components of g using a

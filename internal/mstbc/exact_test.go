@@ -15,7 +15,7 @@ import (
 )
 
 // adversarialWeights is the weight pool of the compaction parity tests
-// (internal/boruvka/compact_parity_test.go): the packed-radix kernel
+// (internal/boruvka/compact_parity_test.go): the two-level kernel
 // sorts on (U, V) only and picks each duplicate run's representative by
 // a (W, ID) min-reduction, so negative zero, infinities, denormals and
 // exact ties are where it could diverge from a comparator sort.
@@ -63,7 +63,7 @@ func sortedWeights(g *graph.EdgeList, f *graph.Forest) []graph.Weight {
 }
 
 // TestMultiLevelExactness runs MST-BC with a base size small enough that
-// several levels contract through the packed-radix compactor, on
+// several levels contract through the two-level compactor, on
 // adversarially weighted multigraphs, and checks every forest against
 // Kruskal: the same sorted weights, edge count and component count, and
 // a forest the verifier accepts.

@@ -150,7 +150,7 @@ const algoName = "MST-BC"
 
 // run is the state of one MST-BC run. The Borůvka round workspace (the
 // worker team, its label resolver, the selection arrays and the forest
-// ids), the packed-radix compactor on the same team, and every per-level
+// ids), the two-level compactor on the same team, and every per-level
 // buffer are created once, sized for level 0 (levels only shrink), and
 // resliced level by level, so the recursion allocates almost nothing
 // after setup.
@@ -168,7 +168,6 @@ type run struct {
 	// per-vertex segment starts) doubles as a CSR for the Prim growth.
 	// edges and spare ping-pong through the compactor.
 	edges, spare []graph.WEdge
-	keepIdx      []int32
 	starts       []int64
 	n            int
 
@@ -210,7 +209,7 @@ func newRun(g *graph.EdgeList, opt Options) *run {
 	r.parent, r.sel = r.ws.Selections()
 	r.root = r.c.Start(algoName, algoName)
 	r.root.SetInt("workers", int64(p))
-	r.comp = sorts.NewCompactor(p, r.team)
+	r.comp = sorts.NewCompactor(p, r.team, g.N)
 	r.rng = rng.New(opt.Seed + 0x5eed)
 	r.growBody = r.growWork
 	r.unionBody = r.unionWork
@@ -218,13 +217,18 @@ func newRun(g *graph.EdgeList, opt Options) *run {
 	r.relabelBody = r.relabelWork
 	r.fixupBody = r.fixupWork
 
-	r.edges = graph.DirectedWorkList(g)
-	m := len(r.edges)
+	m := 2 * len(g.Edges)
+	r.edges = make([]graph.WEdge, m)
 	r.spare = make([]graph.WEdge, m)
-	r.keepIdx = make([]int32, m)
 	r.starts = make([]int64, g.N+1)
 	setup := r.root.Child("setup")
-	r.c.Labeled(algoName, "setup", func() { r.compact(setup, r.n) })
+	r.c.Labeled(algoName, "setup", func() {
+		s := setup.Child("sort")
+		s.SetInt("elements", int64(m))
+		r.edges, r.spare = r.comp.CompactEdges(g.Edges, r.edges, r.spare, r.n, r.starts[:r.n+1])
+		r.setKernelArgs(s)
+		s.End()
+	})
 	setup.End()
 
 	if len(r.edges) > 0 && r.n > nb {
@@ -253,15 +257,21 @@ func (r *run) allocLevels(n int) {
 // close shuts the worker team down.
 func (r *run) close() { r.ws.Close() }
 
-// compact runs the packed-radix compaction of the working list over n
-// supervertices into the ping-pong buffers, recorded as a "sort" child
-// of sp.
+// compact runs the two-level compaction of the working list over n
+// supervertices, recorded as a "sort" child of sp.
 func (r *run) compact(sp obs.Span, n int) {
 	s := sp.Child("sort")
 	s.SetInt("elements", int64(len(r.edges)))
-	r.edges, r.spare = r.comp.Compact(r.edges, r.spare, n, r.keepIdx, r.starts[:n+1])
-	s.SetInt("radix_passes", int64(r.comp.Passes))
+	r.edges, r.spare = r.comp.Compact(r.edges, r.spare, n, r.starts[:n+1])
+	r.setKernelArgs(s)
 	s.End()
+}
+
+// setKernelArgs records the compactor's view of its last call on the
+// sort span s.
+func (r *run) setKernelArgs(s obs.Span) {
+	s.SetInt("radix_passes", int64(r.comp.Passes))
+	s.SetInt("max_segment", int64(r.comp.MaxSegment))
 }
 
 // level executes one round of Alg. 1 (steps 1-5): the concurrent Prim
@@ -430,7 +440,7 @@ func (r *run) fixupWork(_, lo, hi int) {
 
 // contract is steps 4-5 of Alg. 1: union every selected edge in a
 // lock-free union-find, relabel the components densely, and rebuild the
-// working graph with the packed-radix compaction.
+// working graph with the two-level compaction.
 func (r *run) contract(sp obs.Span) {
 	var k int
 	r.labels, k = r.denseLabels()

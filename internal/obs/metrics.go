@@ -219,15 +219,16 @@ var (
 	ParPhases = Default().Counter("par_phases")
 	// ParChunks counts dynamically scheduled chunks claimed by ForDynamic.
 	ParChunks = Default().Counter("par_chunks")
-	// RadixPasses counts counting-sort passes executed by the packed-key
-	// parallel radix compaction kernel.
+	// RadixPasses counts, per two-level compaction, the sweeps that
+	// moved the edges of its longest U segment: one for the counting
+	// scatter by U, plus one per 8-bit digit of V when that segment was
+	// longer than the insertion cutoff and so was LSD radix sorted.
 	RadixPasses = Default().Counter("radix_passes")
 	// ParScans counts team-parallel prefix-sum phases executed by
-	// par.Scanner (the sequential small-input fallback is not counted,
-	// so the ratio to RadixPasses shows which scan strategy ran).
+	// par.Scanner (the sequential small-input fallback is not counted).
 	ParScans = Default().Counter("par_scans")
 	// WorkspaceReused counts bytes served from reusable round workspaces
-	// (double-buffered edge arrays, keepIdx/starts/histogram slabs)
+	// (double-buffered edge arrays, starts and histogram slabs)
 	// instead of fresh heap allocations.
 	WorkspaceReused = Default().Counter("workspace_reused_bytes")
 	// DynAppliedEdges counts edge mutations (adds plus deletes) applied

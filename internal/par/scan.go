@@ -9,13 +9,13 @@ import "pmsf/internal/obs"
 // Two kinds of scans appear in the hot loops:
 //
 //   - O(p) coordinator scans over per-worker counters (harvest offsets,
-//     filter offsets, the compactor's head pack). p is tiny, so these
+//     filter offsets). p is tiny, so these
 //     stay sequential on the coordinator by design — parallelizing them
 //     would cost more in barriers than the handful of adds they do.
-//   - Θ(nd·p) scans over per-worker histogram slabs (up to 65536·p
-//     entries per radix pass) and Θ(n) fills over the per-vertex starts
-//     array. These are real serial bottlenecks at scale; Scanner below
-//     runs them on the persistent worker team.
+//   - Θ(cols·p) scans over per-worker histogram slabs (n·p entries for
+//     the compactor's counting sort by supervertex). These are real
+//     serial bottlenecks at scale; Scanner below runs them on the
+//     persistent worker team.
 
 // ExclusiveSumInt64 computes, in place, the exclusive prefix sum of a
 // and returns the total. a[i] becomes sum(a[0:i]).
@@ -33,8 +33,8 @@ func ExclusiveSumInt64(a []int64) int64 {
 // thousand adds on one core.
 const scannerSeqCutoff = 1 << 12
 
-// Scanner is the reusable team-based scan engine behind the packed-radix
-// compactor's offset computation: the classic two-pass (per-block sum,
+// Scanner is the reusable team-based scan engine behind the radix
+// kernels' offset computation: the classic two-pass (per-block sum,
 // coordinator scan of p partials, per-block rescan) scheme, with the
 // phase bodies prebound at construction so steady-state calls perform
 // zero heap allocations — the same contract as sorts.Grouper.

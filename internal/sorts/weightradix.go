@@ -26,6 +26,10 @@ import (
 // scatter's write streams outgrow the cache.
 const weightDigitBits = 11
 
+// minDigitBits floors the digit width: below it the pass count grows
+// faster than the histogram shrinks.
+const minDigitBits = 6
+
 // weightDigits is the digit width for m elements: about two elements a
 // digit, within [minDigitBits, weightDigitBits].
 func weightDigits(m int) uint {
