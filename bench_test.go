@@ -325,8 +325,8 @@ func BenchmarkAblationBaseSize(b *testing.B) {
 
 // BenchmarkAblationELSortEngine runs Bor-EL end to end under each
 // compact-graph engine (the compact-graph step dominates its time, so
-// this isolates the Helman-JáJá sample sort against the packed-key
-// parallel radix compactor in situ).
+// this isolates the Helman-JáJá sample sort against the two-level
+// compactor in situ).
 func BenchmarkAblationELSortEngine(b *testing.B) {
 	g := randomGraph(6)
 	for _, engine := range boruvka.SortEngines() {
@@ -399,8 +399,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkCompactGraphEngines measures the compact-graph kernel in
 // isolation: one CompactWorkList call per iteration, across the sample
-// sort and the packed-key parallel radix compactor, at several worker
-// counts and duplicate-run skew levels. skew=c folds the vertex space by c,
+// sort and the two-level compactor, at several worker counts and
+// duplicate-run skew levels. skew=c folds the vertex space by c,
 // simulating a late Borůvka round where each supervertex pair carries
 // many parallel edges — the regime the (W, ID) min-reduction targets.
 func BenchmarkCompactGraphEngines(b *testing.B) {
@@ -433,10 +433,10 @@ func BenchmarkCompactGraphEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactScaling is the p-scaling view of the packed-key
-// parallel radix compactor alone: the same uniform working list at
-// p = 1, 2, 4, with the runtime's actual parallelism budget reported
-// per entry so a run on a starved scheduler is visible in the output
+// BenchmarkCompactScaling is the p-scaling view of the two-level
+// compactor alone: the same uniform working list at p = 1, 2, 4, with
+// the runtime's actual parallelism budget reported per entry so a run
+// on a starved scheduler is visible in the output
 // (gomaxprocs/numcpu metrics) rather than masquerading as a scaling
 // measurement. CI gates p-scaling with perfbench's end-to-end
 // engine.<e>.scaling and with Bor-EL's compact-graph phase timed alone

@@ -5,7 +5,7 @@
 //
 //	msf-bench [-exp all|table1|fig2|fig3|fig4|fig5|fig6|model]
 //	          [-scale small|medium|paper] [-seed N] [-p 1,2,4,8] [-csv]
-//	msf-bench -algo Bor-FAL [-trace out.json] [-metrics] [-scale ...]
+//	msf-bench -algo Bor-FAL [-trace out.json] [-json] [-scale ...]
 //
 // The paper's inputs are 1M-vertex graphs (-scale paper); the default
 // small scale runs every experiment in seconds. Wall-clock parallel
@@ -15,9 +15,9 @@
 // note.
 //
 // The -algo form runs one algorithm once with full span tracing and
-// prints its per-phase report; -trace additionally writes a Chrome
-// trace-event file (load in chrome://tracing or Perfetto), -metrics
-// enables the process-wide kernel counters and prints the run summary.
+// prints its per-phase report with the run's kernel counters; -trace
+// additionally writes a Chrome trace-event file (load in chrome://tracing
+// or Perfetto).
 package main
 
 import (
@@ -64,7 +64,6 @@ func main() {
 	outDir := flag.String("o", "", "also write each table to <dir>/<table id>.{txt,csv}")
 	algoFlag := flag.String("algo", "", "run one algorithm with span tracing instead of the experiment suite ("+algoNames()+")")
 	traceOut := flag.String("trace", "", "with -algo: write a Chrome trace-event JSON file to this path")
-	metricsFlag := flag.Bool("metrics", false, "with -algo: enable process-wide counters and add them to the run summary")
 	sortFlag := flag.String("sort", "", "Bor-EL compact-graph engine ("+sortNames()+"; default parallel-radix)")
 	flag.Parse()
 
@@ -77,7 +76,7 @@ func main() {
 		fatal(err)
 	}
 	if *algoFlag != "" {
-		if err := profileRun(*algoFlag, scale, *seed, ps[0], *traceOut, *metricsFlag, *jsonFlag, *sortFlag); err != nil {
+		if err := profileRun(*algoFlag, scale, *seed, ps[0], *traceOut, *jsonFlag, *sortFlag); err != nil {
 			fatal(err)
 		}
 		return
@@ -129,12 +128,11 @@ func main() {
 }
 
 // profileRun executes the -algo path: one traced run, its summary on
-// stdout (text, or JSON with -json; with counters under -metrics), and an
-// optional Chrome trace file.
-func profileRun(algo string, scale bench.Scale, seed uint64, workers int, traceOut string, metrics, jsonOut bool, sortEngine string) error {
+// stdout (text, or JSON with -json; both with the run's counters), and
+// an optional Chrome trace file.
+func profileRun(algo string, scale bench.Scale, seed uint64, workers int, traceOut string, jsonOut bool, sortEngine string) error {
 	res, err := bench.ProfileRun(bench.ProfileConfig{
-		Algo: algo, Scale: scale, Seed: seed, Workers: workers, Metrics: metrics,
-		Sort: sortEngine,
+		Algo: algo, Scale: scale, Seed: seed, Workers: workers, Sort: sortEngine,
 	})
 	if err != nil {
 		return err

@@ -12,11 +12,9 @@ import (
 )
 
 // grew reports n freshly allocated elements of size elemSize to the
-// process-wide arena-bytes counter when metrics are enabled.
+// process-wide arena-bytes counter.
 func grew(n int, elemSize uintptr) {
-	if obs.MetricsOn() {
-		obs.ArenaBytes.Add(int64(n) * int64(elemSize))
-	}
+	obs.ArenaBytes.Add(int64(n) * int64(elemSize))
 }
 
 // Slab hands out subslices of type T carved from private pages. It is NOT

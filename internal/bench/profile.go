@@ -17,7 +17,6 @@ type ProfileConfig struct {
 	Ratio   int // edges = Ratio × n for the random input; 0 means 3
 	Seed    uint64
 	Workers int    // 0 means GOMAXPROCS
-	Metrics bool   // enable process-wide counters for the run
 	Sort    string // Bor-EL compact-graph engine name; "" means the default
 }
 
@@ -31,9 +30,9 @@ type ProfileResult struct {
 }
 
 // ProfileRun runs one algorithm on a random input with full span tracing
-// and returns the trace and its summary. The counters in the summary are
-// only populated when cfg.Metrics is set (they are reset at the start of
-// the run so the summary describes this run alone).
+// and returns the trace and its summary. The summary carries a snapshot
+// of the process-wide counters, which are reset at the start of the run
+// so the snapshot describes this run alone.
 func ProfileRun(cfg ProfileConfig) (*ProfileResult, error) {
 	algo, err := pmsf.ParseAlgorithm(cfg.Algo)
 	if err != nil {
@@ -53,15 +52,11 @@ func ProfileRun(cfg ProfileConfig) (*ProfileResult, error) {
 	n := cfg.Scale.BaseN()
 	g := gen.Random(n, ratio*n, cfg.Seed)
 
-	var reg *obs.Registry
-	if cfg.Metrics {
-		reg = obs.Default()
-		reg.Reset()
-	}
+	reg := obs.Default()
+	reg.Reset()
 	tr := obs.NewCollector()
 	f, _, err := pmsf.MinimumSpanningForest(g, algo, pmsf.Options{
-		Workers: cfg.Workers, Seed: cfg.Seed, Trace: tr, Metrics: cfg.Metrics,
-		SortEngine: engine,
+		Workers: cfg.Workers, Seed: cfg.Seed, Trace: tr, SortEngine: engine,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("bench: profile run failed: %w", err)

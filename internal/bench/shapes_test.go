@@ -26,7 +26,7 @@ func TestFig2Claims(t *testing.T) {
 	n := Small.BaseN()
 	g := gen.Random(n, 6*n, 42)
 	// Fig. 2 describes the paper's formulation, where Bor-EL's compact
-	// step is a full-key sample sort; the default packed-key radix engine
+	// step is a full-key sample sort; the default two-level compactor
 	// intentionally breaks this shape (it beats Bor-AL's compact), so the
 	// paper engine is pinned here.
 	steps := func(run func(*graph.EdgeList, boruvka.Options) *graph.Forest, opt boruvka.Options) (findMin, compact time.Duration) {

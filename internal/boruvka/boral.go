@@ -185,7 +185,7 @@ type alRun struct {
 	arcTotals []int64 // per-worker arc counts for totalArcs
 	labels    []int32
 	k         int
-	total     int64
+	lastTotal int64 // the previous round's totalArcs
 
 	// Compact-phase scratch published to the worker bodies.
 	newOff  []int64
@@ -253,6 +253,9 @@ func (r *alRun) totalArcs() int64 {
 //msf:noalloc
 func (r *alRun) round() bool {
 	total := r.totalArcs()
+	// The previous round's compact-graph retired the arcs it left out.
+	obs.EdgesRetired.Add(r.lastTotal - total)
+	r.lastTotal = total
 	if total == 0 {
 		return false
 	}
@@ -271,10 +274,7 @@ func (r *alRun) round() bool {
 	step = it.Child("compact-graph")
 	labeled(r.c, r.name, "compact-graph", r.compactFn)
 	step.End()
-	if obs.MetricsOn() {
-		retire(total - r.totalArcs())
-		contracted(r.st.n)
-	}
+	obs.Supervertices.Set(int64(r.st.n))
 
 	it.End()
 	return true

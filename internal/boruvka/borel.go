@@ -97,7 +97,7 @@ func newELRun(g *graph.EdgeList, opt Options) *elRun {
 	r.step = root.Child("setup")
 	labeled(c, r.name, "setup", func() {
 		r.edges, r.spare = r.compact.CompactEdges(g.Edges, r.edges, r.spare, r.n, r.starts[:r.n+1])
-		retire(int64(m - len(r.edges)))
+		obs.EdgesRetired.Add(int64(m - len(r.edges)))
 	})
 	r.setKernelArgs()
 	r.step.End()
@@ -127,10 +127,10 @@ func (r *elRun) round() bool {
 	r.step = it.Child("compact-graph")
 	before := int64(len(r.edges))
 	labeled(r.c, r.name, "compact-graph", r.compactFn)
-	retire(before - int64(len(r.edges)))
+	obs.EdgesRetired.Add(before - int64(len(r.edges)))
 	r.setKernelArgs()
 	r.step.End()
-	contracted(r.n)
+	obs.Supervertices.Set(int64(r.n))
 
 	it.End()
 	return true

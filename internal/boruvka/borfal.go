@@ -109,7 +109,7 @@ func (r *falRun) round() bool {
 	step = it.Child("compact-graph")
 	labeled(r.c, r.name, "compact-graph", r.compactFn)
 	step.End()
-	contracted(r.f.N)
+	obs.Supervertices.Set(int64(r.f.N))
 
 	it.End()
 	return true

@@ -119,22 +119,6 @@ func obsStart(opt Options, name string, p int) (*obs.Collector, obs.Span) {
 	return opt.Trace, root
 }
 
-// retire reports working-list entries eliminated by a compaction to the
-// process-wide metrics.
-func retire(n int64) {
-	if n > 0 && obs.MetricsOn() {
-		obs.EdgesRetired.Add(n)
-	}
-}
-
-// contracted reports the post-contraction supervertex count to the
-// process-wide metrics.
-func contracted(k int) {
-	if obs.MetricsOn() {
-		obs.Supervertices.Set(int64(k))
-	}
-}
-
 // finish builds the Forest result from the selected edge ids, recomputing
 // the weight against the original graph, and filling in the component
 // count.

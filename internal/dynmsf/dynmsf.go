@@ -330,10 +330,7 @@ func (h *Handle) ApplyEdges(add, del []graph.Edge) (Delta, error) {
 	span := h.opt.Trace.Start("apply-batch", "dynmsf")
 	span.SetInt("adds", int64(len(add))).SetInt("dels", int64(len(del)))
 	defer span.End()
-	metricsOn := obs.MetricsOn()
-	if metricsOn {
-		obs.DynAppliedEdges.Add(int64(len(add) + len(del)))
-	}
+	obs.DynAppliedEdges.Add(int64(len(add) + len(del)))
 
 	d := Delta{Added: len(add), Deleted: len(del)}
 
@@ -383,9 +380,7 @@ func (h *Handle) ApplyEdges(add, del []graph.Edge) (Delta, error) {
 		}
 	}
 
-	if metricsOn {
-		obs.DynReplacements.Add(int64(d.Replacements))
-	}
+	obs.DynReplacements.Add(int64(d.Replacements))
 	d.Weight = h.weight.value()
 	d.ForestSize = h.forestSize
 	d.Components = h.trees

@@ -404,8 +404,6 @@ func TestForestMatchesSnapshot(t *testing.T) {
 }
 
 func TestObsCountersAdvance(t *testing.T) {
-	obs.EnableMetrics(true)
-	defer obs.EnableMetrics(false)
 	applied := obs.DynAppliedEdges.Value()
 	reps := obs.DynReplacements.Value()
 	g := &graph.EdgeList{N: 4, Edges: []graph.Edge{

@@ -288,10 +288,8 @@ func (r *run) level() {
 	lv.SetInt("collisions", r.collisions.Load())
 	lv.SetInt("steals", r.steals.Load())
 	lv.SetInt("visited", r.visitedCount.Load())
-	if obs.MetricsOn() {
-		obs.StealAttempts.Add(r.stealAttempts.Load())
-		obs.StealSuccesses.Add(r.steals.Load())
-	}
+	obs.StealAttempts.Add(r.stealAttempts.Load())
+	obs.StealSuccesses.Add(r.steals.Load())
 
 	fixup := lv.Child("fixup")
 	r.c.Labeled(algoName, "fixup", r.fixup)
@@ -447,12 +445,8 @@ func (r *run) contract(sp obs.Span) {
 	r.team.Run(r.relabelBody)
 	before := int64(len(r.edges))
 	r.compact(sp, k)
-	if obs.MetricsOn() {
-		if d := before - int64(len(r.edges)); d > 0 {
-			obs.EdgesRetired.Add(d)
-		}
-		obs.Supervertices.Set(int64(k))
-	}
+	obs.EdgesRetired.Add(before - int64(len(r.edges)))
+	obs.Supervertices.Set(int64(k))
 	r.n = k
 }
 

@@ -134,8 +134,8 @@ func (r *Registry) Snapshot() map[string]int64 {
 	return out
 }
 
-// Reset zeroes every counter and gauge: the CLI calls it before a
-// metered run so the snapshot covers exactly that run.
+// Reset zeroes every counter and gauge: msf-bench -algo calls it before
+// its run so the snapshot covers exactly that run.
 func (r *Registry) Reset() {
 	r.Do(func(_ string, v Var) {
 		switch m := v.(type) {
@@ -160,41 +160,8 @@ var defaultRegistry = NewRegistry()
 // into.
 func Default() *Registry { return defaultRegistry }
 
-// metricsState gates the kernel counters: bit 0 is the EnableMetrics
-// flag and the bits above it count the metered runs in flight, so the
-// hot paths' check stays a single atomic load that keeps the disabled
-// cost unmeasurable.
-var metricsState atomic.Int64
-
-// EnableMetrics sets or clears the process-wide kernel counter flag.
-// Clearing it leaves counting on while metered runs are in flight.
-func EnableMetrics(on bool) {
-	for {
-		old := metricsState.Load()
-		next := old &^ 1
-		if on {
-			next |= 1
-		}
-		if metricsState.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// BeginMeteredRun turns the kernel counters on for one run; every call
-// must be paired with EndMeteredRun. Overlapping runs keep counting on
-// until the last of them ends.
-func BeginMeteredRun() { metricsState.Add(2) }
-
-// EndMeteredRun ends a run begun with BeginMeteredRun.
-func EndMeteredRun() { metricsState.Add(-2) }
-
-// MetricsOn reports whether the kernel counters are enabled: the
-// EnableMetrics flag is set or a metered run is in flight.
-func MetricsOn() bool { return metricsState.Load() != 0 }
-
-// The canonical process-wide metrics. Kernels update them only while
-// MetricsOn.
+// The canonical process-wide metrics. Kernels update them on every run;
+// each update is one atomic add or store.
 var (
 	// EdgesRetired counts working-list entries eliminated by the
 	// compact-graph steps (self-loops, duplicates, contracted arcs).
@@ -210,9 +177,6 @@ var (
 	StealSuccesses = Default().Counter("steal_successes")
 	// ArenaBytes counts bytes served by the per-worker slab allocators.
 	ArenaBytes = Default().Counter("arena_bytes")
-	// SortComparisons counts comparator invocations of the parallel sort
-	// kernels.
-	SortComparisons = Default().Counter("sort_comparisons")
 	// SortElements counts elements passed to the parallel sort kernels.
 	SortElements = Default().Counter("sort_elements")
 	// ParPhases counts phases run on a par.Team.

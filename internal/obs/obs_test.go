@@ -426,40 +426,3 @@ func TestConcurrentSpansSafe(t *testing.T) {
 		ids[r.ID] = true
 	}
 }
-
-// TestMeteredRunsOverlap pins the metrics gate under overlapping runs:
-// counting stays on until the last metered run ends, and an
-// EnableMetrics(true) made meanwhile survives every run's end.
-func TestMeteredRunsOverlap(t *testing.T) {
-	defer EnableMetrics(false)
-	EnableMetrics(false)
-	if MetricsOn() {
-		t.Fatal("metrics on with no flag and no run")
-	}
-	BeginMeteredRun() // run A
-	BeginMeteredRun() // run B
-	EndMeteredRun()   // A ends while B is still going
-	if !MetricsOn() {
-		t.Fatal("first run's end switched counting off under the second")
-	}
-	EndMeteredRun()
-	if MetricsOn() {
-		t.Fatal("metrics still on after both runs ended")
-	}
-
-	BeginMeteredRun()
-	EnableMetrics(true)
-	EndMeteredRun()
-	if !MetricsOn() {
-		t.Fatal("a run's end switched off the EnableMetrics(true) flag")
-	}
-	BeginMeteredRun()
-	EnableMetrics(false)
-	if !MetricsOn() {
-		t.Fatal("EnableMetrics(false) switched counting off under a run")
-	}
-	EndMeteredRun()
-	if MetricsOn() {
-		t.Fatal("metrics still on after flag cleared and run ended")
-	}
-}

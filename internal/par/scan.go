@@ -48,15 +48,13 @@ type Scanner struct {
 	p    int
 	team *Team
 
-	partial []int64 // per-worker block totals / seeds
+	partial []int64 // per-worker block totals, then their offsets
 
 	// Per-call state read by the prebound worker bodies.
-	a64        []int64
 	a32        []int32
 	rows, cols int
 
 	tsumBody, tscanBody func(int)
-	seedBody, fillBody  func(int)
 
 	// seqCutoff is scannerSeqCutoff; tests lower it to force the
 	// parallel path on small inputs.
@@ -72,8 +70,6 @@ func NewScanner(p int, team *Team) *Scanner {
 	s := &Scanner{p: p, team: team, partial: make([]int64, p), seqCutoff: scannerSeqCutoff}
 	s.tsumBody = s.tsumWork
 	s.tscanBody = s.tscanWork
-	s.seedBody = s.seedWork
-	s.fillBody = s.fillWork
 	return s
 }
 
@@ -105,9 +101,7 @@ func (s *Scanner) TransposedExclusiveSum(a []int32, rows, cols int) int64 {
 		return int64(sum)
 	}
 	s.LastParallel = true
-	if obs.MetricsOn() {
-		obs.ParScans.Add(1)
-	}
+	obs.ParScans.Add(1)
 	s.a32, s.rows, s.cols = a, rows, cols
 	s.team.Run(s.tsumBody)
 	total := ExclusiveSumInt64(s.partial)
@@ -140,78 +134,6 @@ func (s *Scanner) tscanWork(w int) {
 			v := a[i]
 			a[i] = int32(pos)
 			pos += int64(v)
-		}
-	}
-}
-
-// BackfillNegative replaces every negative a[i] with the nearest
-// following non-negative value, in place: the per-vertex segment-starts
-// fill of the compact-graph step (empty vertices inherit the next
-// segment boundary). The last element must be non-negative (it is the
-// starts sentinel). The team partitions the index space; each block's
-// seed is the first non-negative value to its right, computed from p
-// per-block "first non-negative" summaries.
-//
-//msf:noalloc
-func (s *Scanner) BackfillNegative(a []int64) {
-	n := len(a)
-	if n == 0 {
-		return
-	}
-	if s.p == 1 || n < s.seqCutoff {
-		s.LastParallel = false
-		for i := n - 2; i >= 0; i-- {
-			if a[i] < 0 {
-				a[i] = a[i+1]
-			}
-		}
-		return
-	}
-	s.LastParallel = true
-	if obs.MetricsOn() {
-		obs.ParScans.Add(1)
-	}
-	s.a64 = a
-	s.team.Run(s.seedBody)
-	// Right-to-left over the p block summaries: each block's fill seed
-	// is the nearest first-non-negative to its right (the sentinel when
-	// none exists).
-	cur := a[n-1]
-	for w := s.p - 1; w >= 0; w-- {
-		first := s.partial[w]
-		s.partial[w] = cur
-		if first >= 0 {
-			cur = first
-		}
-	}
-	s.team.Run(s.fillBody)
-	s.a64 = nil
-}
-
-//msf:noalloc
-func (s *Scanner) seedWork(w int) {
-	lo, hi := Block(len(s.a64)-1, s.p, w)
-	a := s.a64
-	first := int64(-1)
-	for i := lo; i < hi; i++ {
-		if a[i] >= 0 {
-			first = a[i]
-			break
-		}
-	}
-	s.partial[w] = first
-}
-
-//msf:noalloc
-func (s *Scanner) fillWork(w int) {
-	lo, hi := Block(len(s.a64)-1, s.p, w)
-	a := s.a64
-	run := s.partial[w]
-	for i := hi - 1; i >= lo; i-- {
-		if a[i] < 0 {
-			a[i] = run
-		} else {
-			run = a[i]
 		}
 	}
 }

@@ -24,14 +24,6 @@ func naiveTransposedSum(a []int32, rows, cols int) int64 {
 	return int64(sum)
 }
 
-func naiveBackfill(a []int64) {
-	for i := len(a) - 2; i >= 0; i-- {
-		if a[i] < 0 {
-			a[i] = a[i+1]
-		}
-	}
-}
-
 func scannerForTest(t *testing.T, p int, forcePar bool) (*Scanner, func()) {
 	t.Helper()
 	team := NewTeam(p)
@@ -71,50 +63,6 @@ func TestScannerTransposedExclusiveSum(t *testing.T) {
 					}
 				}
 			}
-			done()
-		}
-	}
-}
-
-func TestScannerBackfillNegative(t *testing.T) {
-	r := rng.New(9)
-	for _, p := range []int{1, 2, 3, 8} {
-		for _, forcePar := range []bool{false, true} {
-			s, done := scannerForTest(t, p, forcePar)
-			for _, n := range []int{1, 2, p, p + 1, 100, 5000} {
-				a := make([]int64, n)
-				for i := range a {
-					if r.Intn(3) == 0 {
-						a[i] = int64(r.Intn(1000))
-					} else {
-						a[i] = -1
-					}
-				}
-				// The contract: the last element (the starts sentinel) is
-				// non-negative.
-				a[n-1] = int64(r.Intn(1000))
-				b := append([]int64(nil), a...)
-				naiveBackfill(a)
-				s.BackfillNegative(b)
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("p=%d force=%v n=%d: [%d]=%d, want %d", p, forcePar, n, i, b[i], a[i])
-					}
-				}
-			}
-			// All-negative prefix: every slot inherits the sentinel.
-			a := make([]int64, 64)
-			for i := range a {
-				a[i] = -1
-			}
-			a[63] = 42
-			s.BackfillNegative(a)
-			for i, v := range a {
-				if v != 42 {
-					t.Fatalf("p=%d force=%v: all-neg [%d]=%d, want 42", p, forcePar, i, v)
-				}
-			}
-			s.BackfillNegative(nil)
 			done()
 		}
 	}

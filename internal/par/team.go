@@ -46,12 +46,11 @@ type Team struct {
 
 	// ForDynamic state: the prebound dynWork wrapper reads these, so a
 	// ForDynamic call allocates nothing beyond what its body does.
-	dynNext   atomic.Int64
-	dynChunks atomic.Int64
-	dynN      int
-	dynGrain  int
-	dynBody   func(worker, lo, hi int)
-	dynRun    func(int)
+	dynNext  atomic.Int64
+	dynN     int
+	dynGrain int
+	dynBody  func(worker, lo, hi int)
+	dynRun   func(int)
 }
 
 // NewTeam starts a team of p persistent workers. p must be >= 1.
@@ -94,9 +93,7 @@ func (t *Team) Run(body func(worker int)) {
 		panic("par: Run on closed team")
 	}
 	t.mu.Unlock()
-	if obs.MetricsOn() {
-		obs.ParPhases.Add(1)
-	}
+	obs.ParPhases.Add(1)
 	for w := 1; w < t.p; w++ {
 		t.work[w] <- body
 	}
@@ -142,10 +139,10 @@ func (t *Team) For(n int, body func(worker, lo, hi int)) {
 }
 
 // ForDynamic runs body over [0, n) with the team's workers pulling
-// grain-sized chunks from a shared atomic counter, counting the chunks
-// in obs.ParChunks. Use it when per-index cost is irregular (per-vertex
-// adjacency lists, skewed duplicate runs). body must not call back into
-// the team.
+// grain-sized chunks from a shared atomic counter, and adds the
+// ceil(n/grain) chunks to obs.ParChunks. Use it when per-index cost is
+// irregular (per-vertex adjacency lists, skewed duplicate runs). body
+// must not call back into the team.
 //
 //msf:noalloc
 func (t *Team) ForDynamic(n, grain int, body func(worker, lo, hi int)) {
@@ -154,12 +151,9 @@ func (t *Team) ForDynamic(n, grain int, body func(worker, lo, hi int)) {
 	}
 	t.dynN, t.dynGrain, t.dynBody = n, grain, body
 	t.dynNext.Store(0)
-	t.dynChunks.Store(0)
 	t.Run(t.dynRun)
 	t.dynBody = nil
-	if obs.MetricsOn() {
-		obs.ParChunks.Add(t.dynChunks.Load())
-	}
+	obs.ParChunks.Add(int64((n + grain - 1) / grain))
 }
 
 // dynWork is the persistent per-worker chunk-claim loop behind
@@ -169,7 +163,6 @@ func (t *Team) ForDynamic(n, grain int, body func(worker, lo, hi int)) {
 //msf:noalloc
 func (t *Team) dynWork(w int) {
 	n, grain := t.dynN, t.dynGrain
-	metrics := obs.MetricsOn()
 	for {
 		lo := int(t.dynNext.Add(int64(grain))) - grain
 		if lo >= n {
@@ -178,9 +171,6 @@ func (t *Team) dynWork(w int) {
 		hi := lo + grain
 		if hi > n {
 			hi = n
-		}
-		if metrics {
-			t.dynChunks.Add(1)
 		}
 		t.dynBody(w, lo, hi)
 	}

@@ -274,8 +274,6 @@ func TestTeamRunAfterPanic(t *testing.T) {
 func TestTeamForDynamicChunkMetrics(t *testing.T) {
 	team := NewTeam(3)
 	defer team.Close()
-	obs.EnableMetrics(true)
-	defer obs.EnableMetrics(false)
 	phases0, chunks0 := obs.ParPhases.Value(), obs.ParChunks.Value()
 	const n, grain = 1000, 64
 	team.ForDynamic(n, grain, func(_, _, _ int) {})

@@ -11,8 +11,8 @@ import (
 // (the registered name and the Registry version of that snapshot) and
 // everything the query asked for. It is also the job's specification:
 // execute runs exactly what the key says, so the key and the run cannot
-// disagree. Trace and Metrics are not part of it, since they do not
-// change the result.
+// disagree. Trace is not part of it, since it does not change the
+// result.
 type CacheKey struct {
 	Name    string
 	Version uint64

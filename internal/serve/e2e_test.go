@@ -93,11 +93,22 @@ func postQuery(t *testing.T, ts *httptest.Server, req QueryRequest) (int, QueryR
 // the externally observable path the acceptance criteria name.
 func serverCounters(t *testing.T, ts *httptest.Server) map[string]int64 {
 	t.Helper()
+	return getMetrics(t, ts).Server.Counters
+}
+
+// processCounters fetches the engine-kernel half of /v1/metrics.
+func processCounters(t *testing.T, ts *httptest.Server) map[string]int64 {
+	t.Helper()
+	return getMetrics(t, ts).Process.Counters
+}
+
+func getMetrics(t *testing.T, ts *httptest.Server) metricsResponse {
+	t.Helper()
 	var mr metricsResponse
 	if code := do(t, "GET", ts.URL+"/v1/metrics", nil, &mr); code != http.StatusOK {
 		t.Fatalf("/v1/metrics: status %d", code)
 	}
-	return mr.Server.Counters
+	return mr
 }
 
 // TestServiceEndToEnd is the acceptance flow: register → query →
@@ -181,6 +192,47 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 	if c := serverCounters(t, ts); c["serve_engine_runs"] != runsBefore+1 {
 		t.Errorf("engine_runs = %d, want %d (recompute after eviction)", c["serve_engine_runs"], runsBefore+1)
+	}
+}
+
+// TestProcessCountersLive checks that the kernel counters in the
+// process half of /v1/metrics count inside the daemon with no switch:
+// an uncached query advances the team-phase and sort counters, and a
+// PATCH of k edges advances dyn_applied_edges by exactly k.
+func TestProcessCountersLive(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	g := pmsf.RandomGraph(3000, 12000, 5)
+	var buf bytes.Buffer
+	if err := pmsf.WriteGraph(&buf, g, pmsf.FormatText); err != nil {
+		t.Fatal(err)
+	}
+	registerGraph(t, ts, "live", buf.Bytes())
+
+	before := processCounters(t, ts)
+	code, qr := postQuery(t, ts, QueryRequest{Graph: "live"})
+	if code != http.StatusOK || qr.Result == nil || qr.Result.Cached {
+		t.Fatalf("uncached query: status %d, %+v", code, qr)
+	}
+	after := processCounters(t, ts)
+	for _, name := range []string{"par_phases", "sort_elements"} {
+		if after[name] <= before[name] {
+			t.Errorf("%s stayed at %d across an uncached query", name, after[name])
+		}
+	}
+
+	victim := g.Edges[7]
+	patch := PatchRequest{
+		Add: []PatchEdge{{U: 1, V: 2, W: -5}, {U: 3, V: 4, W: -7}},
+		Del: []PatchEdge{{U: victim.U, V: victim.V, W: victim.W}},
+	}
+	const k = 3
+	before = after
+	if code, pr := doPatch(t, ts, "live", patch); code != http.StatusOK {
+		t.Fatalf("patch: status %d, %+v", code, pr)
+	}
+	after = processCounters(t, ts)
+	if got := after["dyn_applied_edges"] - before["dyn_applied_edges"]; got != k {
+		t.Errorf("dyn_applied_edges grew by %d across a PATCH of %d edges, want %d", got, k, k)
 	}
 }
 

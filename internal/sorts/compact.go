@@ -182,18 +182,16 @@ func (c *Compactor) run(count, scatter func(int), buf, spare []graph.WEdge, n in
 	if c.MaxSegment > InsertionCutoff {
 		c.Passes += c.vDigits
 	}
-	if obs.MetricsOn() {
-		elements := c.m
-		if c.arcs != nil {
-			elements *= 2
-		}
-		obs.RadixPasses.Add(int64(c.Passes))
-		obs.SortElements.Add(int64(elements))
-		// Bytes that the sort-allocating engines would have taken fresh
-		// from the heap: both edge buffers and the starts.
-		const wedgeBytes = 24
-		obs.WorkspaceReused.Add(int64(elements)*2*wedgeBytes + int64(n+1)*8)
+	elements := c.m
+	if c.arcs != nil {
+		elements *= 2
 	}
+	obs.RadixPasses.Add(int64(c.Passes))
+	obs.SortElements.Add(int64(elements))
+	// Bytes that the sort-allocating engines would have taken fresh
+	// from the heap: both edge buffers and the starts.
+	const wedgeBytes = 24
+	obs.WorkspaceReused.Add(int64(elements)*2*wedgeBytes + int64(n+1)*8)
 }
 
 // countWork zeroes and fills this worker's histogram row with the U

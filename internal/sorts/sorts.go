@@ -8,27 +8,10 @@
 package sorts
 
 import (
-	"sync/atomic"
-
 	"pmsf/internal/obs"
 	"pmsf/internal/par"
 	"pmsf/internal/rng"
 )
-
-// counted wraps less with a comparison counter flushed into the
-// obs.SortComparisons counter when the returned flush func runs. When
-// metrics are disabled it returns less unchanged and a no-op flush.
-func counted[T any](less func(x, y T) bool) (func(x, y T) bool, func()) {
-	if !obs.MetricsOn() {
-		return less, func() {}
-	}
-	var cmps atomic.Int64
-	wrapped := func(x, y T) bool {
-		cmps.Add(1)
-		return less(x, y)
-	}
-	return wrapped, func() { obs.SortComparisons.Add(cmps.Load()) }
-}
 
 // InsertionCutoff is the default list length below which insertion sort is
 // used instead of merge sort. Profiling in the paper showed ~80% of
@@ -124,11 +107,7 @@ func mergeInto[T any](out, x, y []T, less func(a, b T) bool) {
 // only; the result is always exactly sorted.
 func SampleSort[T any](team *par.Team, a []T, less func(x, y T) bool, seed uint64) {
 	n := len(a)
-	if obs.MetricsOn() {
-		obs.SortElements.Add(int64(n))
-	}
-	less, flush := counted(less)
-	defer flush()
+	obs.SortElements.Add(int64(n))
 	const seqCutoff = 1 << 14
 	p := team.P()
 	if p <= 1 || n < seqCutoff {

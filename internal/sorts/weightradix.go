@@ -112,9 +112,7 @@ func (s *WeightSorter) Sort(edges, spare []graph.WEdge) []graph.WEdge {
 	if m < 2 {
 		return edges
 	}
-	if obs.MetricsOn() {
-		obs.SortElements.Add(int64(m))
-	}
+	obs.SortElements.Add(int64(m))
 	s.m, s.pp = m, s.p
 	if m < par.SeqCutoff {
 		s.pp = 1

@@ -1,8 +1,9 @@
 // Package uf provides union-find (disjoint set union) structures: a
 // sequential version with union by rank and path compression for the
 // Kruskal baseline and the verification oracle, and a lock-free
-// CAS-based version used to merge the subtrees grown concurrently by
-// MST-BC before contraction.
+// CAS-based version, Concurrent, that merges the subtrees grown
+// concurrently by MST-BC before contraction, hooks Bor-CAS's forest
+// edges through UnionEdge, and labels connected components.
 package uf
 
 import "sync/atomic"
@@ -61,11 +62,11 @@ func (u *UnionFind) Same(x, y int32) bool { return u.Find(x) == u.Find(y) }
 func (u *UnionFind) Count() int { return u.count }
 
 // Concurrent is a lock-free union-find safe for use from many goroutines.
-// It uses the classic CAS-on-parent scheme with union-by-id (the smaller
-// root becomes the parent is NOT required; we always hang the larger id
-// under the smaller to guarantee progress and avoid cycles) and path
-// halving during finds. Linearizable unions; Find results are roots as of
-// some point during the call.
+// It uses the classic CAS-on-parent scheme with union by id: of two
+// roots, the one with the larger id is always linked under the one with
+// the smaller, which guarantees progress and rules out cycles (no rank
+// or size is kept). Finds apply path halving. Unions are linearizable;
+// Find results are roots as of some point during the call.
 type Concurrent struct {
 	parent []atomic.Int32
 }

@@ -69,23 +69,18 @@ type Stats = obs.Summary
 type MetricsRegistry = obs.Registry
 
 // Metrics returns the process-wide metrics registry (edges retired,
-// steal attempts, sort comparisons, arena bytes, ...). Counting is off
-// unless a run had Options.Metrics set or EnableMetrics was called.
+// steal attempts, sort elements, radix passes, arena bytes, ...). Every
+// run counts into it; diff two snapshots to get one run's counts.
 func Metrics() *MetricsRegistry { return obs.Default() }
-
-// EnableMetrics switches process-wide metric counting on or off. It is
-// also on for the duration of any run whose Options.Metrics is set,
-// whatever this switch says.
-func EnableMetrics(on bool) { obs.EnableMetrics(on) }
 
 // Algorithm selects an MSF implementation.
 type Algorithm int
 
 const (
 	// BorEL is parallel Borůvka on an edge list; compact-graph is the
-	// packed-key parallel radix compactor by default, or the paper's one
-	// global parallel sample sort with Options.SortEngine =
-	// SortSampleSort.
+	// two-level compactor by default (a counting scatter by U, then a
+	// sort of each U segment by V), or the paper's one global parallel
+	// sample sort with Options.SortEngine = SortSampleSort.
 	BorEL Algorithm = iota
 	// BorAL is parallel Borůvka on adjacency arrays; compact-graph is a
 	// two-level sort (vertices by supervertex, then each adjacency list).
@@ -171,10 +166,10 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 type SortEngine = boruvka.SortEngine
 
 const (
-	// SortParallelRadix is the packed-key parallel radix compactor — the
-	// default: (U, V) packed into one uint64, per-worker histogram
-	// counting-sort passes with the digit width derived from the current
-	// supervertex count, and a per-run (W, ID) min-reduction.
+	// SortParallelRadix is the two-level compactor — the default: one
+	// team-parallel counting scatter by U, then an insertion or 8-bit LSD
+	// radix sort of each U segment by V, and a per-run (W, ID)
+	// min-reduction.
 	SortParallelRadix = boruvka.SortParallelRadix
 	// SortSampleSort is the paper's Helman-JáJá parallel sample sort.
 	SortSampleSort = boruvka.SortSampleSort
@@ -215,11 +210,13 @@ type Options struct {
 	// trace or JSON summary; MinimumSpanningForest also returns their
 	// Stats roll-up.
 	Trace *Trace
-	// Metrics enables the process-wide counters (see Metrics()) for the
-	// duration of the run.
+	// Metrics is ignored: the process-wide counters (see Metrics()) count
+	// on every run.
+	//
+	// Deprecated: leave it unset; counting needs no switch.
 	Metrics bool
 	// SortEngine selects Bor-EL's compact-graph engine; the zero value is
-	// the packed-key parallel radix compactor. Other algorithms ignore it.
+	// the two-level compactor. Other algorithms ignore it.
 	SortEngine SortEngine
 }
 
@@ -233,10 +230,6 @@ func MinimumSpanningForest(g *Graph, algo Algorithm, opt Options) (*Forest, *Sta
 	}
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
-	}
-	if opt.Metrics {
-		obs.BeginMeteredRun()
-		defer obs.EndMeteredRun()
 	}
 	f, err := run(g, algo, opt)
 	if err != nil || opt.Trace == nil {

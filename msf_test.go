@@ -94,6 +94,19 @@ func TestStatsOffByDefault(t *testing.T) {
 	}
 }
 
+// TestCountersCountWithoutOptions pins that the process-wide counters
+// need no switch: an untraced run with zero Options advances par_phases.
+func TestCountersCountWithoutOptions(t *testing.T) {
+	g := pmsf.RandomGraph(2000, 8000, 3)
+	before := pmsf.Metrics().Snapshot()["par_phases"]
+	if _, _, err := pmsf.MinimumSpanningForest(g, pmsf.BorEL, pmsf.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if after := pmsf.Metrics().Snapshot()["par_phases"]; after <= before {
+		t.Fatalf("par_phases stayed at %d across an untraced Bor-EL run", after)
+	}
+}
+
 func TestInputValidation(t *testing.T) {
 	if _, _, err := pmsf.MinimumSpanningForest(nil, pmsf.BorEL, pmsf.Options{}); err == nil {
 		t.Fatal("nil graph accepted")

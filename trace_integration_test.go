@@ -118,7 +118,7 @@ func TestMSFBenchMetricsSummary(t *testing.T) {
 	bin := filepath.Join(dir, "msf-bench")
 	run(t, "go", "build", "-o", bin, "./cmd/msf-bench")
 
-	out := run(t, bin, "-algo", "MST-BC", "-scale", "tiny", "-metrics")
+	out := run(t, bin, "-algo", "MST-BC", "-scale", "tiny")
 	for _, want := range []string{"edges_retired", "par_phases", "sort_elements", "supervertices"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics summary missing %q:\n%s", want, out)
