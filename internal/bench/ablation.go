@@ -170,10 +170,10 @@ func Ablation(cfg Config) []*Table {
 	t3.Notes = append(t3.Notes, "the permutation buys the progress guarantee; cost should be small")
 	out = append(out, t3)
 
-	// A4: MST-BC sequential base size.
+	// A4: MST-BC base size.
 	t4 := &Table{
 		ID:     "ablation.base-size",
-		Title:  "A4: MST-BC sequential cutoff n_b (ms)",
+		Title:  "A4: MST-BC base-case cutoff n_b (ms)",
 		Header: []string{"n_b", "time"},
 	}
 	for _, nb := range []int{16, 256, 4096, 1 << 16} {

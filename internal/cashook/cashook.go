@@ -31,6 +31,11 @@
 // weight to the same side and the filter drops only edges that would
 // close a cycle, so neither changes that argument.
 //
+// Finish runs the same recursion on a caller's team over a graph given
+// by reference: ids into an edge list, each endpoint read through a
+// vertex map. MST-BC (internal/mstbc) finishes that way, on the labels
+// of its last level, without copying the edges it leaves.
+//
 // Unlike the Borůvka variants there is no round loop over the graph at
 // all: no find-min scans, no connect-components, no compact-graph. On
 // inputs with heavy weight ties whole buckets hook in parallel; with
@@ -124,6 +129,7 @@ type run struct {
 	u      *uf.Concurrent
 	hooks  []int32      // CAS-hook slots, mutated only through uf.UnionEdge
 	edges  []graph.Edge // the input; every working set holds ids into it
+	vmap   []int32      // each endpoint x is read as vmap[x]; nil reads x
 	ids    [2][]int32   // ping-pong id buffers
 	class  []uint8
 	counts []int64 // per-block class counts and offsets, par.PadWords apart
@@ -168,21 +174,38 @@ func workers(opt Options) int {
 	return opt.Workers
 }
 
-// newRun prepares the Filter-Kruskal state with the given base-case
-// cutoff; the root task (every input edge) is on the stack.
+// newRun prepares the Filter-Kruskal state of a Run over every edge of
+// g, on a team of its own, with the given base-case cutoff; the root
+// task is on the stack.
 func newRun(g *graph.EdgeList, opt Options, root obs.Span, cutoff int) *run {
-	p := workers(opt)
-	m := len(g.Edges)
+	sp := root.Child("setup")
+	r := prepare(par.NewTeam(workers(opt)), g.Edges, nil, nil, g.N, opt.Seed, root, cutoff)
+	sp.End()
+	return r
+}
+
+// prepare builds the Filter-Kruskal state on team for the graph on n
+// vertices whose edges are edges[id] for id in ids (every edge when ids
+// is nil), endpoints read through vmap; the root task (all of ids,
+// which becomes the first ping-pong buffer) is on the stack.
+func prepare(team *par.Team, edges []graph.Edge, ids, vmap []int32, n int, seed uint64, root obs.Span, cutoff int) *run {
+	p := team.P()
+	every := ids == nil
+	if every {
+		ids = make([]int32, len(edges))
+	}
+	m := len(ids)
 	cutoff = max(cutoff, 1)
 	leaf := min(m, cutoff)
 	r := &run{
 		p:      p,
 		cutoff: cutoff,
-		team:   par.NewTeam(p),
-		edges:  g.Edges,
+		team:   team,
+		edges:  edges,
+		vmap:   vmap,
 		counts: make([]int64, p*blocksPerWorker*par.PadWords),
 		sample: make([]uint64, sampleSize),
-		rnd:    rng.New(opt.Seed),
+		rnd:    rng.New(seed),
 		stack:  make([]task, 0, 64),
 		root:   root,
 	}
@@ -193,24 +216,22 @@ func newRun(g *graph.EdgeList, opt Options, root obs.Span, cutoff int) *run {
 	r.hookBody = r.hookWork
 	r.tiedBody = r.tiedWork
 
-	sp := root.Child("setup")
-	r.ids[0] = make([]int32, m)
+	r.ids[0] = ids
 	r.ids[1] = make([]int32, m)
 	r.class = make([]uint8, m)
 	r.leaf = make([]graph.WEdge, leaf)
 	r.spare = make([]graph.WEdge, leaf)
 	r.sorter = sorts.NewWeightSorter(p, r.team, leaf)
-	r.u = uf.NewConcurrent(g.N)
-	r.hooks = make([]int32, g.N)
-	r.team.For(max(m, g.N), func(_, lo, hi int) {
-		for i := lo; i < min(hi, m); i++ {
-			r.ids[0][i] = int32(i)
+	r.u = uf.NewConcurrent(n)
+	r.hooks = make([]int32, n)
+	r.team.For(max(m, n), func(_, lo, hi int) {
+		for i := lo; every && i < min(hi, m); i++ {
+			ids[i] = int32(i)
 		}
-		for v := lo; v < min(hi, g.N); v++ {
+		for v := lo; v < min(hi, n); v++ {
 			r.hooks[v] = uf.NoEdge
 		}
 	})
-	sp.End()
 	if m > 0 {
 		r.stack = append(r.stack, task{lo: 0, hi: m, root: true})
 	}
@@ -338,7 +359,11 @@ func (r *run) pickPivot() bool {
 	k := 0
 	for i := 0; i < sampleSize; i++ {
 		e := r.edges[r.src[r.rnd.Intn(r.n)]]
-		if e.U == e.V || (r.filter && r.u.Find(e.U) == r.u.Find(e.V)) {
+		u, v := e.U, e.V
+		if r.vmap != nil {
+			u, v = r.vmap[u], r.vmap[v]
+		}
+		if u == v || (r.filter && r.u.Find(u) == r.u.Find(v)) {
 			continue
 		}
 		r.sample[k] = sorts.WeightKey(e.W)
@@ -377,21 +402,27 @@ func (r *run) claimBlocks(int) {
 	}
 }
 
-// classWork classifies block b of the task and counts the classes.
+// classWork classifies block b of the task and counts the classes. The
+// vertex map's nil test is the same for every edge, so it costs no
+// misprediction.
 //
 //msf:noalloc
 func (r *run) classWork(b int) {
 	lo, hi := par.Block(r.n, r.nb, b)
-	edges, src, cls := r.edges, r.src, r.cls
+	edges, vmap, src, cls := r.edges, r.vmap, r.src, r.cls
 	pivot, filter := r.pivot, r.filter
 	var cnt [loops + 1]int64
 	for i := lo; i < hi; i++ {
 		e := edges[src[i]]
+		u, v := e.U, e.V
+		if vmap != nil {
+			u, v = vmap[u], vmap[v]
+		}
 		c := uint8(dead)
 		switch {
-		case e.U == e.V:
+		case u == v:
 			cnt[loops]++
-		case filter && r.u.Find(e.U) == r.u.Find(e.V):
+		case filter && r.u.Find(u) == r.u.Find(v):
 		default:
 			k := sorts.WeightKey(e.W)
 			c = less + bit(k >= pivot) + bit(k > pivot)
@@ -467,10 +498,13 @@ func (r *run) base(ids []int32) {
 //msf:noalloc
 func (r *run) gatherWork(b int) {
 	lo, hi := par.Block(r.n, r.nb, b)
-	edges, src, leaf := r.edges, r.src, r.leaf
+	edges, vmap, src, leaf := r.edges, r.vmap, r.src, r.leaf
 	for i := lo; i < hi; i++ {
 		id := src[i]
 		e := edges[id]
+		if vmap != nil {
+			e.U, e.V = vmap[e.U], vmap[e.V]
+		}
 		leaf[i] = graph.WEdge{U: e.U, V: e.V, ID: id, W: e.W}
 	}
 }
@@ -546,9 +580,12 @@ func (r *run) hookTied(ids []int32) {
 
 //msf:noalloc
 func (r *run) tiedWork(_, lo, hi int) {
-	edges, ids, hooks := r.edges, r.tied, r.hooks
+	edges, vmap, ids, hooks := r.edges, r.vmap, r.tied, r.hooks
 	for i := lo; i < hi; i++ {
 		e := edges[ids[i]]
+		if vmap != nil {
+			e.U, e.V = vmap[e.U], vmap[e.V]
+		}
 		r.u.UnionEdge(e.U, e.V, ids[i], hooks)
 	}
 }
@@ -574,6 +611,19 @@ func Run(g *graph.EdgeList, opt Options) *graph.Forest {
 	return solve(g, opt, min(g.N, maxCutoff))
 }
 
+// Finish computes the minimum spanning forest of a graph given by
+// reference into edges: its vertices are [0, n), its edges are edges[id]
+// for each id in ids, and each endpoint x reads as vmap[x] (x itself
+// when vmap is nil). It runs on team, which stays open, and records its
+// filter, sort and hook spans under sp. The forest's ids index edges
+// and its components count the n vertices. ids is overwritten.
+func Finish(team *par.Team, edges []graph.Edge, ids, vmap []int32, n int, seed uint64, sp obs.Span) *graph.Forest {
+	r := prepare(team, edges, ids, vmap, n, seed, sp, min(n, maxCutoff))
+	for r.step() {
+	}
+	return collect(team, edges, r.hooks)
+}
+
 // solve is Run with the given base-case cutoff.
 func solve(g *graph.EdgeList, opt Options, cutoff int) *graph.Forest {
 	p := workers(opt)
@@ -591,7 +641,7 @@ func solve(g *graph.EdgeList, opt Options, cutoff int) *graph.Forest {
 	cp := root.Child("collect")
 	var f *graph.Forest
 	opt.Trace.Labeled("Bor-CAS", "collect", func() {
-		f = collect(r.team, g, r.hooks)
+		f = collect(r.team, r.edges, r.hooks)
 	})
 	cp.SetInt("forest_edges", int64(len(f.EdgeIDs)))
 	cp.End()
@@ -603,7 +653,7 @@ func solve(g *graph.EdgeList, opt Options, cutoff int) *graph.Forest {
 // are the forest edges and every unhooked vertex is the root of one
 // component. The hook phase has quiesced behind the team barrier, so
 // plain reads are safe here.
-func collect(team *par.Team, g *graph.EdgeList, hooks []int32) *graph.Forest {
+func collect(team *par.Team, edges []graph.Edge, hooks []int32) *graph.Forest {
 	picked := team.PackIndices(len(hooks), func(v int) bool {
 		return hooks[v] != uf.NoEdge
 	})
@@ -614,7 +664,7 @@ func collect(team *par.Team, g *graph.EdgeList, hooks []int32) *graph.Forest {
 	for i, v := range picked {
 		id := hooks[v]
 		f.EdgeIDs[i] = id
-		f.Weight += g.Edges[id].W
+		f.Weight += edges[id].W
 	}
 	return f
 }

@@ -361,3 +361,51 @@ func TestDerivedCutoff(t *testing.T) {
 		t.Errorf("n = %d: cutoff %d, want the cap %d", maxCutoff+1, c, maxCutoff)
 	}
 }
+
+// Finish solves a graph given by reference: a subset of the input's
+// edges, named by ids, with every endpoint read through a vertex map
+// that folds vertices together (so some edges become self-loops and
+// many become parallel). Its forest must be minimum on the explicitly
+// mapped graph, with Kruskal's component count, and the team it ran on
+// must stay open.
+func TestFinishMapped(t *testing.T) {
+	g := gen.Reweight(gen.Random(3000, 15000, 1), gen.WeightsSmallInts, 2)
+	const k = 1000
+	vmap := make([]int32, g.N)
+	r := rng.New(3)
+	for v := range vmap {
+		vmap[v] = int32(r.Intn(k))
+	}
+	var ids []int32
+	at := map[int32]int32{} // input id -> index in mapped
+	mapped := &graph.EdgeList{N: k}
+	for i, e := range g.Edges {
+		if i%3 == 0 {
+			continue
+		}
+		at[int32(i)] = int32(len(mapped.Edges))
+		ids = append(ids, int32(i))
+		mapped.Edges = append(mapped.Edges, graph.Edge{U: vmap[e.U], V: vmap[e.V], W: e.W})
+	}
+	ref := seq.Kruskal(mapped)
+	for _, p := range []int{1, 2, 8} {
+		team := par.NewTeam(p)
+		f := Finish(team, g.Edges, slices.Clone(ids), vmap, k, 5, obs.Span{})
+		team.Run(func(int) {})
+		team.Close()
+		mf := &graph.Forest{Weight: f.Weight, Components: f.Components}
+		for _, id := range f.EdgeIDs {
+			j, ok := at[id]
+			if !ok {
+				t.Fatalf("p=%d: forest edge %d is not in the id list", p, id)
+			}
+			mf.EdgeIDs = append(mf.EdgeIDs, j)
+		}
+		if err := verify.Minimum(mapped, mf); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if mf.Components != ref.Components {
+			t.Fatalf("p=%d: %d components, Kruskal has %d", p, mf.Components, ref.Components)
+		}
+	}
+}

@@ -62,22 +62,28 @@ func sortedWeights(g *graph.EdgeList, f *graph.Forest) []graph.Weight {
 	return ws
 }
 
-// TestMultiLevelExactness runs MST-BC with a base size small enough that
-// several levels contract through the two-level compactor, on
-// adversarially weighted multigraphs, and checks every forest against
-// Kruskal: the same sorted weights, edge count and component count, and
-// a forest the verifier accepts.
+// TestMultiLevelExactness runs MST-BC with a base size small enough
+// that the run goes past level 0, on adversarially weighted multigraphs,
+// and checks every forest against Kruskal: the same sorted weights, edge
+// count and component count, and a forest the verifier accepts. The
+// sparse shape contracts several levels through the two-level
+// compactor; the dense ones leave at least denseFactor live edges per
+// supervertex after a level, which hands that level's labels to the
+// finish uncontracted.
 //
-// How many levels a run takes depends on how the workers' trees meet,
-// so each case runs at least four seeds, and more (up to 32) until one
-// contracts more than once. With one OS thread a single tree usually
-// absorbs its whole component in level 0, so the multi-level
-// requirement applies only when GOMAXPROCS > 1.
+// How a run goes depends on how the workers' trees meet, so each case
+// runs at least four seeds, and more (up to 32) until one takes the
+// shape's path. With one OS thread a single tree usually absorbs its
+// whole component in level 0, so the path requirement applies only
+// when GOMAXPROCS > 1.
 func TestMultiLevelExactness(t *testing.T) {
-	shapes := []struct{ n, m int }{
-		{2000, 6000},
-		{3000, 4500}, // sparse: many components and isolated vertices
-		{5000, 20000},
+	shapes := []struct {
+		n, m  int
+		dense bool // a level hands off, rather than two contracting
+	}{
+		{2000, 6000, true},
+		{3000, 4500, false}, // sparse: many components and isolated vertices
+		{5000, 20000, true},
 	}
 	for si, sh := range shapes {
 		g := adversarialGraph(sh.n, sh.m, uint64(si)+1)
@@ -86,14 +92,22 @@ func TestMultiLevelExactness(t *testing.T) {
 		for _, p := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("n=%d/m=%d/p=%d", sh.n, sh.m, p), func(t *testing.T) {
 				multi := p > 1 && runtime.GOMAXPROCS(0) > 1
-				maxLevels := 0
+				maxLevels, handedOff := 0, false
+				covered := func() bool {
+					if sh.dense {
+						return handedOff
+					}
+					return maxLevels >= 2
+				}
 				for seed := uint64(0); seed < 32; seed++ {
-					if seed >= 4 && (maxLevels >= 2 || !multi) {
+					if seed >= 4 && (covered() || !multi) {
 						break
 					}
 					tr := obs.NewCollector()
 					f := Run(g, Options{Workers: p, BaseSize: 8, Seed: seed, Trace: tr})
-					maxLevels = max(maxLevels, tr.Summarize(nil).Counts["level"])
+					s := tr.Summarize(nil)
+					maxLevels = max(maxLevels, s.Counts["level"])
+					handedOff = handedOff || s.Args["finish.dense"] == 1
 					if len(f.EdgeIDs) != len(ref.EdgeIDs) {
 						t.Fatalf("seed %d: %d forest edges, Kruskal has %d", seed, len(f.EdgeIDs), len(ref.EdgeIDs))
 					}
@@ -110,8 +124,8 @@ func TestMultiLevelExactness(t *testing.T) {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
 				}
-				if multi && maxLevels < 2 {
-					t.Fatalf("no seed of 32 contracted more than once (max %d levels)", maxLevels)
+				if multi && !covered() {
+					t.Fatalf("no seed of 32 took the path (dense hand-off %v: max %d levels, handed off %v)", sh.dense, maxLevels, handedOff)
 				}
 			})
 		}

@@ -8,6 +8,7 @@ import (
 	"pmsf/internal/graph"
 	"pmsf/internal/heap"
 	"pmsf/internal/uf"
+	"pmsf/internal/verify"
 )
 
 // workList builds the (edges, starts) working form used across the
@@ -54,33 +55,48 @@ func TestLightestTieBreaksByID(t *testing.T) {
 	}
 }
 
+// finishAlone runs g with a BaseSize above n, so no level runs and the
+// finish sees the whole input, and checks that it did.
+func finishAlone(t *testing.T, g *graph.EdgeList, workers int) *graph.Forest {
+	t.Helper()
+	f, s := traced(g, Options{Workers: workers, BaseSize: 1 << 20})
+	if s.Counts["level"] != 0 || s.Args["finish.n"] != int64(g.N) {
+		t.Fatalf("%d levels, finish.n = %d", s.Counts["level"], s.Args["finish.n"])
+	}
+	return f
+}
+
+// The finish alone on one worker is a sequential MSF: the forest edges
+// close no cycle, span every component, and the verifier finds no
+// lighter forest.
 func TestSequentialFinish(t *testing.T) {
 	g := gen.Random(300, 1200, 5)
-	edges, _ := workList(t, g)
-	ids := sequentialFinish(g.N, edges)
-	// The selected ids must form a spanning forest of g with the MSF
-	// weight (cross-checked against Kruskal through the weights).
+	f := finishAlone(t, g, 1)
 	u := uf.New(g.N)
-	var w float64
-	for _, id := range ids {
+	for _, id := range f.EdgeIDs {
 		e := g.Edges[id]
 		if !u.Union(e.U, e.V) {
 			t.Fatalf("edge %d closes a cycle", id)
 		}
-		w += e.W
 	}
-	if len(ids) != g.N-graph.ComponentCount(g) {
-		t.Fatalf("%d edges selected", len(ids))
+	if len(f.EdgeIDs) != g.N-graph.ComponentCount(g) {
+		t.Fatalf("%d edges selected", len(f.EdgeIDs))
+	}
+	if err := verify.Minimum(g, f); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// The finish's component count includes isolated vertices: two edges on
+// five vertices leave three components, at one worker or several.
 func TestBaseComponents(t *testing.T) {
 	g := &graph.EdgeList{N: 5, Edges: []graph.Edge{
 		{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1},
 	}}
-	edges, _ := workList(t, g)
-	if got := baseComponents(5, edges); got != 3 {
-		t.Fatalf("components = %d, want 3", got)
+	for _, p := range []int{1, 2} {
+		if f := finishAlone(t, g, p); f.Components != 3 || len(f.EdgeIDs) != 2 {
+			t.Fatalf("p=%d: %d components, %d edges; want 3 and 2", p, f.Components, len(f.EdgeIDs))
+		}
 	}
 }
 
@@ -127,7 +143,7 @@ func TestGrowTreeSolo(t *testing.T) {
 	h := newTestHeap(3)
 	color[0] = 7 // claimed
 	var out []int32
-	grown, collided := growTree(0, 7, h, color, visited, edges, starts, &out)
+	grown, _, collided := growTree(0, 7, h, color, visited, edges, starts, &out)
 	if collided {
 		t.Fatal("solo tree collided")
 	}
@@ -158,7 +174,7 @@ func TestGrowTreeMaturesOnForeignColor(t *testing.T) {
 	color[2] = 99 // foreign tree sits at vertex 2
 	h := newTestHeap(4)
 	var out []int32
-	grown, collided := growTree(0, 7, h, color, visited, edges, starts, &out)
+	grown, _, collided := growTree(0, 7, h, color, visited, edges, starts, &out)
 	if !collided {
 		t.Fatal("no collision reported")
 	}

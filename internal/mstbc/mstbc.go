@@ -7,7 +7,15 @@
 // processor's color. Unvisited vertices then select their lightest
 // incident edge (a Borůvka step), mature subtrees are contracted with a
 // lock-free union-find, and the algorithm recurses on the contracted
-// graph until the problem is small enough to finish sequentially.
+// graph until the problem is small.
+//
+// The paper then finishes with the best sequential algorithm. Here the
+// finish is Bor-CAS's parallel Filter-Kruskal (cashook.Finish) on the
+// run's own team, and it also takes over early, as a departure from the
+// paper: once the edges a level leaves outnumber its supervertices
+// denseFactor-fold, contraction has stopped paying (on a random graph
+// it barely shrinks m), so that level's relabel and compaction are
+// skipped and its labels go straight to the filter.
 //
 // On one processor the algorithm behaves as Prim's; on n processors it
 // degenerates to Borůvka's; for 1 < p < n it is the paper's hybrid.
@@ -18,12 +26,12 @@ import (
 	"sync/atomic"
 
 	"pmsf/internal/boruvka"
+	"pmsf/internal/cashook"
 	"pmsf/internal/graph"
 	"pmsf/internal/heap"
 	"pmsf/internal/obs"
 	"pmsf/internal/par"
 	"pmsf/internal/rng"
-	"pmsf/internal/seq"
 	"pmsf/internal/sorts"
 	"pmsf/internal/uf"
 )
@@ -34,8 +42,8 @@ type Options struct {
 	// GOMAXPROCS.
 	Workers int
 	// BaseSize is the paper's n_b: once the contracted graph has at most
-	// this many supervertices, one worker finishes the job with the best
-	// sequential algorithm. 0 means DefaultBaseSize.
+	// this many supervertices, the finish (Bor-CAS's Filter-Kruskal)
+	// solves the rest. 0 means DefaultBaseSize.
 	BaseSize int
 	// Permute randomizes the vertex claim order each round — the paper's
 	// progress guarantee against adversarial synchronization. Disabled
@@ -46,23 +54,33 @@ type Options struct {
 	Seed uint64
 	// Trace, when non-nil, receives hierarchical spans for every level
 	// and phase: a "level" child of the root per contraction, carrying
-	// n, m, trees, collisions, steals and visited, with grow, fixup and
-	// contract children, then a "seq-base" child carrying n and m.
+	// n, m, trees, collisions, steals and visited, with grow (carrying
+	// arc_scans), fixup and contract children, then, when edges are
+	// left, a "finish" child carrying n, m and dense (1 when the level's
+	// live edges outnumbered its supervertices denseFactor-fold), with
+	// Bor-CAS's filter, sort and hook spans under it.
 	Trace *obs.Collector
 }
 
-// DefaultBaseSize is the default sequential cutoff n_b.
+// DefaultBaseSize is the default base-case cutoff n_b.
 const DefaultBaseSize = 256
+
+// denseFactor is the hand-off rule's d: a level whose live edges number
+// at least d times its supervertices is not contracted, and the finish
+// takes its labels instead.
+const denseFactor = 4
 
 // partition is a work-stealing range of the claim order: the owner takes
 // from the front, thieves from the back (the paper's decreasing pointer).
-// Packed head/tail in one word keeps claims lock-free.
+// Packed head/tail in one word keeps claims lock-free, and the padding
+// keeps each partition's word on a cache line of its own.
 type partition struct {
 	// state packs the unclaimed range [head, tail) as head<<32|tail,
 	// built by packRange and decoded by unpackRange only.
 	//
 	//msf:packed
 	state atomic.Uint64
+	_     [par.PadWords - 1]uint64
 }
 
 // packRange packs a claim range's bounds into one state word.
@@ -114,35 +132,26 @@ func (pt *partition) takeBack() (int, bool) {
 func Run(g *graph.EdgeList, opt Options) *graph.Forest {
 	r := newRun(g, opt)
 	defer r.close()
-	level := 0
-	for len(r.edges) > 0 && r.n > r.nb {
-		r.level()
-		level++
-		if level > 64 {
+	// A level hands off when it leaves its live edges to the finish
+	// uncontracted (see contract); a graph already within n_b goes to
+	// the finish whole.
+	handoff := len(r.edges) > 0 && r.n <= r.nb
+	if handoff {
+		r.countLive()
+	}
+	for level := 0; !handoff && len(r.edges) > 0; level++ {
+		if level == 64 {
 			// Progress is guaranteed (see the zero-selection fallback in
 			// fixup), so this is purely defensive.
 			panic("mstbc: no convergence after 64 levels")
 		}
+		handoff = r.level()
 	}
-
-	// Sequential base case: finish with Kruskal on the contracted graph.
-	n := r.n
-	if len(r.edges) > 0 {
-		sb := r.root.Child("seq-base")
-		sb.SetInt("n", int64(n))
-		sb.SetInt("m", int64(len(r.edges)/2))
-		r.c.Labeled(algoName, "seq-base", func() {
-			for _, id := range sequentialFinish(n, r.edges) {
-				r.ws.AppendForest(id)
-			}
-			// All inter-supervertex edges are resolved now; components of
-			// the base graph determine the remaining supervertex count.
-			n = baseComponents(n, r.edges)
-		})
-		sb.End()
+	if handoff {
+		r.finish()
 	}
 	r.root.End()
-	return finishForest(g, r.ws.ForestIDs(), n)
+	return finishForest(g, r.ws.ForestIDs(), r.n)
 }
 
 // algoName is the span/category/pprof-label name of the algorithm.
@@ -159,6 +168,7 @@ type run struct {
 	opt   Options
 	c     *obs.Collector
 	root  obs.Span
+	input []graph.Edge
 	ws    *boruvka.Workspace
 	team  *par.Team // ws's team
 	comp  *sorts.Compactor
@@ -170,6 +180,9 @@ type run struct {
 	edges, spare []graph.WEdge
 	starts       []int64
 	n            int
+	// vmap takes each input vertex to its working-graph vertex: the
+	// labels of every contracted level composed, nil before the first.
+	vmap []int32
 
 	// Per-level scratch, indexed by supervertex. color and visited are
 	// read and written atomically while the trees grow; parent and sel
@@ -181,16 +194,18 @@ type run struct {
 	sel      []int32 // id of the selected edge
 	rep      []int32 // union-find root of each supervertex
 	labels   []int32 // dense labels of the current contraction
+	counts   []int64 // per-worker live input edge counts, then offsets, par.PadWords apart
+	ids      []int32 // the finish's edge ids into the input
 	u        *uf.Concurrent
 	heaps    []*heap.IndexedHeap
 	treeArcs [][]int32 // arc indices selected by each worker
 	parts    []partition
 	findAll  bool // fixup's zero-progress fallback: every vertex selects
 
-	trees, collisions, steals, stealAttempts, visitedCount atomic.Int64
+	trees, collisions, steals, stealAttempts, visitedCount, arcScans atomic.Int64
 
-	growBody, unionBody, findBody, relabelBody func(int)
-	fixupBody                                  func(worker, lo, hi int)
+	growBody, unionBody, findBody, relabelBody, composeBody, countBody, fillBody func(int)
+	fixupBody                                                                    func(worker, lo, hi int)
 }
 
 // newRun builds the run state and performs the setup compaction, which
@@ -204,7 +219,7 @@ func newRun(g *graph.EdgeList, opt Options) *run {
 	if nb <= 0 {
 		nb = DefaultBaseSize
 	}
-	r := &run{p: p, nb: nb, opt: opt, c: opt.Trace, n: g.N, ws: boruvka.NewWorkspace(p, g.N)}
+	r := &run{p: p, nb: nb, opt: opt, c: opt.Trace, input: g.Edges, n: g.N, ws: boruvka.NewWorkspace(p, g.N)}
 	r.team = r.ws.Team()
 	r.parent, r.sel = r.ws.Selections()
 	r.root = r.c.Start(algoName, algoName)
@@ -215,7 +230,11 @@ func newRun(g *graph.EdgeList, opt Options) *run {
 	r.unionBody = r.unionWork
 	r.findBody = r.findWork
 	r.relabelBody = r.relabelWork
+	r.composeBody = r.composeWork
+	r.countBody = r.countWork
+	r.fillBody = r.fillWork
 	r.fixupBody = r.fixupWork
+	r.counts = make([]int64, p*par.PadWords)
 
 	m := 2 * len(g.Edges)
 	r.edges = make([]graph.WEdge, m)
@@ -276,13 +295,15 @@ func (r *run) setKernelArgs(s obs.Span) {
 
 // level executes one round of Alg. 1 (steps 1-5): the concurrent Prim
 // growth, the Borůvka fix-up for unvisited vertices, and the contraction.
-func (r *run) level() {
+// It reports whether the level hands off to the finish.
+func (r *run) level() (handoff bool) {
 	lv := r.root.Child("level")
 	lv.SetInt("n", int64(r.n))
 	lv.SetInt("m", int64(len(r.edges)/2))
 
 	grow := lv.Child("grow")
 	r.c.Labeled(algoName, "grow", r.grow)
+	grow.SetInt("arc_scans", r.arcScans.Load())
 	grow.End()
 	lv.SetInt("trees", r.trees.Load())
 	lv.SetInt("collisions", r.collisions.Load())
@@ -296,9 +317,10 @@ func (r *run) level() {
 	fixup.End()
 
 	contract := lv.Child("contract")
-	r.c.Labeled(algoName, "contract", func() { r.contract(contract) })
+	r.c.Labeled(algoName, "contract", func() { handoff = r.contract(contract) })
 	contract.End()
 	lv.End()
+	return handoff
 }
 
 // grow resets the level's claim state and runs the concurrent Prim
@@ -324,6 +346,7 @@ func (r *run) grow() {
 	r.steals.Store(0)
 	r.stealAttempts.Store(0)
 	r.visitedCount.Store(0)
+	r.arcScans.Store(0)
 	r.team.Run(r.growBody)
 }
 
@@ -334,7 +357,7 @@ func (r *run) growWork(w int) {
 	visited := r.visited // accessed atomically
 	h := r.heaps[w]
 	arcs := r.treeArcs[w][:0]
-	var myTrees, myColl, mySteals, myAttempts, myVisited int64
+	var myTrees, myColl, mySteals, myAttempts, myVisited, myScans int64
 	claim := func(pi int) {
 		for {
 			var idx int
@@ -353,8 +376,9 @@ func (r *run) growWork(w int) {
 				continue // already claimed by someone (possibly us)
 			}
 			myTrees++
-			grown, coll := growTree(v, myColors(w, p, myTrees-1), h, color, visited, edges, starts, &arcs)
+			grown, scans, coll := growTree(v, myColors(w, p, myTrees-1), h, color, visited, edges, starts, &arcs)
 			myVisited += grown
+			myScans += scans
 			if coll {
 				myColl++
 			}
@@ -386,6 +410,7 @@ func (r *run) growWork(w int) {
 	r.steals.Add(mySteals)
 	r.stealAttempts.Add(myAttempts)
 	r.visitedCount.Add(myVisited)
+	r.arcScans.Add(myScans)
 }
 
 // fixup is step 3 of Alg. 1: every vertex not incorporated into a
@@ -438,16 +463,28 @@ func (r *run) fixupWork(_, lo, hi int) {
 
 // contract is steps 4-5 of Alg. 1: union every selected edge in a
 // lock-free union-find, relabel the components densely, and rebuild the
-// working graph with the two-level compaction.
-func (r *run) contract(sp obs.Span) {
+// working graph with the two-level compaction. The relabel and the
+// compaction are skipped when no input edge joins two of the k new
+// supervertices, and when the level hands off: when k is within n_b,
+// or when the live input edges number at least denseFactor·k.
+func (r *run) contract(sp obs.Span) (handoff bool) {
 	var k int
 	r.labels, k = r.denseLabels()
+	r.composeMap()
+	live := r.countLive()
+	obs.Supervertices.Set(int64(k))
+	r.n = k
+	if live == 0 || k <= r.nb || live >= denseFactor*k {
+		// The working list is dead from here: the finish reads the input.
+		obs.EdgesRetired.Add(int64(len(r.edges)))
+		r.edges, r.spare = nil, nil
+		return live > 0
+	}
 	r.team.Run(r.relabelBody)
 	before := int64(len(r.edges))
 	r.compact(sp, k)
 	obs.EdgesRetired.Add(before - int64(len(r.edges)))
-	obs.Supervertices.Set(int64(k))
-	r.n = k
+	return false
 }
 
 // denseLabels merges the level's tree edges and selected edges in the
@@ -486,6 +523,116 @@ func (r *run) findWork(w int) {
 	}
 }
 
+// composeMap advances the input vertices' map through the level's
+// labels.
+func (r *run) composeMap() {
+	if r.vmap == nil {
+		r.vmap = make([]int32, len(r.labels))
+		copy(r.vmap, r.labels)
+		return
+	}
+	r.team.Run(r.composeBody)
+}
+
+//msf:noalloc
+func (r *run) composeWork(w int) {
+	lo, hi := par.Block(len(r.vmap), r.p, w)
+	vmap, labels := r.vmap, r.labels
+	for v := lo; v < hi; v++ {
+		vmap[v] = labels[vmap[v]]
+	}
+}
+
+// countLive counts the live input edges, those whose endpoints the
+// vertex map takes to two different vertices, per worker block into
+// counts, and returns the total. Parallel edges count apiece: the
+// finish filters them. The input, read in order, is smaller than the
+// directed working list of level 0.
+func (r *run) countLive() int {
+	r.team.Run(r.countBody)
+	total := 0
+	for w := 0; w < r.p; w++ {
+		total += int(r.counts[w*par.PadWords])
+	}
+	return total
+}
+
+// countWork counts the live input edges of worker w's block. The nil
+// test of the vertex map is the same for every edge, and the count is a
+// conditional select.
+//
+//msf:noalloc
+func (r *run) countWork(w int) {
+	lo, hi := par.Block(len(r.input), r.p, w)
+	input, vmap := r.input, r.vmap
+	var c int64
+	for i := lo; i < hi; i++ {
+		u, v := input[i].U, input[i].V
+		if vmap != nil {
+			u, v = vmap[u], vmap[v]
+		}
+		c += one(u != v)
+	}
+	r.counts[w*par.PadWords] = c
+}
+
+// one is 1 for true and 0 for false.
+func one(b bool) int64 {
+	var x int64
+	if b {
+		x = 1
+	}
+	return x
+}
+
+// fillWork writes the ids of worker w's live input edges from its
+// offset in counts.
+//
+//msf:noalloc
+func (r *run) fillWork(w int) {
+	lo, hi := par.Block(len(r.input), r.p, w)
+	input, vmap, ids := r.input, r.vmap, r.ids
+	pos := r.counts[w*par.PadWords]
+	for i := lo; i < hi; i++ {
+		u, v := input[i].U, input[i].V
+		if vmap != nil {
+			u, v = vmap[u], vmap[v]
+		}
+		if u != v {
+			ids[pos] = int32(i)
+			pos++
+		}
+	}
+}
+
+// finish solves the live input edges counted last with Bor-CAS's
+// Filter-Kruskal on the run's team. The edges stay in the input, named
+// by an id list in input order, and the vertex map takes their
+// endpoints to the finish's r.n vertices. The forest edges join the
+// run's, and the finish's component count becomes r.n.
+func (r *run) finish() {
+	live := int64(0)
+	for w := 0; w < r.p; w++ {
+		c := r.counts[w*par.PadWords]
+		r.counts[w*par.PadWords] = live
+		live += c
+	}
+	sp := r.root.Child("finish")
+	sp.SetInt("n", int64(r.n))
+	sp.SetInt("m", live)
+	sp.SetInt("dense", one(live >= denseFactor*int64(r.n)))
+	r.c.Labeled(algoName, "finish", func() {
+		r.ids = make([]int32, live)
+		r.team.Run(r.fillBody)
+		f := cashook.Finish(r.team, r.input, r.ids, r.vmap, r.n, r.opt.Seed, sp)
+		for _, id := range f.EdgeIDs {
+			r.ws.AppendForest(id)
+		}
+		r.n = f.Components
+	})
+	sp.End()
+}
+
 //msf:noalloc
 func (r *run) relabelWork(w int) {
 	lo, hi := par.Block(len(r.edges), r.p, w)
@@ -503,8 +650,14 @@ func myColors(w, p int, t int64) int64 {
 }
 
 // growTree runs the Prim growth loop of Alg. 2 from root v with color my.
-// It returns the number of vertices incorporated and whether growth ended
-// in a collision with a foreign color.
+// It returns the number of vertices incorporated, the number of arcs
+// scanned, and whether growth ended in a collision with a foreign color.
+//
+// Only the tree that colored a vertex scans its arcs, and it scans them
+// at most twice (the maturity check, then the insertions): a visited
+// vertex is never pushed again, and a popped one is tested for visited
+// before its maturity scan. So a level scans at most twice the working
+// list's arcs, whatever the degrees.
 //
 //msf:atomic color visited
 func growTree(
@@ -512,7 +665,7 @@ func growTree(
 	color []int64, visited []int32,
 	edges []graph.WEdge, starts []int64,
 	out *[]int32,
-) (grown int64, collided bool) {
+) (grown, scans int64, collided bool) {
 	h.Reset()
 	h.Push(v, math.Inf(-1), -1)
 	for h.Len() > 0 {
@@ -521,10 +674,14 @@ func growTree(
 			collided = true
 			break
 		}
+		if atomic.LoadInt32(&visited[w]) != 0 {
+			continue
+		}
 		// Maturity check: a foreign-colored neighbor means this tree
 		// touches another processor's tree.
 		foreign := false
 		for i := starts[w]; i < starts[w+1]; i++ {
+			scans++
 			c := atomic.LoadInt64(&color[edges[i].V])
 			if c != 0 && c != my {
 				foreign = true
@@ -535,32 +692,37 @@ func growTree(
 			collided = true
 			break
 		}
-		if atomic.LoadInt32(&visited[w]) == 0 {
-			atomic.StoreInt32(&visited[w], 1)
-			grown++
-			if arc >= 0 {
-				*out = append(*out, arc)
-			}
-			for i := starts[w]; i < starts[w+1]; i++ {
-				uu := edges[i].V
-				// Claim free neighbors; but insert into the heap
-				// REGARDLESS of color, exactly as Alg. 2 does. A foreign
-				// vertex that surfaces at the top of the heap triggers
-				// the collision break above, which is what preserves
-				// Prim's cut invariant: the popped key is always the
-				// minimum edge crossing the tree cut, and the tree stops
-				// rather than skip past a lost lighter crossing edge.
+		atomic.StoreInt32(&visited[w], 1)
+		grown++
+		if arc >= 0 {
+			*out = append(*out, arc)
+		}
+		scans += starts[w+1] - starts[w]
+		for i := starts[w]; i < starts[w+1]; i++ {
+			uu := edges[i].V
+			// Claim free neighbors; but insert into the heap REGARDLESS
+			// of color, exactly as Alg. 2 does, except for the vertices
+			// this tree already holds. A foreign vertex that surfaces at
+			// the top of the heap triggers the collision break above,
+			// which is what preserves Prim's cut invariant: the popped
+			// key is always the minimum edge crossing the tree cut, and
+			// the tree stops rather than skip past a lost lighter
+			// crossing edge. An arc into the tree crosses no cut.
+			c := atomic.LoadInt64(&color[uu])
+			if c == 0 {
 				atomic.CompareAndSwapInt64(&color[uu], 0, my)
-				if h.Contains(uu) {
-					h.DecreaseKey(uu, edges[i].W, int32(i))
-				} else {
-					h.Push(uu, edges[i].W, int32(i))
-				}
+			} else if c == my && atomic.LoadInt32(&visited[uu]) != 0 {
+				continue
+			}
+			if h.Contains(uu) {
+				h.DecreaseKey(uu, edges[i].W, int32(i))
+			} else {
+				h.Push(uu, edges[i].W, int32(i))
 			}
 		}
 	}
 	h.Reset()
-	return grown, collided
+	return grown, scans, collided
 }
 
 // lightest returns the other endpoint and arc index of v's minimum-weight
@@ -578,38 +740,6 @@ func lightest(v int32, edges []graph.WEdge, starts []int64) (int32, int32) {
 		}
 	}
 	return edges[best].V, int32(best)
-}
-
-// sequentialFinish solves the base problem with Kruskal over the directed
-// working list (each undirected edge kept once) and returns the selected
-// original edge ids.
-func sequentialFinish(n int, edges []graph.WEdge) []int32 {
-	el := &graph.EdgeList{N: n}
-	keep := make([]int32, 0, len(edges)/2)
-	for i, e := range edges {
-		if e.U < e.V {
-			el.Edges = append(el.Edges, graph.Edge{U: e.U, V: e.V, W: e.W})
-			keep = append(keep, int32(i))
-		}
-	}
-	f := seq.Kruskal(el)
-	out := make([]int32, len(f.EdgeIDs))
-	for i, localID := range f.EdgeIDs {
-		out[i] = edges[keep[localID]].ID
-	}
-	return out
-}
-
-// baseComponents counts the connected components of the base graph so the
-// final forest reports the true component count.
-func baseComponents(n int, edges []graph.WEdge) int {
-	u := uf.New(n)
-	for _, e := range edges {
-		if e.U < e.V {
-			u.Union(e.U, e.V)
-		}
-	}
-	return u.Count()
 }
 
 func finishForest(g *graph.EdgeList, ids []int32, components int) *graph.Forest {

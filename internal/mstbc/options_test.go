@@ -29,7 +29,7 @@ func TestNoPermuteCorrect(t *testing.T) {
 }
 
 // The summary must be coherent: levels' n decrease, trees+collisions
-// counted, base-case sizes recorded, and every vertex of a level
+// counted, finish sizes recorded, and every vertex of a level
 // accounted for.
 func TestStatsCoherent(t *testing.T) {
 	g := gen.Random(4000, 16000, 2)
@@ -63,8 +63,10 @@ func TestStatsCoherent(t *testing.T) {
 			t.Fatalf("level %d: grow time not recorded", i)
 		}
 	}
-	if n := s.Args["seq-base.n"]; n > 64 {
-		t.Fatalf("sequential base ran at n=%d > nb=64", n)
+	// The finish runs at n <= nb, or on a level whose live edges number
+	// at least denseFactor·n.
+	if n, m := s.Args["finish.n"], s.Args["finish.m"]; n > 64 && (s.Args["finish.dense"] != 1 || m < denseFactor*n) {
+		t.Fatalf("finish ran at n=%d > nb=64 with m=%d, dense=%d", n, m, s.Args["finish.dense"])
 	}
 	if s.PhaseTotal("MST-BC") <= 0 {
 		t.Fatal("total time not recorded")

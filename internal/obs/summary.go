@@ -27,7 +27,7 @@ type Summary struct {
 	Counts map[string]int `json:"counts"`
 	// Args holds the integer args of the root span and of its direct
 	// children other than rounds, keyed "span.arg" ("hook.buckets",
-	// "seq-base.n", ...). The last value wins when a name repeats.
+	// "finish.n", ...). The last value wins when a name repeats.
 	Args map[string]int64 `json:"args,omitempty"`
 	// Rounds has one entry per "iteration" or "level" child of the root
 	// span, in end order.

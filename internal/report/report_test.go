@@ -59,7 +59,7 @@ func TestMSTBCReportNoLevels(t *testing.T) {
 	_, out := render(t, func(c *obs.Collector) {
 		mstbc.Run(g, mstbc.Options{Workers: 2, BaseSize: 1 << 20, Trace: c})
 	})
-	wantAll(t, out, "MST-BC, p=2, ", "seq-base.m")
+	wantAll(t, out, "MST-BC, p=2, ", "finish.m")
 	if strings.Contains(out, "level") || strings.Contains(out, "total") {
 		t.Errorf("expected no level table:\n%s", out)
 	}

@@ -57,7 +57,7 @@ func NewTrace() *Trace { return obs.NewCollector() }
 // Stats is the roll-up of a traced run's span tree: per-name span counts
 // and phase totals, the args of the top-level phases (Bor-CAS's
 // hook.buckets, filter.filtered and sort.elements, MST-BC's
-// seq-base.n, ...), and one Round per Borůvka iteration or
+// finish.n and finish.dense, ...), and one Round per Borůvka iteration or
 // MST-BC level with its args (n, list_size; n, m, trees, collisions,
 // steals, visited) and step times — the numbers behind Table 1 and
 // Fig. 2 of the paper. Summarize a Trace to get one, optionally with a
@@ -193,12 +193,12 @@ func stripDash(s string) string {
 }
 
 // Options configures a run. The zero value is a sensible default: all
-// available processors, default sequential cutoff, no instrumentation.
+// available processors, default base-case cutoff, no instrumentation.
 type Options struct {
 	// Workers is the number of parallel workers p; 0 means GOMAXPROCS.
 	// Sequential algorithms ignore it.
 	Workers int
-	// BaseSize is MST-BC's sequential cutoff n_b; 0 means the default.
+	// BaseSize is MST-BC's base-case cutoff n_b; 0 means the default.
 	BaseSize int
 	// Seed drives the randomized components: the sample-sort splitters
 	// of Bor-EL's SortSampleSort engine, Bor-CAS's Filter-Kruskal pivot
